@@ -8,6 +8,8 @@ compared against the entry's expectations.
 from __future__ import annotations
 
 import json
+import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -136,7 +138,6 @@ def _run_ode2(entry: CatalogEntry, cfg: RunConfig) -> dict:
         "weyl_zero": rep.checks["weyl"].is_zero,
     }
     g = ode2.fefferman_metric(ode)
-    import random
     rng = random.Random(cfg.seed)
     sigs = {signature_at(g, bx.sample(rng), cfg.dps)[:2]
             for _ in range(max(5, cfg.samples // 2))}
@@ -192,7 +193,6 @@ def _run_g32(entry: CatalogEntry, cfg: RunConfig) -> dict:
     out = {"weyl_zero": weyl_zero}
     F = ex.parse(entry.data["formula"], allowed={"q"})
     out["a5_zero"] = monge.example6_a5(F).is_zero_literal
-    import random
     rng = random.Random(cfg.seed)
     sig = signature_at(g, g.box.sample(rng), cfg.dps)
     out["signature"] = sorted(sig[:2], reverse=True)
@@ -268,7 +268,6 @@ HEADROOM_RATIO = 1e-6
 
 
 def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
-    import time
     t0 = time.perf_counter()
     got = _RUNNERS[entry.kind](entry, cfg)
     elapsed = time.perf_counter() - t0

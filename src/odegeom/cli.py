@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
+import time
 
 from . import expr as ex
 from .catalog import verify_catalog
@@ -146,7 +148,6 @@ def cmd_ode2(args, cfg: RunConfig) -> tuple:
                  ex.to_str(g.rows[i][j])
                  for i in range(4) for j in range(i, 4)
                  if not g.rows[i][j].is_zero_literal}
-        import random
         sig = signature_at(g, bx.sample(random.Random(cfg.seed)), cfg.dps)
         return 0, {"formula": ex.to_str(Q), "components": comps,
                    "signature": list(sig)}
@@ -316,7 +317,6 @@ def main(argv=None) -> int:
 
     handlers = {"ode3": cmd_ode3, "dkp": cmd_dkp, "ode2": cmd_ode2,
                 "monge": cmd_monge, "lie": cmd_lie, "verify": cmd_verify}
-    import time
     t0 = time.perf_counter()
     try:
         status, report = handlers[args.command](args, cfg)

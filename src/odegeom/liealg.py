@@ -59,10 +59,8 @@ class Q3:
 
     def inverse(self):
         den = self.a * self.a - 3 * self.b * self.b
-        if den == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("inverse of zero")
-            raise ZeroDivisionError("norm vanishes (impossible for sqrt 3)")
+        if den == 0:  # only at zero, sqrt 3 being irrational
+            raise ZeroDivisionError("inverse of zero")
         return Q3(self.a / den, -self.b / den)
 
     def __truediv__(self, other):
@@ -103,86 +101,100 @@ INV_SQRT3 = Q3(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra over Q3
+# exact sparse linear algebra over Q3
+#
+# A sparse vector is a dict {column: nonzero Q3}; a sparse matrix is a dict
+# {row: sparse vector} without empty rows.
+
+_ZERO = Q3()  # shared, never mutated: padding for dense rows
 
 
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum((A[i][l] * B[l][j] for l in range(k)), Q3())
-             for j in range(m)] for i in range(n)]
+def _sparse_matrix(A):
+    rows = ({c: v for c, v in enumerate(row) if not v.is_zero} for row in A)
+    return {r: row for r, row in enumerate(rows) if row}
 
 
-def mat_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(len(A[0]))]
-            for i in range(len(A))]
+def _add_scaled(acc, f, vec):
+    """acc += f * vec in place, f nonzero; entries that cancel are dropped."""
+    for c, v in vec.items():
+        x = acc[c] + f * v if c in acc else f * v
+        if x.is_zero:
+            del acc[c]
+        else:
+            acc[c] = x
+
+
+def _sparse_commutator(A, B):
+    """AB - BA of two sparse matrices, as {(row, col): nonzero value}."""
+    out = {}
+    for X, Y, negate in ((A, B, False), (B, A, True)):
+        for r, row in X.items():
+            for k, x in row.items():
+                if k in Y:
+                    _add_scaled(out, -x if negate else x,
+                                {(r, c): y for c, y in Y[k].items()})
+    return out
 
 
 def commutator(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+    C = [[Q3() for _ in row] for row in A]
+    for (r, c), v in _sparse_commutator(_sparse_matrix(A),
+                                        _sparse_matrix(B)).items():
+        C[r][c] = v
+    return C
 
 
-def mat_is_zero(A):
-    return all(c.is_zero for row in A for c in row)
+def _reduce(basis, vec):
+    """Clear every pivot of a reduced echelon basis from vec, in place."""
+    for p in [p for p in vec if p in basis]:
+        _add_scaled(vec, -vec[p], basis[p])
+
+
+def _rref_rows(rows, cols):
+    """Reduced echelon basis {pivot: row} of the span of sparse rows, grown
+    one row at a time.  Each row is 1 at its pivot, its leading column, and
+    no row touches another's pivot, so the basis is the unique RREF."""
+    basis = {}
+    for row in rows:
+        _reduce(basis, row)
+        if not row:
+            continue
+        q = min(row)
+        inv = row[q].inverse()
+        row = {c: v * inv for c, v in row.items()}
+        for other in basis.values():
+            if q in other:
+                _add_scaled(other, -other[q], row)
+        basis[q] = row
+        if len(basis) == cols:
+            break
+    return basis
 
 
 def rref(M):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    M = [row[:] for row in M]
-    rows, cols = len(M), len(M[0]) if M else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if not M[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = M[r][c].inverse()
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and not M[i][c].is_zero:
-                f = M[i][c]
-                M[i] = [M[i][j] - f * M[r][j] for j in range(cols)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, pivots
+    cols = len(M[0]) if M else 0
+    basis = _rref_rows(_sparse_matrix(M).values(), cols)
+    pivots = sorted(basis)
+    R = [[basis[p].get(c, Q3()) for c in range(cols)] for p in pivots]
+    return R + [[Q3() for _ in range(cols)] for _ in M[len(R):]], pivots
 
 
 def nullspace(M):
     """Basis of the right nullspace (list of Q3 vectors)."""
     if not M:
         return []
-    R, pivots = rref(M)
     cols = len(M[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
+    basis = _rref_rows(_sparse_matrix(M).values(), cols)
+    out = []
+    for fc in (c for c in range(cols) if c not in basis):
         v = [Q3() for _ in range(cols)]
         v[fc] = Q3(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_in_span(basis_vectors, target):
-    """Coefficients expressing target in the span, or None."""
-    cols = len(basis_vectors)
-    rows = len(target)
-    M = [[basis_vectors[j][i] for j in range(cols)] + [target[i]]
-         for i in range(rows)]
-    R, pivots = rref(M)
-    if cols in pivots:
-        return None
-    coeffs = [Q3() for _ in range(cols)]
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = R[r][cols]
-    return coeffs
+        for p, row in basis.items():
+            if fc in row:
+                v[p] = -row[fc]
+        out.append(v)
+    return out
 
 
 def symmetric_inertia(M):
@@ -313,34 +325,45 @@ def flat_structure_constants(system_name: str) -> StructureConstantTable:
     return StructureConstantTable(dim, labels, c)
 
 
+def _ad_maps(t: StructureConstantTable):
+    """ad[i][j] = {k: c^k_ij} over the nonzero brackets [e_i, e_j]."""
+    ad = [{} for _ in range(t.dim)]
+    for (k, i, j), v in t.items():
+        if i < j and not v.is_zero:
+            ad[i].setdefault(j, {})[k] = v
+            ad[j].setdefault(i, {})[k] = -v
+    return ad
+
+
 def jacobi_check(t: StructureConstantTable):
     """Exact cyclic Jacobi sum; returns (ok, violations)."""
-    n = t.dim
+    ad = _ad_maps(t)
     bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for m in range(n):
-                    total = Q3()
-                    for l in range(n):
-                        total = total + t.bracket_coeff(m, i, l) * t.bracket_coeff(l, j, k)
-                        total = total + t.bracket_coeff(m, j, l) * t.bracket_coeff(l, k, i)
-                        total = total + t.bracket_coeff(m, k, l) * t.bracket_coeff(l, i, j)
-                    if not total.is_zero:
-                        bad.append((i, j, k, m))
+    for i, j, k in itertools.combinations(range(t.dim), 3):
+        total: dict = {}
+        # sum_l c^m_al c^l_bc over the cyclic orders (a, b, c) of (i, j, k)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in ad[b].get(c, {}).items():
+                if l in ad[a]:
+                    _add_scaled(total, x, ad[a][l])
+        bad.extend((i, j, k, m) for m in sorted(total))
     return not bad, bad
 
 
 def killing_form(t: StructureConstantTable):
+    """K_ij = trace(ad_i ad_j) = sum_ab c^a_ib c^b_ja."""
     n = t.dim
-    K = [[Q3() for _ in range(n)] for _ in range(n)]
+    ad = _ad_maps(t)
+    K = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             total = Q3()
-            for a in range(n):
-                for b in range(n):
-                    total = total + t.bracket_coeff(a, i, b) * t.bracket_coeff(b, j, a)
-            K[i][j] = total
+            for b, col in ad[i].items():
+                for a, x in col.items():
+                    y = ad[j].get(a, {}).get(b)
+                    if y is not None:
+                        total = total + x * y
+            K[i][j] = K[j][i] = total
     return K
 
 
@@ -373,20 +396,16 @@ def exterior_square_check(system_name: str):
 
 
 def _add_three_form(acc, idx, coeff):
-    a, b, c = idx
-    if a == b or a == c or b == c:
+    if len(set(idx)) < 3:
         return
-    order = list(idx)
-    swaps = 0
-    for i in range(3):
-        m = order.index(min(order[i:]), i)
-        if m != i:
-            order[i], order[m] = order[m], order[i]
-            swaps += 1
-    if swaps % 2:
-        coeff = -coeff
     key = tuple(sorted(idx))
-    acc[key] = acc.get(key, Q3()) + coeff
+    acc[key] = acc.get(key, Q3()) + (coeff if _perm_sign(idx) > 0 else -coeff)
+
+
+def _perm_sign(seq) -> int:
+    """Sign of the permutation that sorts a sequence of distinct items."""
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -500,33 +519,42 @@ def matrix_rep(connection: str) -> MatrixBasis:
     return basis
 
 
-def _flatten(M):
-    return [c for row in M for c in row]
+def _generator_echelon(basis: MatrixBasis):
+    """Reduced echelon basis of the generators as vectors over (row, col)
+    positions, generator g extended by 1 at the tag (size, -g), so the tag
+    part of each row is the generator combination it equals.  Tags sort
+    after every position: a row pivots on a tag only when its generator is
+    dependent on earlier ones, and then on that generator's own tag."""
+    rows = [{(r, c): v for r, row in _sparse_matrix(M).items()
+             for c, v in row.items()} for M in basis.matrices]
+    for g, row in enumerate(rows):
+        row[(basis.size, -g)] = Q3(1)
+    return _rref_rows(rows, basis.size ** 2 + len(rows))
 
 
 def _check_linear_independence(basis: MatrixBasis):
-    vecs = [_flatten(M) for M in basis.matrices]
-    M = [[vecs[j][i] for j in range(len(vecs))] for i in range(len(vecs[0]))]
-    _, pivots = rref(M)
-    if len(pivots) != len(vecs):
+    if any(r == basis.size for r, _ in _generator_echelon(basis)):
         raise ValueError(f"{basis.name}: generator matrices are dependent")
 
 
 def commutator_closure_check(basis: MatrixBasis) -> dict:
     """Each pairwise commutator must lie in the span; returns the induced
-    structure constants on success."""
-    vecs = [_flatten(M) for M in basis.matrices]
-    n = len(vecs)
+    structure constants on success.  The generators are put in echelon form
+    once; reducing a commutator against it leaves minus its coordinates in
+    the tag columns."""
+    echelon = _generator_echelon(basis)
+    mats = [_sparse_matrix(M) for M in basis.matrices]
+    n = len(mats)
     induced = {}
     for i in range(n):
         for j in range(i + 1, n):
-            target = _flatten(commutator(basis.matrices[i], basis.matrices[j]))
-            coeffs = solve_in_span(vecs, target)
-            if coeffs is None:
+            target = _sparse_commutator(mats[i], mats[j])
+            _reduce(echelon, target)
+            if any(r < basis.size for r, _ in target):
                 return {"closed": False, "failure": (i, j), "constants": None}
-            for k, c in enumerate(coeffs):
-                if not c.is_zero:
-                    induced[(k, i, j)] = c
+            for k in range(n):
+                if (basis.size, -k) in target:
+                    induced[(k, i, j)] = -target[(basis.size, -k)]
     table = StructureConstantTable(n, basis.labels, induced)
     return {"closed": True, "constants": table}
 
@@ -543,23 +571,17 @@ def invariant_bilinear_form(basis: MatrixBasis) -> dict:
     m = basis.size
     unknowns = [(i, j) for i in range(m) for j in range(i, m)]
     index = {k: i for i, k in enumerate(unknowns)}
-
-    def b_entry(B, i, j):
-        return B[index[(i, j)] if i <= j else index[(j, i)]]
-
     rows = []
     for X in basis.matrices:
+        cols = _sparse_matrix(zip(*X))  # {c: {k: X_kc}}
         for r in range(m):
             for c in range(m):
-                row = [Q3() for _ in unknowns]
+                row = [_ZERO] * len(unknowns)
                 # (X^T B + B X)_{rc} = sum_k X_{kr} B_{kc} + B_{rk} X_{kc}
-                for k in range(m):
-                    if not X[k][r].is_zero:
-                        key = (k, c) if k <= c else (c, k)
-                        row[index[key]] = row[index[key]] + X[k][r]
-                    if not X[k][c].is_zero:
-                        key = (r, k) if r <= k else (k, r)
-                        row[index[key]] = row[index[key]] + X[k][c]
+                for t, col in ((c, cols.get(r, {})), (r, cols.get(c, {}))):
+                    for k, x in col.items():
+                        key = index[(k, t) if k <= t else (t, k)]
+                        row[key] = row[key] + x
                 if any(not v.is_zero for v in row):
                     rows.append(row)
     sols = nullspace(rows)
@@ -577,10 +599,6 @@ def invariant_bilinear_form(basis: MatrixBasis) -> dict:
 # invariant 3-form in dimension 7
 
 
-def _triples(m):
-    return list(itertools.combinations(range(m), 3))
-
-
 def invariant_three_form(basis: MatrixBasis) -> dict:
     """Solve phi(Xu, v, w) + phi(u, Xv, w) + phi(u, v, Xw) = 0 for a 3-form
     phi; returns the solution space and the induced symmetric form
@@ -588,36 +606,21 @@ def invariant_three_form(basis: MatrixBasis) -> dict:
     m = basis.size
     if m != 7:
         raise ValueError("the stabilized 3-form lives in dimension 7")
-    triples = _triples(m)
+    triples = list(itertools.combinations(range(m), 3))
     index = {t: i for i, t in enumerate(triples)}
-
-    def phi_comp(vec, i, j, k):
-        idx = (i, j, k)
-        perm = tuple(sorted(idx))
-        if len(set(idx)) < 3:
-            return Q3()
-        sign = _perm_sign(idx)
-        return vec[index[perm]] * sign
-
     rows = []
     for X in basis.matrices:
-        for (i, j, k) in triples:
-            row = [Q3() for _ in triples]
-            for l in range(m):
-                for (slot, rest) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                    coeff = X[l][slot]
-                    if coeff.is_zero:
-                        continue
-                    if slot == i:
-                        tgt = (l, j, k)
-                    elif slot == j:
-                        tgt = (i, l, k)
-                    else:
-                        tgt = (i, j, l)
+        cols = _sparse_matrix(zip(*X))  # {c: {l: X_lc}}
+        for triple in triples:
+            row = [_ZERO] * len(triples)
+            for pos, slot in enumerate(triple):
+                # phi(.., X e_slot, ..) with X e_slot = sum_l X_{l slot} e_l
+                for l, x in cols.get(slot, {}).items():
+                    tgt = triple[:pos] + (l,) + triple[pos + 1:]
                     if len(set(tgt)) < 3:
                         continue
-                    perm = tuple(sorted(tgt))
-                    row[index[perm]] = row[index[perm]] + coeff * _perm_sign(tgt)
+                    key = index[tuple(sorted(tgt))]
+                    row[key] = row[key] + (x if _perm_sign(tgt) > 0 else -x)
             if any(not v.is_zero for v in row):
                 rows.append(row)
     sols = nullspace(rows)
@@ -628,56 +631,34 @@ def invariant_three_form(basis: MatrixBasis) -> dict:
     return result
 
 
-def _perm_sign(idx):
-    order = list(idx)
-    swaps = 0
-    for i in range(len(order)):
-        mpos = order.index(min(order[i:]), i)
-        if mpos != i:
-            order[i], order[mpos] = order[mpos], order[i]
-            swaps += 1
-    return Q3(1) if swaps % 2 == 0 else Q3(-1)
-
-
 def induced_bilinear_from_three_form(phi_vec):
-    """B_{uv} vol = (e_u . phi) ^ (e_v . phi) ^ phi, exact in dimension 7."""
+    """B_{uv} vol = (e_u . phi) ^ (e_v . phi) ^ phi, exact in dimension 7,
+    summed over the nonzero components of phi only."""
     m = 7
-    triples = _triples(m)
-    index = {t: i for i, t in enumerate(triples)}
-
-    def phi(i, j, k):
-        if len({i, j, k}) < 3:
-            return Q3()
-        return phi_vec[index[tuple(sorted((i, j, k)))]] * _perm_sign((i, j, k))
-
-    B = [[Q3() for _ in range(m)] for _ in range(m)]
-    full = tuple(range(m))
+    full = frozenset(range(m))
+    phi = {t: c for t, c in zip(itertools.combinations(range(m), 3), phi_vec)
+           if not c.is_zero}
+    # contraction e_u . phi as {(a, b): phi(u, a, b)} with a < b; moving u
+    # to the front of the sorted triple takes pos transpositions
+    inner: list = [{} for _ in range(m)]
+    for t, c in phi.items():
+        for pos, u in enumerate(t):
+            inner[u][t[:pos] + t[pos + 1:]] = -c if pos % 2 else c
+    B = [[None] * m for _ in range(m)]
     for u in range(m):
         for v in range(u, m):
             total = Q3()
             # coefficient of e^0 ^ ... ^ e^6 in (e_u . phi)^(e_v . phi)^phi
-            for ab in itertools.combinations(full, 2):
-                for cd in itertools.combinations(set(full) - set(ab), 2):
-                    rest = tuple(sorted(set(full) - set(ab) - set(cd)))
-                    seq = ab + cd + rest
-                    total = total + (_perm_sign_seq(seq)
-                                     * phi(u, ab[0], ab[1])
-                                     * phi(v, cd[0], cd[1])
-                                     * phi(rest[0], rest[1], rest[2]))
-            B[u][v] = total
-            B[v][u] = total
+            for ab, x in inner[u].items():
+                for cd, y in inner[v].items():
+                    rest = tuple(sorted(full.difference(ab + cd)))
+                    if len(rest) != 3 or rest not in phi:
+                        continue
+                    term = x * y * phi[rest]
+                    total = total + (term if _perm_sign(ab + cd + rest) > 0
+                                     else -term)
+            B[u][v] = B[v][u] = total
     return B
-
-
-def _perm_sign_seq(seq):
-    order = list(seq)
-    swaps = 0
-    for i in range(len(order)):
-        mpos = order.index(min(order[i:]), i)
-        if mpos != i:
-            order[i], order[mpos] = order[mpos], order[i]
-            swaps += 1
-    return Q3(1) if swaps % 2 == 0 else Q3(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ coefficient numerically, so a transcription typo is localized per monomial.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -542,7 +543,6 @@ def transcription_check(F: ex.Expression, bx: DomainBox | None = None,
     table = g32_metric(m, cfg)
     frame = frame_metric(F, bx)
 
-    import random
     rng = random.Random(cfg.seed)
     n = 5
     worst = (0.0, None, None)

@@ -261,6 +261,12 @@ class DkpResidualResult:
         }
 
 
+class DkpConsistencyError(ValueError):
+    """The Frobenius 4-form residuals of a dKP coframe disagree with the
+    scalar dKP residual, which the algebra rules out: a sampling or
+    construction fault, not a property of u."""
+
+
 def dkp_residual(u: ex.Expression, box: DomainBox | None = None,
                  cfg: RunConfig | None = None) -> DkpResidualResult:
     """Scalar dKP residual of u plus the two 4-form Frobenius residuals.
@@ -282,8 +288,11 @@ def dkp_residual(u: ex.Expression, box: DomainBox | None = None,
         named = {k: v for k, v in consistency.items() if not v.is_zero_literal}
         if named:
             sub = is_zero_many(named, box, cfg)
-            assert all(v.is_zero for v in sub.values()), \
-                "Frobenius residuals inconsistent with the scalar residual"
+            bad = sorted(k for k, v in sub.items() if not v.is_zero)
+            if bad:
+                raise DkpConsistencyError(
+                    "Frobenius residuals inconsistent with the scalar "
+                    f"residual: {', '.join(bad)}")
         verdict = is_zero(s, box, cfg)
     return DkpResidualResult(s, f1, f2, verdict)
 

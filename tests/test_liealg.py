@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from odegeom.liealg import (
-    Q3, MatrixBasis, StructureConstantTable, commutator,
+    Q3, SQRT3, MatrixBasis, StructureConstantTable,
+    _check_linear_independence, commutator,
     commutator_closure_check, exterior_square_check, flat_structure_constants,
     induced_bilinear_from_three_form, invariant_bilinear_form,
     invariant_three_form, jacobi_check, killing_analysis, killing_form,
@@ -224,3 +226,212 @@ def test_verify_system_reports():
     assert out["invariant_three_form_dimension"] == 1
     with pytest.raises(ValueError):
         verify_system("nope")
+
+
+# --- sparse kernels against dense references -------------------------------
+#
+# The dense loops below are the reference formulas, kept here as oracles.
+
+def dense_jacobi(t):
+    n = t.dim
+    c = [[[t.bracket_coeff(k, i, j) for j in range(n)] for i in range(n)]
+         for k in range(n)]
+    bad = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        for m in range(n):
+            total = Q3()
+            for l in range(n):
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    x, y = c[m][a][l], c[l][b][e]
+                    if not (x.is_zero or y.is_zero):
+                        total = total + x * y
+            if not total.is_zero:
+                bad.append((i, j, k, m))
+    return not bad, bad
+
+
+def dense_killing(t):
+    n = t.dim
+    return [[sum((t.bracket_coeff(a, i, b) * t.bracket_coeff(b, j, a)
+                  for a in range(n) for b in range(n)), Q3())
+             for j in range(n)] for i in range(n)]
+
+
+def dense_perm_sign(seq):
+    order, swaps = list(seq), 0
+    for i in range(len(order)):
+        m = order.index(min(order[i:]), i)
+        if m != i:
+            order[i], order[m] = order[m], order[i]
+            swaps += 1
+    return -1 if swaps % 2 else 1
+
+
+def dense_induced(phi_vec):
+    index = {t: i for i, t in enumerate(itertools.combinations(range(7), 3))}
+
+    def phi(i, j, k):
+        if len({i, j, k}) < 3:
+            return Q3()
+        return phi_vec[index[tuple(sorted((i, j, k)))]] \
+            * dense_perm_sign((i, j, k))
+
+    full = set(range(7))
+    B = [[Q3() for _ in range(7)] for _ in range(7)]
+    for u in range(7):
+        for v in range(u, 7):
+            total = Q3()
+            for ab in itertools.combinations(sorted(full), 2):
+                for cd in itertools.combinations(sorted(full - set(ab)), 2):
+                    rest = tuple(sorted(full - set(ab) - set(cd)))
+                    total = total + (dense_perm_sign(ab + cd + rest)
+                                     * phi(u, *ab) * phi(v, *cd) * phi(*rest))
+            B[u][v] = B[v][u] = total
+    return B
+
+
+def dense_rref(M):
+    M = [row[:] for row in M]
+    rows, cols = len(M), len(M[0]) if M else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if not M[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = M[r][c].inverse()
+        M[r] = [v * inv for v in M[r]]
+        for i in range(rows):
+            if i != r and not M[i][c].is_zero:
+                f = M[i][c]
+                M[i] = [M[i][j] - f * M[r][j] for j in range(cols)]
+        pivots.append(c)
+        r += 1
+    return M, pivots
+
+
+def mutated(t, rng, count):
+    """Copy of t with `count` constants changed, added or removed."""
+    c = dict(t.c)
+    for _ in range(count):
+        fresh = (rng.randrange(t.dim),) + \
+            tuple(sorted(rng.sample(range(t.dim), 2)))
+        key = rng.choice(sorted(c)) if rng.random() < 0.6 else fresh
+        bump = Q3(rng.choice((-1, 1, Fraction(1, 2))), rng.choice((0, 0, 1)))
+        if key in c and rng.random() < 0.3:
+            del c[key]
+        else:
+            c[key] = c.get(key, Q3()) + bump
+    return StructureConstantTable(t.dim, t.labels, c)
+
+
+def random_q3(rng):
+    return Q3(rng.randint(-3, 3), rng.choice((0, 0, 1, -1, Fraction(1, 2))))
+
+
+def test_jacobi_matches_dense_on_mutated_tables():
+    rng = random.Random(11)
+    point = flat_structure_constants("syspoint")
+    tables = [mutated(point, rng, count) for count in (1, 2, 3, 5)]
+    tables.append(mutated(flat_structure_constants("sycart-syspp"), rng, 2))
+    for t in tables:
+        ok, bad = jacobi_check(t)
+        assert (ok, bad) == dense_jacobi(t)
+        assert bad  # each mutation breaks Jacobi somewhere
+
+
+def test_killing_matches_dense_trace():
+    caln = commutator_closure_check(matrix_rep("caln"))["constants"]
+    tables = [flat_structure_constants("syspoint"),
+              flat_structure_constants("sycart-syspp"), caln,
+              mutated(flat_structure_constants("syspoint"),
+                      random.Random(3), 3)]
+    for t in tables:
+        assert killing_form(t) == dense_killing(t)
+
+
+def test_induced_form_matches_dense_formula():
+    phi = invariant_three_form(matrix_rep("ccg2"))["forms"][0]
+    assert induced_bilinear_from_three_form(phi) == dense_induced(phi)
+    rng = random.Random(7)
+    phi = [random_q3(rng) for _ in range(35)]
+    assert induced_bilinear_from_three_form(phi) == dense_induced(phi)
+
+
+def test_commutator_matches_dense_product():
+    rng = random.Random(5)
+    for _ in range(3):
+        A, B = ([[random_q3(rng) if rng.random() < 0.4 else Q3()
+                  for _ in range(5)] for _ in range(5)] for _ in range(2))
+        AB = [[sum((A[i][k] * B[k][j] for k in range(5)), Q3())
+               for j in range(5)] for i in range(5)]
+        BA = [[sum((B[i][k] * A[k][j] for k in range(5)), Q3())
+               for j in range(5)] for i in range(5)]
+        assert commutator(A, B) == [[AB[i][j] - BA[i][j] for j in range(5)]
+                                    for i in range(5)]
+
+
+# --- nullspace and closure edge cases --------------------------------------
+
+def rank_deficient(rng, rows, cols, rank):
+    """A product (rows x rank)(rank x cols) of random Q3 matrices, with a
+    zero row and a repeated row appended."""
+    A = [[random_q3(rng) for _ in range(rank)] for _ in range(rows)]
+    B = [[random_q3(rng) for _ in range(cols)] for _ in range(rank)]
+    M = [[sum((A[i][k] * B[k][j] for k in range(rank)), Q3())
+          for j in range(cols)] for i in range(rows)]
+    return M + [[Q3() for _ in range(cols)], M[0][:]]
+
+
+def test_nullspace_on_rank_deficient_q3_matrices():
+    import numpy as np
+    rng = random.Random(2024)
+    for rows, cols, rank in ((6, 9, 4), (9, 6, 3), (5, 5, 5), (7, 8, 1)):
+        M = rank_deficient(rng, rows, cols, rank)
+        basis = nullspace(M)
+        R, pivots = rref(M)
+        assert (R, pivots) == dense_rref(M)
+        assert len(basis) == cols - len(pivots)
+        assert len(pivots) == np.linalg.matrix_rank(
+            np.array([[float(v) for v in row] for row in M]))
+        for v in basis:
+            for row in M:
+                assert sum((a * b for a, b in zip(row, v)), Q3()).is_zero
+        if basis:
+            assert len(rref(basis)[1]) == len(basis)
+
+
+def test_closure_reports_first_failing_pair():
+    def unit(i, j):
+        M = [[Q3() for _ in range(3)] for _ in range(3)]
+        M[i][j] = Q3(1)
+        return M
+    # [E01, E02] = 0 closes; [E01, E10] = E00 - E11 is the first to escape
+    basis = MatrixBasis("open", ("a", "b", "c"),
+                        [unit(0, 1), unit(0, 2), unit(1, 0)])
+    res = commutator_closure_check(basis)
+    assert res == {"closed": False, "failure": (0, 2), "constants": None}
+
+
+def test_dependent_generators_rejected():
+    rng = random.Random(9)
+    A, B = ([[random_q3(rng) for _ in range(4)] for _ in range(4)]
+            for _ in range(2))
+    C = [[a + SQRT3 * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    _check_linear_independence(MatrixBasis("free", ("a", "b"), [A, B]))
+    with pytest.raises(ValueError, match="dependent"):
+        _check_linear_independence(MatrixBasis("dep", ("a", "b", "c"),
+                                               [A, B, C]))
+
+
+def test_closure_on_dependent_generators_uses_earliest_span():
+    def m(rows):
+        return [[Q3(v) for v in row] for row in rows]
+    H, E, F = m([[1, 0], [0, -1]]), m([[0, 1], [0, 0]]), m([[0, 0], [1, 0]])
+    # the repeated H adds nothing: coordinates use generators 0, 1 and 3
+    res = commutator_closure_check(MatrixBasis("sl2", tuple("abcd"),
+                                               [H, E, H, F]))
+    assert res["closed"]
+    assert sorted(res["constants"].c.items()) == [
+        ((0, 1, 3), Q3(1)), ((1, 0, 1), Q3(2)), ((1, 1, 2), Q3(-2)),
+        ((3, 0, 3), Q3(-2)), ((3, 2, 3), Q3(-2))]

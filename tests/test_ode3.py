@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from odegeom import expr as ex
+from odegeom import ode3
 from odegeom.config import RunConfig
 from odegeom.exterior import J2_3RD, d, interior, lie_derivative, total_derivative
 from odegeom.ode3 import (
@@ -188,6 +191,25 @@ def test_dkp_scalar_residual_hand_values():
 def test_dkp_residual_nonsolution():
     res = dkp_residual(ex.sym("x"), DKP_BOX, CFG)
     assert not res.verdict.is_zero
+
+
+def test_dkp_residual_inconsistent_frobenius_raises(monkeypatch):
+    # the check is an explicit raise, so it also holds under python -O
+    real = ode3.is_zero_many
+    flipped = []
+
+    def one_nonzero(named, bx, cfg=None):
+        out = real(named, bx, cfg)
+        key = next(iter(out))
+        flipped.append(key)
+        out[key] = dataclasses.replace(out[key], is_zero=False)
+        return out
+
+    monkeypatch.setattr(ode3, "is_zero_many", one_nonzero)
+    with pytest.raises(ode3.DkpConsistencyError, match="inconsistent"):
+        dkp_residual(ex.parse("sqrt(2*x)"), DKP_BOX, CFG)
+    assert flipped
+    assert issubclass(ode3.DkpConsistencyError, ValueError)
 
 
 def test_dkp_first_form_vanishes_second_matches_scalar():
