@@ -109,11 +109,11 @@ class TensorField:
             comps = {"".join(map(str, idx)): ex.to_str(c)
                      for idx, c in self.nontrivial().items()}
         else:
+            comps = self.nontrivial()
             with mpmath.workdps(dps):
-                cache: dict = {}
-                comps = {"".join(map(str, idx)):
-                         float(ex.evaluate(c, point, cache))
-                         for idx, c in self.nontrivial().items()}
+                values = ex.Tape(comps.values()).values(point)
+                comps = {"".join(map(str, idx)): float(v)
+                         for idx, v in zip(comps, values)}
         return {
             "chart": self.chart.name,
             "variance": self.variance,
@@ -518,9 +518,9 @@ def frame_components(T: TensorField, coframe) -> TensorField:
 
 def evaluate_matrix(rows, point, dps):
     with mpmath.workdps(dps):
-        cache: dict = {}
-        return np.array([[float(ex.evaluate(c, point, cache)) for c in row]
-                         for row in rows], dtype=float)
+        values = iter(ex.Tape([c for row in rows for c in row]).values(point))
+        return np.array([[float(next(values)) for _ in row] for row in rows],
+                        dtype=float)
 
 
 def signature_at(g: MetricTensor, point, dps: int = 30, zero_tol=1e-9):

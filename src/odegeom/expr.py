@@ -1,8 +1,8 @@
 """Immutable symbolic expression trees over jet-space coordinates.
 
 Expressions are hash-consed: structurally equal trees are the same Python
-object, so structural equality is identity, and evaluation/differentiation
-caches key on node identity.  Construction applies light normalization only
+object, so structural equality is identity, and the differentiation cache
+and the evaluation tape (`Tape`) key on node identity.  Construction applies light normalization only
 (constant folding, 0/1 identities, flattening of sums and products); there is
 no factorization or canonical simplification.  Identity claims are settled by
 randomized numeric sampling, not by rewriting.
@@ -28,6 +28,9 @@ import sys
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (fzero, from_float, from_int, mpf_abs, mpf_add,
+                          mpf_div, mpf_eq, mpf_exp, mpf_le, mpf_log, mpf_lt,
+                          mpf_mul, mpf_pos, mpf_pow, mpf_pow_int)
 
 from .config import DEFAULT_DPS
 
@@ -496,89 +499,241 @@ def contains_antiderivative(e: Expression) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation
+# numeric evaluation: one compiled tape
+#
+# A tape lists the nodes of its roots in topological order over integer
+# slots.  Each instruction is (f, dst, a, b) and runs as
+# slots[dst] = f(slots[a], slots[b], prec, rnd), with f an mpmath.libmp
+# function on raw mpf tuples at the context's precision and rounding; exact
+# evaluation swaps each f for its Fraction counterpart.  An n-ary add or mul
+# folds left to right into binary steps, as mpf operators would.
+
+_DIV_FLOOR_MPF = from_float(DIV_FLOOR)
 
 
-def _to_mpf(v):
+def is_integer_literal(n: Expression) -> bool:
+    """Whether n is an exact integer num node."""
+    return (n.kind == NUM and isinstance(n.payload, Fraction)
+            and n.payload.denominator == 1)
+
+
+def _mpf_leaf(v, prec, rnd):
+    """The raw value of mpmath.mpf(v) at (prec, rnd); a Fraction is its
+    numerator divided by its denominator."""
+    if type(v) is float:
+        return mpf_pos(from_float(v), prec, rnd)
     if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
+        return mpf_div(mpf_pos(from_int(v.numerator), prec, rnd),
+                       mpf_pos(from_int(v.denominator), prec, rnd), prec, rnd)
+    return mpmath.mpf(v)._mpf_
+
+
+def _mpf_div(a, b, prec, rnd):
+    if mpf_lt(mpf_abs(b, prec, rnd), _DIV_FLOOR_MPF):
+        raise DomainError("division by ~0")
+    return mpf_div(a, b, prec, rnd)
+
+
+def _mpf_powi(b, p, prec, rnd):
+    if p < 0 and mpf_eq(b, fzero):
+        raise DomainError("division by ~0")
+    return mpf_pow_int(b, p, prec, rnd)
+
+
+def _mpf_pow(b, x, prec, rnd):
+    if mpf_lt(b, fzero):
+        raise DomainError("negative base under a non-integer power")
+    if mpf_eq(b, fzero) and mpf_le(x, fzero):
+        raise DomainError("0 raised to a non-positive power")
+    return mpf_pow(b, x, prec, rnd)
+
+
+def _mpf_exp(a, _, prec, rnd):
+    return mpf_exp(a, prec, rnd)
+
+
+def _mpf_log(a, _, prec, rnd):
+    if mpf_le(a, fzero):
+        raise DomainError("log of a non-positive value")
+    return mpf_log(a, prec, rnd)
+
+
+def _antiderivative(*_):
+    raise AntiderivativeError(
+        "formal antiderivative cannot be evaluated numerically")
+
+
+def _exact_num(v):
+    if not isinstance(v, Fraction):
+        raise EvalError("float literal in exact evaluation")
+    return v
+
+
+def _q_div(a, b, prec, rnd):
+    if b == 0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _q_powi(b, p, prec, rnd):
+    if b == 0 and p < 0:
+        raise DomainError("division by zero")
+    return b ** p
+
+
+def _q_pow(*_):
+    raise EvalError("non-integer power in exact evaluation")
+
+
+def _q_func(*_):
+    raise EvalError("func node in exact evaluation")
+
+
+_FUNCS = {"exp": _mpf_exp, "log": _mpf_log}
+_EXACT = {mpf_add: lambda a, b, *_: a + b, mpf_mul: lambda a, b, *_: a * b,
+          _mpf_div: _q_div, _mpf_powi: _q_powi, _mpf_pow: _q_pow,
+          _mpf_exp: _q_func, _mpf_log: _q_func,
+          _antiderivative: _antiderivative}
+
+
+class Tape:
+    """Straight-line program for groups of root expressions.
+
+    Compiled once, without recursion: every node reachable from the roots
+    gets one slot, in topological order, and the nodes of each group come
+    after those of the groups before it.  `run` evaluates the tape at one
+    point and yields the values of each group's roots in turn, so a caller
+    that stops after a group skips the work of the later ones.
+    """
+
+    __slots__ = ("size", "consts", "exponents", "syms", "code", "outs",
+                 "_init_at")
+
+    def __init__(self, *groups):
+        slot_of: dict = {}  # id(node) -> slot of its value
+        self.consts = []  # (slot, payload) of num leaves
+        self.exponents = {}  # integer exponent -> slot holding it as an int
+        self.syms = []  # (slot, printed name) of sym/fam leaves
+        self.code, self.outs = [], []
+        size = 0
+        for roots in groups:
+            roots = list(roots)
+            code = []
+            for root in roots:
+                stack = [root]
+                while stack:
+                    n = stack[-1]
+                    if id(n) in slot_of:
+                        stack.pop()
+                        continue
+                    k = n.kind
+                    if k == INT:
+                        args = ()
+                    elif k == POW and is_integer_literal(n.args[1]):
+                        args = n.args[:1]
+                    else:
+                        args = n.args
+                    pending = [a for a in args if id(a) not in slot_of]
+                    if pending:  # reversed, so arguments run left to right
+                        stack.extend(reversed(pending))
+                        continue
+                    stack.pop()
+                    if k == NUM:
+                        self.consts.append((size, n.payload))
+                    elif k in (SYM, FAM):
+                        self.syms.append((size, name_of(n)))
+                    elif k in (ADD, MUL):
+                        op = mpf_add if k == ADD else mpf_mul
+                        acc = slot_of[id(args[0])]
+                        for a in args[1:]:
+                            code.append((op, size, acc, slot_of[id(a)]))
+                            acc = size
+                            size += 1
+                        slot_of[id(n)] = acc
+                        continue
+                    elif k == DIV:
+                        code.append((_mpf_div, size, slot_of[id(args[0])],
+                                     slot_of[id(args[1])]))
+                    elif k == POW and len(args) == 1:
+                        p = n.args[1].payload.numerator
+                        if p not in self.exponents:
+                            self.exponents[p] = size
+                            size += 1
+                        code.append((_mpf_powi, size, slot_of[id(args[0])],
+                                     self.exponents[p]))
+                    elif k == POW:
+                        code.append((_mpf_pow, size, slot_of[id(args[0])],
+                                     slot_of[id(args[1])]))
+                    elif k == FUNC:
+                        a = slot_of[id(args[0])]
+                        code.append((_FUNCS[n.payload], size, a, a))
+                    elif k == INT:
+                        code.append((_antiderivative, size, size, size))
+                    else:  # pragma: no cover
+                        raise ExprError(f"unknown node kind {k}")
+                    slot_of[id(n)] = size
+                    size += 1
+            self.code.append(code)
+            self.outs.append([slot_of[id(r)] for r in roots])
+        self.size = size
+        self._init_at = {}  # (prec, rnd) -> slots with the num leaves filled in
+
+    def _init(self, num_value):
+        slots = [None] * self.size
+        for p, i in self.exponents.items():
+            slots[i] = p
+        for i, v in self.consts:
+            slots[i] = num_value(v)
+        return slots
+
+    def run(self, bindings, exact=False):
+        """Yield, group by group, the raw values of the roots at `bindings`.
+
+        Values are mpf tuples at the current mpmath precision, or Fractions
+        when `exact` (which raises EvalError on a float literal, a
+        non-integer power or a function).
+        """
+        if exact:
+            prec = rnd = None
+            code = [[(_EXACT[f], d, a, b) for f, d, a, b in seg]
+                    for seg in self.code]
+            slots = self._init(_exact_num)
+            leaf = Fraction
+        else:
+            prec, rnd = mpmath.mp._prec_rounding
+
+            def leaf(v):
+                return _mpf_leaf(v, prec, rnd)
+            code = self.code
+            init = self._init_at.get((prec, rnd))
+            if init is None:
+                init = self._init_at[prec, rnd] = self._init(leaf)
+            slots = init[:]
+        for i, name in self.syms:
+            if name not in bindings:
+                raise UnboundSymbolError(f"unbound symbol {name!r}")
+            slots[i] = leaf(bindings[name])
+        for seg, outs in zip(code, self.outs):
+            for f, d, a, b in seg:
+                slots[d] = f(slots[a], slots[b], prec, rnd)
+            yield [slots[i] for i in outs]
+
+    def values(self, bindings) -> list:
+        """mpf values of the roots of a one-group tape, at the current
+        mpmath precision."""
+        make = mpmath.mp.make_mpf
+        return [make(v) for v in next(self.run(bindings))]
 
 
 def evaluate(e: Expression, bindings: dict, cache: dict | None = None):
-    """Evaluate under the *current* mpmath precision; shared `cache` may be
-    reused across expressions evaluated at the same point."""
-    if cache is None:
-        cache = {}
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if n in cache:
-            stack.pop()
-            continue
-        k = n.kind
-        if k == NUM:
-            cache[n] = _to_mpf(n.payload)
-            stack.pop()
-            continue
-        if k in (SYM, FAM):
-            nm = name_of(n)
-            if nm not in bindings:
-                raise UnboundSymbolError(f"unbound symbol {nm!r}")
-            cache[n] = _to_mpf(bindings[nm])
-            stack.pop()
-            continue
-        if k == INT:
-            raise AntiderivativeError(
-                "formal antiderivative cannot be evaluated numerically")
-        pending = [a for a in n.args if a not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        vals = [cache[a] for a in n.args]
-        if k == ADD:
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = acc + v
-            cache[n] = acc
-        elif k == MUL:
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = acc * v
-            cache[n] = acc
-        elif k == DIV:
-            a, b = vals
-            if abs(b) < DIV_FLOOR:
-                raise DomainError("division by ~0")
-            cache[n] = a / b
-        elif k == POW:
-            b, x = vals
-            en = n.args[1]
-            if en.kind == NUM and isinstance(en.payload, Fraction) \
-                    and en.payload.denominator == 1:
-                p = en.payload.numerator
-                if b == 0 and p < 0:
-                    raise DomainError("division by ~0")
-                cache[n] = b ** p
-            else:
-                if b < 0:
-                    raise DomainError(
-                        "negative base under a non-integer power")
-                if b == 0 and x <= 0:
-                    raise DomainError("0 raised to a non-positive power")
-                cache[n] = mpmath.power(b, x)
-        elif k == FUNC:
-            (a,) = vals
-            if n.payload == "exp":
-                cache[n] = mpmath.exp(a)
-            else:
-                if a <= 0:
-                    raise DomainError("log of a non-positive value")
-                cache[n] = mpmath.log(a)
-        else:  # pragma: no cover
-            raise ExprError(f"unknown node kind {k}")
-        stack.pop()
-    return cache[e]
+    """Evaluate under the *current* mpmath precision; a shared `cache` keeps
+    the values of expressions already evaluated at the same point."""
+    if cache is not None and e in cache:
+        return cache[e]
+    (v,) = Tape([e]).values(bindings)
+    if cache is not None:
+        cache[e] = v
+    return v
 
 
 def eval_numeric(e: Expression, point: dict, dps: int = DEFAULT_DPS):
@@ -587,59 +742,14 @@ def eval_numeric(e: Expression, point: dict, dps: int = DEFAULT_DPS):
         return evaluate(e, point)
 
 
-def evaluate_exact(e: Expression, bindings: dict, cache: dict | None = None) -> Fraction:
+def evaluate_exact(e: Expression, bindings: dict) -> Fraction:
     """Exact rational evaluation; raises EvalError on non-rational operations.
 
     Used for polynomial identities, where sampling at rational points decides
     the identity without floating error.
     """
-    if cache is None:
-        cache = {}
-
-    def go(n):
-        hit = cache.get(n)
-        if hit is not None:
-            return hit
-        k = n.kind
-        if k == NUM:
-            if not isinstance(n.payload, Fraction):
-                raise EvalError("float literal in exact evaluation")
-            out = n.payload
-        elif k in (SYM, FAM):
-            nm = name_of(n)
-            if nm not in bindings:
-                raise UnboundSymbolError(f"unbound symbol {nm!r}")
-            out = Fraction(bindings[nm])
-        elif k == ADD:
-            out = sum((go(a) for a in n.args), Fraction(0))
-        elif k == MUL:
-            out = Fraction(1)
-            for a in n.args:
-                out *= go(a)
-        elif k == DIV:
-            b = go(n.args[1])
-            if b == 0:
-                raise DomainError("division by zero")
-            out = go(n.args[0]) / b
-        elif k == POW:
-            en = n.args[1]
-            if not (en.kind == NUM and isinstance(en.payload, Fraction)
-                    and en.payload.denominator == 1):
-                raise EvalError("non-integer power in exact evaluation")
-            p = en.payload.numerator
-            b = go(n.args[0])
-            if b == 0 and p < 0:
-                raise DomainError("division by zero")
-            out = b ** p
-        elif k == INT:
-            raise AntiderivativeError(
-                "formal antiderivative cannot be evaluated")
-        else:
-            raise EvalError(f"{k} node in exact evaluation")
-        cache[n] = out
-        return out
-
-    return go(e)
+    (v,) = next(Tape([e]).run(bindings, exact=True))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +862,10 @@ _TOKEN_RE = re.compile(r"""
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "Int": 2}
 
+# deepest nesting the parser accepts; deeper input is a ParseError rather
+# than a RecursionError
+MAX_NESTING = 1000
+
 
 def _tokenize(text: str):
     tokens = []
@@ -772,6 +886,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.allowed = allowed
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -820,14 +935,21 @@ class _Parser:
                 return e
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if val == "-":
+        # every nested construct (parentheses, signs, powers, function
+        # arguments) passes through here, so this depth bounds the recursion
+        kind, val, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        if val in ("-", "+"):
             self.next()
-            return neg(self.unary())
-        if val == "+":
-            self.next()
-            return self.unary()
-        return self.power()
+            e = self.unary()
+            if val == "-":
+                e = neg(e)
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self):
         base = self.atom()

@@ -20,8 +20,9 @@ class Q3:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        # arithmetic results already are Fractions: skip the copy
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     def __repr__(self):
         if self.b == 0:

@@ -23,7 +23,8 @@ from .exterior import (MONGE1, MONGE2, d_coord, sym_product, sym_square,
                        total_derivative)
 from .ode3 import InvariantReport
 from .zerotest import (DomainBox, ZeroTestVerdict, auto_guards, box,
-                       combined_verdict, is_zero, is_zero_many, unit_box)
+                       combined_verdict, is_zero, is_zero_many,
+                       structural_zero, unit_box)
 
 
 @dataclass(frozen=True)
@@ -548,14 +549,14 @@ def transcription_check(F: ex.Expression, bx: DomainBox | None = None,
     worst = (0.0, None, None)
     per_pair: dict = {}
     factors = []
+    tape = ex.Tape([g.rows[i][j] for g in (table, frame)
+                    for i in range(n) for j in range(n)])
     with mpmath.workdps(cfg.dps):
         for _ in range(cfg.samples):
             pt = bx.sample(rng)
-            cache: dict = {}
-            tvals = [[ex.evaluate(table.rows[i][j], pt, cache)
-                      for j in range(n)] for i in range(n)]
-            fvals = [[ex.evaluate(frame.rows[i][j], pt, cache)
-                      for j in range(n)] for i in range(n)]
+            values = tape.values(pt)
+            rows = [values[i * n:(i + 1) * n] for i in range(2 * n)]
+            tvals, fvals = rows[:n], rows[n:]
             scale = max(abs(v) for row in fvals for v in row)
             ii, jj = max(((i, j) for i in range(n) for j in range(i, n)),
                          key=lambda k: abs(fvals[k[0]][k[1]]))
@@ -575,15 +576,15 @@ def transcription_check(F: ex.Expression, bx: DomainBox | None = None,
     if not consistent:
         quantities = _g32_quantities(m.F)
         pt = worst[1]
+        monomials = {}
+        for pair, monos in _G32_TERMS.items():
+            for k, (coeff, factors_) in enumerate(monos):
+                monomials[(pair, k)] = ex.mul(
+                    ex.num(coeff), *[quantities[f] for f in factors_])
         with mpmath.workdps(cfg.dps):
-            cache = {}
-            for pair, monos in _G32_TERMS.items():
-                for k, (coeff, factors_) in enumerate(monos):
-                    val = ex.evaluate(
-                        ex.mul(ex.num(coeff),
-                               *[quantities[f] for f in factors_]),
-                        pt, cache)
-                    monomial_values[(pair, k)] = float(val)
+            values = ex.Tape(monomials.values()).values(pt)
+            monomial_values = {key: float(v)
+                               for key, v in zip(monomials, values)}
     return TranscriptionReport(consistent, worst[0], per_pair,
                                monomial_values, factors)
 
@@ -632,7 +633,7 @@ def einstein_scale_residual(F: ex.Expression, bx: DomainBox | None = None,
     named = {f"E{''.join(map(str, idx))}": c for idx, c in cleaned.items()
              if not c.is_zero_literal}
     verdict = combined_verdict(is_zero_many(named, bx, cfg)) if named else \
-        ZeroTestVerdict(True, cfg.samples, cfg.seed, cfg.tol, 0.0, 0.0)
+        structural_zero(cfg)
     n = 5
     tens = TensorField(base.chart, "ll", tuple(
         tuple(cleaned[(i, j)] for j in range(n)) for i in range(n)))
@@ -752,7 +753,7 @@ def weyl_frame_pattern_check(F: ex.Expression, bx: DomainBox | None = None,
     if named_outside:
         outside = combined_verdict(is_zero_many(named_outside, bx, cfg))
     else:
-        outside = ZeroTestVerdict(True, cfg.samples, cfg.seed, cfg.tol, 0.0, 0.0)
+        outside = structural_zero(cfg)
     checks["outside_pattern"] = outside
 
     # C_{2525} (0-based [1][4][1][4]) carries -a5 in the table convention

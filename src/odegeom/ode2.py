@@ -15,8 +15,8 @@ from .config import RunConfig
 from .curvature import MetricTensor, tensor_zero_exprs, weyl
 from .exterior import J1EXT, d_coord, sym_product, total_derivative
 from .ode3 import InvariantReport
-from .zerotest import (DomainBox, ZeroTestVerdict, auto_guards,
-                       combined_verdict, is_zero_many, unit_box)
+from .zerotest import (DomainBox, auto_guards, combined_verdict,
+                       is_zero_many, structural_zero, unit_box)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def fefferman_flatness_check(ode: SecondOrderODE,
     if named:
         weyl_verdict = combined_verdict(is_zero_many(named, ode.box, cfg))
     else:
-        weyl_verdict = ZeroTestVerdict(True, cfg.samples, cfg.seed, cfg.tol,
-                                       0.0, 0.0)
+        weyl_verdict = structural_zero(cfg)
     w_zero = checks["w1"].is_zero and checks["w2"].is_zero
     consistent = weyl_verdict.is_zero == w_zero
     report = InvariantReport(

@@ -20,7 +20,7 @@ from .exterior import (
 )
 from .zerotest import (
     DomainBox, ZeroTestVerdict, auto_guards, combined_verdict, is_zero,
-    is_zero_many, unit_box,
+    is_zero_many, structural_zero, unit_box,
 )
 
 
@@ -160,7 +160,7 @@ def nu_closedness_check(ode: ThirdOrderODE, cfg: RunConfig | None = None):
     dl = d(lnu)
     named = {f"c{idx}": c for idx, c in dl.coeffs.items()}
     if not named:
-        return ZeroTestVerdict(True, cfg.samples, cfg.seed, cfg.tol, 0.0, 0.0)
+        return structural_zero(cfg)
     return combined_verdict(is_zero_many(named, ode.box, cfg))
 
 
@@ -339,5 +339,5 @@ def dkp_x_membership(u: ex.Expression, X: ex.Expression, box: DomainBox,
     residual = wedge_all(dX, w4, w1)
     named = {f"m{idx}": c for idx, c in residual.coeffs.items()}
     if not named:
-        return ZeroTestVerdict(True, cfg.samples, cfg.seed, cfg.tol, 0.0, 0.0)
+        return structural_zero(cfg)
     return combined_verdict(is_zero_many(named, box, cfg))

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_le)
 
 from .config import RunConfig
 from . import expr as ex
@@ -63,14 +64,26 @@ class DomainBox:
         return {name: rng.uniform(lo, hi)
                 for name, (lo, hi) in sorted(self.intervals.items())}
 
-    def admits(self, point: dict) -> bool:
-        for g, margin in self.positive_guards:
-            if ex.evaluate(g, point) <= margin:
+    def guards(self) -> list:
+        """The guard expressions, positive guards first."""
+        return [g for g, _ in self.positive_guards + self.nonzero_guards]
+
+    def clears(self, values) -> bool:
+        """Whether raw mpf guard values, in `guards` order, clear their
+        margins at the current mpmath precision."""
+        prec, rnd = mpmath.mp._prec_rounding
+        npos = len(self.positive_guards)
+        raw = mpmath.mpf.mpf_convert_rhs  # what `mpf <= margin` compares to
+        for (_, margin), v in zip(self.positive_guards, values):
+            if mpf_le(v, raw(margin)):
                 return False
-        for g, margin in self.nonzero_guards:
-            if abs(ex.evaluate(g, point)) <= margin:
+        for (_, margin), v in zip(self.nonzero_guards, values[npos:]):
+            if mpf_le(mpf_abs(v, prec, rnd), raw(margin)):
                 return False
         return True
+
+    def admits(self, point: dict) -> bool:
+        return self.clears(next(ex.Tape(self.guards()).run(point)))
 
 
 def box(**ranges) -> DomainBox:
@@ -79,11 +92,6 @@ def box(**ranges) -> DomainBox:
 
 def unit_box(names, lo=-1.0, hi=1.0) -> DomainBox:
     return DomainBox({n: (lo, hi) for n in names})
-
-
-def _integer_exponent(n: ex.Expression) -> bool:
-    return (n.kind == ex.NUM and isinstance(n.payload, Fraction)
-            and n.payload.denominator == 1)
 
 
 def auto_guards(e: ex.Expression, margin: float = 1e-3):
@@ -104,7 +112,7 @@ def auto_guards(e: ex.Expression, margin: float = 1e-3):
         elif n.kind == ex.POW:
             base, xp = n.args
             if base.kind != ex.NUM:
-                if not _integer_exponent(xp):
+                if not ex.is_integer_literal(xp):
                     positive.append((base, margin))
                 elif xp.payload < 0:
                     nonzero.append((base, margin))
@@ -126,6 +134,10 @@ def auto_box(e: ex.Expression, ranges=None, default=(-1.0, 1.0),
 
 @dataclass
 class ZeroTestVerdict:
+    """Outcome of a zero test.  `method` is "sampled" when points were
+    evaluated (`attempts` drawn, `rejected` of them failing a guard or an
+    evaluation) and "structural" when the expression is a literal zero and
+    nothing was sampled."""
     is_zero: bool
     samples: int
     seed: int
@@ -135,6 +147,9 @@ class ZeroTestVerdict:
     witness_point: dict | None = None
     witness_value: float | None = None
     label: str = ""
+    attempts: int = 0
+    rejected: int = 0
+    method: str = "sampled"
 
     def to_json(self):
         return {
@@ -147,35 +162,42 @@ class ZeroTestVerdict:
             "witness_point": self.witness_point,
             "witness_value": self.witness_value,
             "label": self.label,
+            "attempts": self.attempts,
+            "rejected": self.rejected,
+            "method": self.method,
         }
 
 
-def _term_scale(e: ex.Expression, cache: dict, point: dict):
-    terms = e.args if e.kind == ex.ADD else (e,)
-    s = mpmath.mpf(0)
-    for t in terms:
-        s += abs(ex.evaluate(t, point, cache))
-    return s
+def structural_zero(cfg: RunConfig) -> ZeroTestVerdict:
+    """The verdict on an expression that is a literal zero: nothing sampled."""
+    return ZeroTestVerdict(True, 0, cfg.seed, cfg.tol, 0.0, 0.0,
+                           method="structural")
 
 
 def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> dict:
     """Zero-test several expressions over one shared set of sample points.
 
-    Expressions typically share large sub-DAGs (tensor components), so a
-    single evaluation cache per point is reused across all of them.  Points
-    where a guard fails or any expression raises a domain error are
-    resampled; more than half of the attempts failing makes the box unusable.
+    One tape is compiled for the call: the box guards first, then every
+    expression and every top-level additive term of each (the terms give
+    the scale).  Expressions typically share large sub-DAGs (tensor
+    components), so each node is evaluated once per point.  A point where a
+    guard fails skips the rest of the tape; it and points where any
+    expression raises a domain error are resampled, and more than half of
+    the attempts failing makes the box unusable.
     """
     cfg = cfg or RunConfig()
     names = list(named)
     exprs = [named[n] for n in names]
-    worst = {n: (mpmath.mpf(-1), None, None, None) for n in names}
+    terms = [e.args if e.kind == ex.ADD else (e,) for e in exprs]
+    tape = ex.Tape(box.guards(), exprs + [t for ts in terms for t in ts])
+    worst = {n: (from_int(-1), None, None, None) for n in names}
     rng = random.Random(cfg.seed)
     accepted = 0
     attempts = 0
     failures = 0
     max_attempts = max(4 * cfg.samples, cfg.samples + 20)
     with mpmath.workdps(cfg.dps):
+        prec, rnd = mpmath.mp._prec_rounding
         while accepted < cfg.samples:
             if attempts >= max_attempts or (
                     failures > attempts / 2 and attempts >= cfg.samples):
@@ -184,27 +206,33 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
                     f"points failed")
             attempts += 1
             pt = box.sample(rng)
-            cache: dict = {}
-            scores = []
+            groups = tape.run(pt)
             try:
-                if not box.admits(pt):
+                if not box.clears(next(groups)):
                     failures += 1
                     continue
-                for n, e in zip(names, exprs):
-                    v = ex.evaluate(e, pt, cache)
-                    s = _term_scale(e, cache, pt)
-                    scores.append((n, v, s))
+                vals = next(groups)
             except ex.EvalError:
                 failures += 1
                 continue
             accepted += 1
-            for n, v, s in scores:
-                ratio = abs(v) / (1 + s)
-                if ratio > worst[n][0]:
+            pos = len(exprs)
+            for n, v, ts in zip(names, vals, terms):
+                # the scale sums |term| from zero in the order mpf(0) += abs(t)
+                # would, so it rounds the same way
+                s = fzero
+                for t in vals[pos:pos + len(ts)]:
+                    s = mpf_add(s, mpf_abs(t, prec, rnd), prec, rnd)
+                pos += len(ts)
+                ratio = mpf_div(mpf_abs(v, prec, rnd), mpf_add(s, fone, prec, rnd),
+                                prec, rnd)
+                if mpf_gt(ratio, worst[n][0]):
                     worst[n] = (ratio, pt, v, s)
+    make = mpmath.mp.make_mpf
     out = {}
     for n in names:
         ratio, pt, v, s = worst[n]
+        ratio = make(ratio)
         zero = ratio <= cfg.tol
         out[n] = ZeroTestVerdict(
             is_zero=zero,
@@ -212,10 +240,12 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
             seed=cfg.seed,
             tol=cfg.tol,
             max_ratio=float(ratio),
-            scale=float(s),
+            scale=float(make(s)),
             witness_point=None if zero else dict(pt),
-            witness_value=None if zero else float(v),
+            witness_value=None if zero else float(make(v)),
             label=n,
+            attempts=attempts,
+            rejected=failures,
         )
     return out
 
@@ -226,8 +256,7 @@ def is_zero(e: ex.Expression, box: DomainBox,
     if overrides:
         cfg = cfg.with_(**overrides)
     if e.is_zero_literal:
-        return ZeroTestVerdict(True, cfg.samples, cfg.seed, cfg.tol,
-                               0.0, 0.0)
+        return structural_zero(cfg)
     return is_zero_many({"expr": e}, box, cfg)["expr"]
 
 
@@ -245,4 +274,7 @@ def combined_verdict(verdicts: dict) -> ZeroTestVerdict:
         witness_point=worst.witness_point,
         witness_value=worst.witness_value,
         label=worst.label,
+        attempts=worst.attempts,
+        rejected=worst.rejected,
+        method=worst.method,
     )

@@ -172,3 +172,11 @@ def test_metric_commands_emit_parseable_components(capsys):
     assert status == 0
     for text in json.loads(out)["components"].values():
         ex.parse(text)
+
+
+def test_deeply_nested_formula_exits_two(capsys):
+    depth = 20000
+    status, _, err = run_cli(
+        ["ode3", "invariants", "--F", "(" * depth + "q" + ")" * depth], capsys)
+    assert status == 2
+    assert "nesting" in err

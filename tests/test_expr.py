@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from odegeom import expr as ex
 from odegeom.config import RunConfig
 from odegeom.zerotest import DomainBox, auto_box, box, is_zero, unit_box
+from odegeom.curvature import tensor_zero_exprs, weyl
+from odegeom.ode2 import fefferman_metric, second_order
+from odegeom.zerotest import BoxError, ZeroTestVerdict, auto_guards, is_zero_many
 
 
 x, y, p, q = ex.sym("x"), ex.sym("y"), ex.sym("p"), ex.sym("q")
@@ -298,3 +301,365 @@ def test_guard_rejection():
     # guard keeps 1 - p*q positive even though the raw box allows p*q > 1
     v = is_zero(e, bx)
     assert v.is_zero
+
+
+# --- evaluation tape against the reference walk ----------------------------
+#
+# The reference below is the evaluator the tape replaced: a stack walk over
+# mpf objects with a node-keyed cache, a recursive exact walk, and the zero
+# test built on them.  The tape must reproduce it bit for bit.
+
+def _ref_to_mpf(v):
+    if isinstance(v, Fraction):
+        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+    return mpmath.mpf(v)
+
+
+def reference_evaluate(e, bindings, cache=None):
+    if cache is None:
+        cache = {}
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        if n in cache:
+            stack.pop()
+            continue
+        k = n.kind
+        if k == ex.NUM:
+            cache[n] = _ref_to_mpf(n.payload)
+            stack.pop()
+            continue
+        if k in (ex.SYM, ex.FAM):
+            nm = ex.name_of(n)
+            if nm not in bindings:
+                raise ex.UnboundSymbolError(nm)
+            cache[n] = _ref_to_mpf(bindings[nm])
+            stack.pop()
+            continue
+        if k == ex.INT:
+            raise ex.AntiderivativeError("antiderivative")
+        pending = [a for a in n.args if a not in cache]
+        if pending:
+            stack.extend(pending)
+            continue
+        vals = [cache[a] for a in n.args]
+        if k == ex.ADD:
+            acc = vals[0]
+            for v in vals[1:]:
+                acc = acc + v
+        elif k == ex.MUL:
+            acc = vals[0]
+            for v in vals[1:]:
+                acc = acc * v
+        elif k == ex.DIV:
+            a, b = vals
+            if abs(b) < ex.DIV_FLOOR:
+                raise ex.DomainError("division by ~0")
+            acc = a / b
+        elif k == ex.POW:
+            b, xv = vals
+            en = n.args[1]
+            if en.kind == ex.NUM and isinstance(en.payload, Fraction) \
+                    and en.payload.denominator == 1:
+                pw = en.payload.numerator
+                if b == 0 and pw < 0:
+                    raise ex.DomainError("division by ~0")
+                acc = b ** pw
+            else:
+                if b < 0:
+                    raise ex.DomainError("negative base")
+                if b == 0 and xv <= 0:
+                    raise ex.DomainError("0 to a non-positive power")
+                acc = mpmath.power(b, xv)
+        else:
+            (a,) = vals
+            if n.payload == "exp":
+                acc = mpmath.exp(a)
+            else:
+                if a <= 0:
+                    raise ex.DomainError("log of a non-positive value")
+                acc = mpmath.log(a)
+        cache[n] = acc
+        stack.pop()
+    return cache[e]
+
+
+def reference_exact(e, bindings):
+    def go(n):
+        k = n.kind
+        if k == ex.NUM:
+            if not isinstance(n.payload, Fraction):
+                raise ex.EvalError("float literal")
+            return n.payload
+        if k in (ex.SYM, ex.FAM):
+            nm = ex.name_of(n)
+            if nm not in bindings:
+                raise ex.UnboundSymbolError(nm)
+            return Fraction(bindings[nm])
+        if k == ex.ADD:
+            return sum((go(a) for a in n.args), Fraction(0))
+        if k == ex.MUL:
+            out = Fraction(1)
+            for a in n.args:
+                out *= go(a)
+            return out
+        if k == ex.DIV:
+            b = go(n.args[1])
+            if b == 0:
+                raise ex.DomainError("division by zero")
+            return go(n.args[0]) / b
+        if k == ex.POW:
+            en = n.args[1]
+            if not (en.kind == ex.NUM and isinstance(en.payload, Fraction)
+                    and en.payload.denominator == 1):
+                raise ex.EvalError("non-integer power")
+            b = go(n.args[0])
+            if b == 0 and en.payload.numerator < 0:
+                raise ex.DomainError("division by zero")
+            return b ** en.payload.numerator
+        if k == ex.INT:
+            raise ex.AntiderivativeError("antiderivative")
+        raise ex.EvalError(f"{k} node")
+    return go(e)
+
+
+def reference_is_zero_many(named, bx, cfg):
+    """The zero test as it was before the tape: guards through mpf
+    comparisons, one node cache per point, the scale term by term."""
+    import random
+
+    def admits(pt):
+        for g, margin in bx.positive_guards:
+            if reference_evaluate(g, pt) <= margin:
+                return False
+        for g, margin in bx.nonzero_guards:
+            if abs(reference_evaluate(g, pt)) <= margin:
+                return False
+        return True
+
+    names = list(named)
+    worst = {n: (mpmath.mpf(-1), None, None, None) for n in names}
+    rng = random.Random(cfg.seed)
+    accepted = attempts = failures = 0
+    max_attempts = max(4 * cfg.samples, cfg.samples + 20)
+    with mpmath.workdps(cfg.dps):
+        while accepted < cfg.samples:
+            if attempts >= max_attempts or (
+                    failures > attempts / 2 and attempts >= cfg.samples):
+                raise BoxError("unusable")
+            attempts += 1
+            pt = bx.sample(rng)
+            cache = {}
+            scores = []
+            try:
+                if not admits(pt):
+                    failures += 1
+                    continue
+                for n in names:
+                    e = named[n]
+                    v = reference_evaluate(e, pt, cache)
+                    s = mpmath.mpf(0)
+                    for t in (e.args if e.kind == ex.ADD else (e,)):
+                        s += abs(reference_evaluate(t, pt, cache))
+                    scores.append((n, v, s))
+            except ex.EvalError:
+                failures += 1
+                continue
+            accepted += 1
+            for n, v, s in scores:
+                ratio = abs(v) / (1 + s)
+                if ratio > worst[n][0]:
+                    worst[n] = (ratio, pt, v, s)
+    out = {}
+    for n in names:
+        ratio, pt, v, s = worst[n]
+        zero = ratio <= cfg.tol
+        out[n] = (zero, float(ratio), float(s),
+                  None if zero else dict(pt), None if zero else float(v))
+    return out, attempts, failures
+
+
+def _outcome(fn, *args):
+    """The value, or the class of the error raised."""
+    try:
+        return fn(*args)
+    except ex.EvalError as exc:
+        return type(exc)
+
+
+w1, ups2 = ex.fam("w", 1), ex.fam("Ups", 2)
+EVERY_KIND = [
+    ex.num(Fraction(-7, 3)),                      # num
+    ex.num(0.1),                                  # float literal
+    x,                                            # sym
+    w1, ups2,                                     # fam
+    ex.add(x, y, p, ex.num(Fraction(1, 3))),      # add, folded left to right
+    ex.mul(x, y, q, ex.num(Fraction(2, 7))),      # mul
+    ex.div(ex.add(x, y), ex.add(q, ex.num(2))),   # div
+    ex.pow_(ex.add(x, ex.num(3)), ex.num(5)),     # integer pow
+    ex.pow_(q, ex.num(-3)),                       # negative integer pow
+    ex.pow_(q, ex.num(Fraction(3, 2))),           # rational pow (sqrt path)
+    ex.pow_(q, ex.num(Fraction(2, 3))),           # rational pow
+    ex.pow_(q, ex.add(x, ex.num(2))),             # symbolic exponent
+    ex.exp(ex.mul(x, y)),                         # exp
+    ex.log(ex.add(q, ex.mul(x, x))),              # log
+    ex.parse("(x + w_1)^3/(1 + q^2) - exp(y*q)*log(q) + sqrt(q)*Ups_2"),
+]
+POINTS = [
+    {"x": 0.3, "y": -0.7, "p": 0.11, "q": 1.7, "w_1": -0.2, "Ups_2": 2.5},
+    {"x": 2, "y": 1, "p": -3, "q": 5, "w_1": 7, "Ups_2": -1},
+    {"x": Fraction(1, 3), "y": Fraction(-2, 7), "p": Fraction(5, 2),
+     "q": Fraction(9, 4), "w_1": Fraction(1, 9), "Ups_2": Fraction(-3, 5)},
+]
+
+
+@pytest.mark.parametrize("dps", [10, 15, 30, 50])
+def test_tape_bit_equal_to_reference_on_every_node_kind(dps):
+    with mpmath.workdps(dps):
+        for pt in POINTS:
+            want = [reference_evaluate(e, pt)._mpf_ for e in EVERY_KIND]
+            assert [ex.evaluate(e, pt)._mpf_ for e in EVERY_KIND] == want
+            # one tape over every root gives the same values
+            got = ex.Tape(EVERY_KIND).values(pt)
+            assert [v._mpf_ for v in got] == want
+
+
+def test_tape_groups_run_in_order_and_stop_early():
+    tape = ex.Tape([ex.add(x, y)], [ex.div(x, y), ex.mul(x, y)])
+    with mpmath.workdps(30):
+        groups = tape.run({"x": 1.5, "y": 0.0})
+        (first,) = next(groups)
+        assert mpmath.mp.make_mpf(first) == 1.5
+        # the second group divides by ~0; it only runs when asked for
+        with pytest.raises(ex.DomainError):
+            next(groups)
+
+
+DOMAIN_FAILURES = [
+    (ex.pow_(q, ex.num(Fraction(1, 2))), {"q": -1.0}),        # negative base
+    (ex.pow_(q, ex.add(x, ex.num(Fraction(1, 2)))), {"q": -2.0, "x": 1.0}),
+    (ex.pow_(q, ex.num(Fraction(-1, 2))), {"q": 0.0}),        # 0^(-1/2)
+    (ex.pow_(q, ex.sym("x")), {"q": 0.0, "x": 0.0}),          # 0^0, general
+    (ex.pow_(q, ex.num(-2)), {"q": 0.0}),                     # 0^(-2)
+    (ex.log(q), {"q": 0.0}),                                  # log 0
+    (ex.log(q), {"q": -3.0}),                                 # log < 0
+    (ex.div(x, y), {"x": 1.0, "y": 0.0}),                     # division by 0
+    (ex.div(x, y), {"x": 1.0, "y": 1e-130}),                  # division by ~0
+    (ex.add(x, y), {"x": 1.0}),                               # unbound symbol
+    (ex.add(x, ex.antideriv(q, "t")), {"x": 1.0, "q": 1.0}),  # Int
+]
+
+
+@pytest.mark.parametrize("e, pt", DOMAIN_FAILURES)
+def test_tape_domain_failures_raise_the_reference_class(e, pt):
+    with mpmath.workdps(30):
+        want = _outcome(reference_evaluate, e, pt)
+        assert isinstance(want, type) and issubclass(want, ex.EvalError)
+        assert _outcome(ex.evaluate, e, pt) is want
+        z = ex.sym("z")
+        assert _outcome(lambda: ex.Tape([z, e]).values(dict(pt, z=1.0))) is want
+
+
+EXACT_POINTS = [{"x": Fraction(1, 2), "y": Fraction(-2, 3), "p": Fraction(3),
+                 "q": Fraction(5, 7)},
+                {"x": 0, "y": 2, "p": -1, "q": Fraction(1, 4)}]
+
+
+@given(small_exprs())
+@settings(max_examples=200, deadline=None)
+def test_exact_backend_matches_reference(e):
+    for pt in EXACT_POINTS:
+        want = _outcome(reference_exact, e, pt)
+        got = _outcome(ex.evaluate_exact, e, pt)
+        if isinstance(want, type):
+            # with several failing nodes the walks may meet another one first
+            assert isinstance(got, type) and issubclass(got, ex.EvalError)
+        else:
+            assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("e", EVERY_KIND + [d for d, _ in DOMAIN_FAILURES])
+def test_exact_backend_matches_reference_on_every_node_kind(e):
+    for pt in EXACT_POINTS + [{"x": 1, "y": 0, "q": 0, "p": 1, "w_1": 2,
+                               "Ups_2": Fraction(1, 2)}]:
+        want = _outcome(reference_exact, e, pt)
+        got = _outcome(ex.evaluate_exact, e, pt)
+        assert got == want
+        if isinstance(want, type):
+            assert issubclass(want, ex.EvalError)
+
+
+def _verdict_fields(v: ZeroTestVerdict):
+    return (v.is_zero, v.max_ratio, v.scale, v.witness_point, v.witness_value)
+
+
+def _check_against_reference(named, bx, cfg):
+    want, attempts, rejected = reference_is_zero_many(named, bx, cfg)
+    got = is_zero_many(named, bx, cfg)
+    assert list(got) == list(want)
+    for n, v in got.items():
+        assert _verdict_fields(v) == want[n]
+        assert (v.samples, v.attempts, v.rejected, v.method) == \
+            (cfg.samples, attempts, rejected, "sampled")
+    return got
+
+
+def test_is_zero_many_matches_reference_on_ode2_weyl():
+    ode = second_order("p^4")
+    named = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")
+    assert named
+    cfg = RunConfig(samples=6, seed=11)
+    got = _check_against_reference(named, ode.box, cfg)
+    assert not all(v.is_zero for v in got.values())
+
+
+def test_is_zero_many_matches_reference_with_guards():
+    # sqrt and log need a positive base, 1/(p - q) a nonzero denominator;
+    # the box reaches past all three, so points are rejected and resampled
+    e = ex.parse("sqrt(1 - p*q)*log(q) + 1/(p - q)")
+    pos, nonzero = auto_guards(e, margin=1e-2)
+    assert pos and nonzero
+    bx = DomainBox({"p": (-0.5, 1.5), "q": (0.0, 1.5)}, pos, nonzero)
+    named = {"id": ex.add(e, ex.neg(e)), "e": e,
+             "sq": ex.add(ex.pow_(ex.sqrt(ex.parse("1 - p*q")), ex.num(2)),
+                          ex.parse("p*q - 1"))}
+    got = _check_against_reference(named, bx, RunConfig(samples=12, seed=5))
+    assert got["id"].is_zero and got["sq"].is_zero and not got["e"].is_zero
+    assert got["e"].rejected > 0
+    assert got["e"].attempts == 12 + got["e"].rejected
+
+
+def test_admits_matches_reference_guards():
+    import random
+    e = ex.parse("sqrt(1 - p*q) + 1/(p - q)")
+    pos, nonzero = auto_guards(e, margin=1e-2)
+    bx = DomainBox({"p": (-0.5, 1.5), "q": (0.0, 1.5)}, pos, nonzero)
+    rng = random.Random(2)
+    seen = set()
+    with mpmath.workdps(30):
+        for _ in range(40):
+            pt = bx.sample(rng)
+            want = all(reference_evaluate(g, pt) > m for g, m in pos) and \
+                all(abs(reference_evaluate(g, pt)) > m for g, m in nonzero)
+            assert bx.admits(pt) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_structural_zero_is_not_reported_as_sampled():
+    v = is_zero(ex.ZERO, unit_box(["q"]), RunConfig(samples=20))
+    assert (v.is_zero, v.samples, v.attempts, v.method) == (True, 0, 0, "structural")
+    data = v.to_json()
+    assert data["method"] == "structural" and data["rejected"] == 0
+    sampled = is_zero(q, unit_box(["q"]), RunConfig(samples=7))
+    assert (sampled.samples, sampled.attempts, sampled.method) == (7, 7, "sampled")
+
+
+def test_parser_nesting_limit_is_a_parse_error():
+    deep = ex.MAX_NESTING + 5
+    with pytest.raises(ex.ParseError):
+        ex.parse("(" * deep + "q" + ")" * deep)
+    with pytest.raises(ex.ParseError):
+        ex.parse("-" * deep + "q")
+    shallow = ex.MAX_NESTING - 2
+    assert ex.parse("(" * shallow + "q" + ")" * shallow) is q
