@@ -192,7 +192,8 @@ def _run_g32(entry: CatalogEntry, cfg: RunConfig) -> dict:
         weyl_zero = True
     out = {"weyl_zero": weyl_zero}
     F = ex.parse(entry.data["formula"], allowed={"q"})
-    out["a5_zero"] = monge.example6_a5(F).is_zero_literal
+    out["a5_zero"] = is_zero(monge.example6_a5(F), monge.example6_box(),
+                             cfg).is_zero
     rng = random.Random(cfg.seed)
     sig = signature_at(g, g.box.sample(rng), cfg.dps)
     out["signature"] = sorted(sig[:2], reverse=True)

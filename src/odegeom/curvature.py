@@ -176,30 +176,56 @@ def symbolic_inverse(rows):
 
 
 def connection_curvature(chart: Chart, gamma):
-    """R^a_bcd for connection symbols gamma[a][i][j] (symmetric in ij)."""
+    """R^a_bcd for connection symbols gamma[a][i][j] (symmetric in ij).
+
+    Only c < d is built; R^a_bdc is its negative and R^a_bcc is zero, which
+    holds for every torsion-free connection."""
     n = chart.dim
     coords = chart.coords
     dgamma = [[[[ex.differentiate(gamma[a][i][j], coords[c]) for c in range(n)]
                 for j in range(n)] for i in range(n)] for a in range(n)]
+
+    def component(a, b, c, dd):
+        terms = [dgamma[a][dd][b][c], ex.neg(dgamma[a][c][b][dd])]
+        for e in range(n):
+            terms.append(ex.mul(gamma[a][c][e], gamma[e][dd][b]))
+            terms.append(ex.mul(ex.MINUS_ONE, gamma[a][dd][e], gamma[e][c][b]))
+        return ex.add(*terms)
+
     out = []
     for a in range(n):
-        plane_b = []
+        plane = []
         for b in range(n):
-            plane_c = []
+            rows = [[ex.ZERO] * n for _ in range(n)]
             for c in range(n):
-                row = []
-                for dd in range(n):
-                    terms = [dgamma[a][dd][b][c],
-                             ex.neg(dgamma[a][c][b][dd])]
-                    for e in range(n):
-                        terms.append(ex.mul(gamma[a][c][e], gamma[e][dd][b]))
-                        terms.append(
-                            ex.neg(ex.mul(gamma[a][dd][e], gamma[e][c][b])))
-                    row.append(ex.add(*terms))
-                plane_c.append(tuple(row))
-            plane_b.append(tuple(plane_c))
-        out.append(tuple(plane_b))
+                for dd in range(c + 1, n):
+                    r = component(a, b, c, dd)
+                    rows[c][dd], rows[dd][c] = r, ex.neg(r)
+            plane.append(tuple(tuple(r) for r in rows))
+        out.append(tuple(plane))
     return tuple(out)
+
+
+def _riemann_symmetric(n, build):
+    """Full table of a tensor with the symmetries of the lowered Riemann
+    tensor (antisymmetric in ab and in cd, symmetric under ab <-> cd) from
+    build(a, b, c, d), called for a < b, c < d and (a, b) <= (c, d) only."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    comp = {}
+    for i, ab in enumerate(pairs):
+        for cd in pairs[i:]:
+            r = build(*ab, *cd)
+            comp[ab + cd] = comp[cd + ab] = (r, ex.neg(r))
+
+    def entry(a, b, c, dd):
+        if a == b or c == dd:
+            return ex.ZERO
+        r, minus = comp[(min(a, b), max(a, b), min(c, dd), max(c, dd))]
+        return minus if (a > b) != (c > dd) else r
+
+    return tuple(tuple(tuple(tuple(entry(a, b, c, dd) for dd in range(n))
+                             for c in range(n)) for b in range(n))
+                 for a in range(n))
 
 
 def ricci_from_riemann(riem, n):
@@ -235,23 +261,20 @@ class CurvaturePackage:
 
     @cached_property
     def christoffel(self):
+        """Gamma^a_ij, built for i <= j and shared with Gamma^a_ji."""
         n = self.n
         ginv = self.inverse
         dg = self.dg
+        first = {(i, j): [ex.add(dg[i][dd][j], dg[j][i][dd],
+                                 ex.neg(dg[dd][i][j])) for dd in range(n)]
+                 for i in range(n) for j in range(i, n)}
         gam = []
         for a in range(n):
-            plane = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    terms = []
-                    for dd in range(n):
-                        inner = ex.add(dg[i][dd][j], dg[j][i][dd],
-                                       ex.neg(dg[dd][i][j]))
-                        terms.append(ex.mul(ginv[a][dd], inner))
-                    row.append(ex.mul(ex.HALF, ex.add(*terms)))
-                plane.append(tuple(row))
-            gam.append(tuple(plane))
+            plane = [[None] * n for _ in range(n)]
+            for (i, j), inner in first.items():
+                plane[i][j] = plane[j][i] = ex.mul(ex.HALF, ex.add(
+                    *[ex.mul(ginv[a][dd], inner[dd]) for dd in range(n)]))
+            gam.append(tuple(tuple(r) for r in plane))
         return tuple(gam)
 
     @cached_property
@@ -263,10 +286,8 @@ class CurvaturePackage:
         n = self.n
         g = self.metric.rows
         up = self.riemann_up
-        return tuple(tuple(tuple(tuple(
-            ex.add(*[ex.mul(g[a][e], up[e][b][c][dd]) for e in range(n)])
-            for dd in range(n)) for c in range(n)) for b in range(n))
-            for a in range(n))
+        return _riemann_symmetric(n, lambda a, b, c, dd: ex.add(
+            *[ex.mul(g[a][e], up[e][b][c][dd]) for e in range(n)]))
 
     @cached_property
     def ricci(self):
@@ -302,24 +323,15 @@ class CurvaturePackage:
         g = self.metric.rows
         s = self.schouten
         low = self.riemann_low
-        out = []
-        for a in range(n):
-            pb = []
-            for b in range(n):
-                pc = []
-                for c in range(n):
-                    row = []
-                    for dd in range(n):
-                        corr = ex.add(
-                            ex.mul(g[a][c], s[b][dd]),
-                            ex.neg(ex.mul(g[a][dd], s[b][c])),
-                            ex.mul(g[b][dd], s[a][c]),
-                            ex.neg(ex.mul(g[b][c], s[a][dd])))
-                        row.append(ex.add(low[a][b][c][dd], ex.neg(corr)))
-                    pc.append(tuple(row))
-                pb.append(tuple(pc))
-            out.append(tuple(pb))
-        return tuple(out)
+
+        def component(a, b, c, dd):
+            corr = ex.add(ex.mul(g[a][c], s[b][dd]),
+                          ex.neg(ex.mul(g[a][dd], s[b][c])),
+                          ex.mul(g[b][dd], s[a][c]),
+                          ex.neg(ex.mul(g[b][c], s[a][dd])))
+            return ex.add(low[a][b][c][dd], ex.neg(corr))
+
+        return _riemann_symmetric(n, component)
 
     def covariant_derivative_02(self, t):
         """grad_k t_ij for a (0,2) tensor."""
@@ -534,6 +546,15 @@ def signature_at(g: MetricTensor, point, dps: int = 30, zero_tol=1e-9):
 
 
 def tensor_zero_exprs(T: TensorField, prefix="") -> dict:
-    """Named nonzero-candidate components for zero-testing."""
-    return {f"{prefix}{''.join(map(str, idx))}": c
-            for idx, c in T.flatten().items() if not c.is_zero_literal}
+    """Named components for zero-testing, one per distinct node: a literal
+    zero, a node already named or the negative of one is left out, since it
+    vanishes exactly when that node does."""
+    out = {}
+    seen = set()
+    for idx, c in T.flatten().items():
+        if c.is_zero_literal or c in seen:
+            continue
+        seen.add(c)
+        seen.add(ex.neg(c))
+        out[f"{prefix}{''.join(map(str, idx))}"] = c
+    return out

@@ -152,7 +152,7 @@ def _key_of(kind, payload, args):
         payload = ("Q", payload.numerator, payload.denominator)
     elif isinstance(payload, float):
         payload = ("f", repr(payload))
-    return (kind, payload, tuple(id(a) for a in args))
+    return (kind, payload, tuple(map(id, args)))
 
 
 def _node(kind, payload, args):
@@ -213,29 +213,24 @@ def name_of(e: Expression) -> str:
 
 
 def add(*terms) -> Expression:
-    flat = []
-    const = Fraction(0)
-    for t in terms:
-        t = as_expr(t)
-        if t.kind == ADD:
-            flat.extend(t.args)
-        else:
-            flat.append(t)
+    # numeric terms fold left to right from the first one (no zero seed)
+    const = None
     rest = []
-    for t in flat:
-        if t.kind == NUM:
-            const = const + t.payload
-        else:
-            rest.append(t)
-    out = []
-    if const != 0:
-        out.append(num(const))
-    out.extend(rest)
-    if not out:
+    for t in terms:
+        if not isinstance(t, Expression):
+            t = as_expr(t)
+        for u in (t.args if t.kind == ADD else (t,)):
+            if u.kind == NUM:
+                const = u.payload if const is None else const + u.payload
+            else:
+                rest.append(u)
+    if const is not None and const != 0:
+        rest.insert(0, num(const))
+    if not rest:
         return ZERO
-    if len(out) == 1:
-        return out[0]
-    return _node(ADD, None, out)
+    if len(rest) == 1:
+        return rest[0]
+    return _node(ADD, None, rest)
 
 
 def neg(e) -> Expression:
@@ -243,31 +238,27 @@ def neg(e) -> Expression:
 
 
 def mul(*factors) -> Expression:
-    flat = []
-    coeff = Fraction(1)
-    for f in factors:
-        f = as_expr(f)
-        if f.kind == MUL:
-            flat.extend(f.args)
-        else:
-            flat.append(f)
+    # numeric factors fold left to right from the first one (no unit seed)
+    coeff = None
     rest = []
-    for f in flat:
-        if f.kind == NUM:
-            coeff = coeff * f.payload
-        else:
-            rest.append(f)
-    if coeff == 0:
-        return ZERO
-    out = []
-    if coeff != 1:
-        out.append(num(coeff))
-    out.extend(rest)
-    if not out:
+    for f in factors:
+        if not isinstance(f, Expression):
+            f = as_expr(f)
+        for u in (f.args if f.kind == MUL else (f,)):
+            if u.kind == NUM:
+                coeff = u.payload if coeff is None else coeff * u.payload
+            else:
+                rest.append(u)
+    if coeff is not None:
+        if coeff == 0:
+            return ZERO
+        if coeff != 1:
+            rest.insert(0, num(coeff))
+    if not rest:
         return ONE
-    if len(out) == 1:
-        return out[0]
-    return _node(MUL, None, out)
+    if len(rest) == 1:
+        return rest[0]
+    return _node(MUL, None, rest)
 
 
 def div(a, b) -> Expression:

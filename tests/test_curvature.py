@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,6 +14,8 @@ from odegeom.curvature import (
     weyl_connection_residual, weyl_square,
 )
 from odegeom.exterior import Chart, DifferentialForm, d_coord, one_form
+from odegeom.monge import frame_metric
+from odegeom.ode2 import fefferman_metric, second_order
 from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
 
 CFG = RunConfig(samples=8)
@@ -403,3 +406,142 @@ def test_tensor_serialization_formula_and_numeric():
     pt = {n: 0.25 for n in E3.coords}
     num = T.to_json(point=pt)
     assert all(isinstance(v, float) for v in num["components"].values())
+
+
+# --- independent index sets against the all-index loops ------------------------
+#
+# The reference below is the construction the independent-set build replaced:
+# every Christoffel symbol, every R^a_bcd, every lowered Riemann and Weyl
+# component built by its own formula, with Ricci, scalar and Schouten taken
+# from the reference R^a_bcd.  Comparing all n^4 components checks the
+# antisymmetries and the pair symmetry the new tables rely on.
+
+def reference_christoffel(pkg):
+    n, ginv, dg = pkg.n, pkg.inverse, pkg.dg
+    return [[[ex.mul(ex.HALF, ex.add(*[
+        ex.mul(ginv[a][dd], ex.add(dg[i][dd][j], dg[j][i][dd],
+                                   ex.neg(dg[dd][i][j])))
+        for dd in range(n)])) for j in range(n)] for i in range(n)]
+        for a in range(n)]
+
+
+def reference_connection_curvature(n, coords, gamma):
+    dgamma = [[[[ex.differentiate(gamma[a][i][j], coords[c])
+                 for c in range(n)] for j in range(n)] for i in range(n)]
+              for a in range(n)]
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)]
+           for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for dd in range(n):
+                    terms = [dgamma[a][dd][b][c], ex.neg(dgamma[a][c][b][dd])]
+                    for e in range(n):
+                        terms.append(ex.mul(gamma[a][c][e], gamma[e][dd][b]))
+                        terms.append(
+                            ex.neg(ex.mul(gamma[a][dd][e], gamma[e][c][b])))
+                    out[a][b][c][dd] = ex.add(*terms)
+    return out
+
+
+def reference_riemann_low(n, g, up):
+    return [[[[ex.add(*[ex.mul(g[a][e], up[e][b][c][dd]) for e in range(n)])
+               for dd in range(n)] for c in range(n)] for b in range(n)]
+            for a in range(n)]
+
+
+def reference_weyl_low(n, g, ginv, up, low):
+    ric = [[ex.add(*[up[a][b][a][dd] for a in range(n)]) for dd in range(n)]
+           for b in range(n)]
+    scalar = ex.add(*[ex.mul(ginv[b][dd], ric[b][dd])
+                      for b in range(n) for dd in range(n)])
+    r_over = ex.div(scalar, ex.num(2 * (n - 1)))
+    s = [[ex.mul(ex.num(Fraction(1, n - 2)),
+                 ex.add(ric[i][j], ex.neg(ex.mul(r_over, g[i][j]))))
+          for j in range(n)] for i in range(n)]
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)]
+           for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for dd in range(n):
+                    corr = ex.add(
+                        ex.mul(g[a][c], s[b][dd]),
+                        ex.neg(ex.mul(g[a][dd], s[b][c])),
+                        ex.mul(g[b][dd], s[a][c]),
+                        ex.neg(ex.mul(g[b][c], s[a][dd])))
+                    out[a][b][c][dd] = ex.add(low[a][b][c][dd], ex.neg(corr))
+    return out
+
+
+def frame_metric_cubic():
+    return frame_metric(ex.parse("q^3/6"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fefferman_metric(second_order("p^4")),
+    nonflat_4metric,
+    frame_metric_cubic,
+], ids=["fefferman-p4", "nonflat-4metric", "frame-metric-q3"])
+def test_independent_sets_match_all_index_reference(make):
+    g = make()
+    pkg = curvature_package(g)
+    n, rows = pkg.n, g.rows
+    gamma = reference_christoffel(pkg)
+    up = reference_connection_curvature(n, g.chart.coords, gamma)
+    low = reference_riemann_low(n, rows, up)
+    weyl_ref = reference_weyl_low(n, rows, pkg.inverse, up, low)
+    named = {}
+    for a in range(n):
+        for i in range(n):
+            for j in range(n):
+                named[f"G{a}{i}{j}"] = ex.add(pkg.christoffel[a][i][j],
+                                              ex.neg(gamma[a][i][j]))
+    for tag, new, ref in (("U", pkg.riemann_up, up),
+                          ("L", pkg.riemann_low, low),
+                          ("W", pkg.weyl_low, weyl_ref)):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for dd in range(n):
+                        named[f"{tag}{a}{b}{c}{dd}"] = ex.add(
+                            new[a][b][c][dd], ex.neg(ref[a][b][c][dd]))
+    assert len(named) == n ** 3 + 3 * n ** 4
+    exprs_zero(named, g.box, RunConfig(samples=5))
+
+
+def test_independent_sets_are_built_once_and_mirrored():
+    pkg = curvature_package(nonflat_4metric())
+    n = pkg.n
+    up, low, W = pkg.riemann_up, pkg.riemann_low, pkg.weyl_low
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                assert up[a][b][c][c] is ex.ZERO
+                assert low[a][a][b][c] is ex.ZERO and W[b][c][a][a] is ex.ZERO
+                for dd in range(n):
+                    assert up[a][b][dd][c] is ex.neg(up[a][b][c][dd])
+                    for T in (low, W):
+                        assert T[b][a][c][dd] is ex.neg(T[a][b][c][dd])
+                        assert T[c][dd][a][b] is T[a][b][c][dd]
+    # 21 independent lowered components in dimension 4, 55 in dimension 5
+    assert len(tensor_zero_exprs(weyl(nonflat_4metric()))) == 21
+    assert len(tensor_zero_exprs(weyl(frame_metric_cubic()))) <= 55
+
+
+def test_tensor_zero_exprs_names_each_node_once():
+    x, y, z = ex.sym("x"), ex.sym("y"), ex.sym("z")
+    s = ex.add(x, y)
+    comps = ((x, ex.neg(x), ex.ZERO),
+             (y, x, ex.neg(y)),
+             (ex.ZERO, ex.neg(s), s))
+    named = tensor_zero_exprs(TensorField(E3, "ll", comps), "T")
+    # a literal zero, a repeat and the negative of an earlier node are left
+    # out; the first index in row-major order names each node
+    assert named == {"T00": x, "T10": y, "T21": ex.neg(s)}
+    # only the structural negative counts: -1.0*x is a node of its own
+    scaled = ((x, ex.mul(-1.0, x), ex.mul(2, z)),
+              (ex.mul(-2, z), ex.ZERO, ex.ZERO),
+              (ex.ZERO, ex.ZERO, ex.ZERO))
+    named = tensor_zero_exprs(TensorField(E3, "ll", scaled))
+    assert set(named) == {"00", "01", "02"}

@@ -140,6 +140,91 @@ def test_round_trip_random(e):
     assert ex.parse(ex.to_str(e)) is e
 
 
+# --- add/mul against the Fraction-seeded reference --------------------------
+#
+# The reference is the construction the fast path replaced: flatten first,
+# then fold numeric payloads into a Fraction(0) sum or a Fraction(1) product.
+
+def reference_add(*terms):
+    flat = []
+    const = Fraction(0)
+    for t in terms:
+        t = ex.as_expr(t)
+        flat.extend(t.args if t.kind == ex.ADD else (t,))
+    rest = []
+    for t in flat:
+        if t.kind == ex.NUM:
+            const = const + t.payload
+        else:
+            rest.append(t)
+    out = [ex.num(const)] if const != 0 else []
+    out.extend(rest)
+    if not out:
+        return ex.ZERO
+    return out[0] if len(out) == 1 else ex._node(ex.ADD, None, out)
+
+
+def reference_mul(*factors):
+    flat = []
+    coeff = Fraction(1)
+    for f in factors:
+        f = ex.as_expr(f)
+        flat.extend(f.args if f.kind == ex.MUL else (f,))
+    rest = []
+    for f in flat:
+        if f.kind == ex.NUM:
+            coeff = coeff * f.payload
+        else:
+            rest.append(f)
+    if coeff == 0:
+        return ex.ZERO
+    out = [ex.num(coeff)] if coeff != 1 else []
+    out.extend(rest)
+    if not out:
+        return ex.ONE
+    return out[0] if len(out) == 1 else ex._node(ex.MUL, None, out)
+
+
+_PAYLOADS = [0, 1, -1, 2, Fraction(1, 3), Fraction(-3, 2), 0.0, -0.0, 1.0,
+             -1.0, 2.5, -0.5, 1e-300, float("inf"), float("nan")]
+
+
+@st.composite
+def fold_operands(draw):
+    """Expressions, raw numbers and nested sums/products with numeric
+    payloads of both types, signed zeros, units and non-finite floats."""
+    leaf = st.one_of(st.sampled_from([x, y, p]),
+                     st.sampled_from(_PAYLOADS).map(ex.num),
+                     st.sampled_from([v for v in _PAYLOADS if v != 0]))
+    args = draw(st.lists(leaf, min_size=0, max_size=5))
+    kind = draw(st.sampled_from(["leaf", "add", "mul"]))
+    if kind == "add":
+        return reference_add(*args)
+    if kind == "mul":
+        return reference_mul(*args)
+    return args[0] if args else draw(leaf)
+
+
+@given(st.lists(fold_operands(), min_size=0, max_size=5))
+@settings(max_examples=400, deadline=None)
+def test_add_and_mul_match_reference_node_for_node(operands):
+    assert ex.add(*operands) is reference_add(*operands)
+    assert ex.mul(*operands) is reference_mul(*operands)
+
+
+@pytest.mark.parametrize("payloads", [
+    (0.0,), (-0.0,), (1.0,), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0, 2.5),
+    (1.0, 1.0), (-1.0, -1.0), (2.5, Fraction(2, 5)), (Fraction(1, 3), 0.5),
+    (0, 2.5), (Fraction(0), -0.0), (float("nan"), 1), (float("inf"), 0.0),
+])
+def test_add_and_mul_fold_edge_payloads_like_reference(payloads):
+    for extra in ((), (x,), (x, ex.mul(2, y)), (ex.add(1.0, x),)):
+        args = [ex.num(v) for v in payloads] + list(extra)
+        for order in (args, args[::-1]):
+            assert ex.add(*order) is reference_add(*order)
+            assert ex.mul(*order) is reference_mul(*order)
+
+
 # --- differentiation ------------------------------------------------------
 
 def test_power_rule_fractional():

@@ -366,3 +366,12 @@ def test_weyl_frame_pattern_sign_stable_across_family():
     rep = weyl_frame_pattern_check(ex.parse("q^(5/2)"),
                                    cfg=RunConfig(samples=6))
     assert rep.verdict == "pattern-confirmed"
+
+
+def test_g32_runner_zero_tests_a5():
+    # a5 of 1/q vanishes but is not built as a literal zero
+    from odegeom.catalog import CatalogEntry, _run_g32
+    assert not example6_a5(ex.parse("1/q")).is_zero_literal
+    entry = CatalogEntry("g32-inverse", "g32", {"formula": "1/q", "tag": "test"})
+    out = _run_g32(entry, RunConfig())
+    assert out["weyl_zero"] is True and out["a5_zero"] is True

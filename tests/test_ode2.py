@@ -8,7 +8,7 @@ from odegeom.curvature import (curvature_package, signature_at,
                                tensor_zero_exprs, weyl)
 from odegeom.ode2 import (SecondOrderODE, fefferman_flatness_check,
                           fefferman_metric, ode2_invariants, second_order)
-from odegeom.zerotest import is_zero, is_zero_many, unit_box
+from odegeom.zerotest import DomainBox, is_zero, is_zero_many, unit_box
 
 CFG = RunConfig(samples=10)
 
@@ -132,3 +132,34 @@ def test_weyl_properties_on_p4():
 def test_stray_symbol_rejected():
     with pytest.raises(ValueError):
         SecondOrderODE(ex.parse("q^2"), unit_box(("x", "y", "p", "phi", "q")))
+
+
+# Weyl verdicts of curved equations under the default config.  Only one
+# component of each antisymmetric and pair-symmetric set is tested.  The
+# all-index build reported the same witness for p^4.  For x*p^2+y and
+# p^(5/2) it reported W1001: a separately built copy of -W0101 with a
+# smaller term scale, so a larger ratio.
+POSITIVE_P = {"x": (-1.0, 1.0), "y": (-1.0, 1.0), "p": (0.5, 2.0),
+              "phi": (-1.0, 1.0)}
+
+
+@pytest.mark.parametrize("formula, intervals, label, value, point", [
+    ("p^4", None, "W1212", 4.0,
+     {"p": 0.6888437030500962, "phi": 0.515908805880605,
+      "x": -0.15885683833831, "y": -0.4821664994140733}),
+    ("x*p^2+y", None, "W0101", -1.3166420322835894,
+     {"p": 0.628933726582672, "phi": 0.08056721394064792,
+      "x": 0.9276770919476018, "y": 0.20637125592276595}),
+    ("p^(5/2)", POSITIVE_P, "W1212", -0.4396786715495752,
+     {"p": 0.5017142289716424, "phi": -0.012844267069350712,
+      "x": 0.7352055509855617, "y": -0.512178246225736}),
+])
+def test_curved_weyl_verdict_witness(formula, intervals, label, value, point):
+    ode = second_order(formula, DomainBox(intervals) if intervals else None)
+    v = fefferman_flatness_check(ode).checks["weyl"]
+    assert not v.is_zero
+    assert (v.label, v.witness_value, v.witness_point) == (label, value, point)
+    # the witness is the named component's value at the witness point
+    comp = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")[label]
+    got = float(ex.eval_numeric(comp, point))
+    assert got == value
