@@ -25,7 +25,7 @@ from .catalog import verify_catalog
 from .config import RunConfig, load_config
 from .curvature import signature_at
 from .exterior import J2_3RD, MONGE1, MONGE2
-from .zerotest import BoxError, DomainBox, auto_guards
+from .zerotest import BoxError, DomainBox, auto_guards, default_intervals
 from . import liealg, monge, ode2, ode3
 
 USAGE_ERROR = 2
@@ -51,11 +51,10 @@ def parse_box_args(specs, defaults: dict) -> dict:
 
 
 def build_box(formula: ex.Expression, chart_names, specs) -> DomainBox:
-    defaults = {n: (-1.0, 1.0) for n in chart_names}
-    defaults.update({n: (-1.0, 1.0) for n in ex.free_symbols(formula)})
-    intervals = parse_box_args(specs, defaults)
     pos, nz = auto_guards(formula)
-    return DomainBox(intervals, pos, nz)
+    defaults = default_intervals(
+        set(chart_names) | ex.free_symbols(formula), pos)
+    return DomainBox(parse_box_args(specs, defaults), pos, nz)
 
 
 def _parse_formula(text, allowed):

@@ -7,11 +7,20 @@ conventions, fixed once for the whole package:
     Gamma^a_ij  Levi-Civita (or Weyl-connection) symbols, symmetric in ij
     R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
               + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
-    R_bd    = R^a_bad
+    R_abcd  = g_ae R^e_bcd
+            = 1/2 (d_b d_c g_ad + d_a d_d g_bc - d_b d_d g_ac - d_a d_c g_bd
+                   + [bc, f] Gamma^f_ad - [bd, f] Gamma^f_ac),
+              [ij, f] = d_i g_fj + d_j g_if - d_f g_ij
+    R_bd    = R^a_bad = g^ac R_abcd
     R       = g^bd R_bd
     Schouten S = (Ric - R g / (2(n-1))) / (n-2)
     Weyl_abcd  = R_abcd - (g_ac S_bd - g_ad S_bc + g_bd S_ac - g_bc S_ad)
     Cotton_ijk = grad_k S_ij - grad_j S_ik
+
+For the Levi-Civita connection R_abcd and R_bd are built by the second form
+of each, from the metric (Misner, Thorne and Wheeler, Gravitation, 1973),
+and R^a_bcd is not built; `connection_curvature` and `ricci_from_riemann`
+take the first form for the Weyl connection.
 """
 
 from __future__ import annotations
@@ -260,18 +269,23 @@ class CurvaturePackage:
                   for j in range(n)] for i in range(n)] for k in range(n)]
 
     @cached_property
+    def brackets(self):
+        """[ij, f] = d_i g_fj + d_j g_if - d_f g_ij for i <= j, twice the
+        Christoffel symbol of the first kind."""
+        n, dg = self.n, self.dg
+        return {(i, j): [ex.add(dg[i][f][j], dg[j][i][f], ex.neg(dg[f][i][j]))
+                         for f in range(n)]
+                for i in range(n) for j in range(i, n)}
+
+    @cached_property
     def christoffel(self):
         """Gamma^a_ij, built for i <= j and shared with Gamma^a_ji."""
         n = self.n
         ginv = self.inverse
-        dg = self.dg
-        first = {(i, j): [ex.add(dg[i][dd][j], dg[j][i][dd],
-                                 ex.neg(dg[dd][i][j])) for dd in range(n)]
-                 for i in range(n) for j in range(i, n)}
         gam = []
         for a in range(n):
             plane = [[None] * n for _ in range(n)]
-            for (i, j), inner in first.items():
+            for (i, j), inner in self.brackets.items():
                 plane[i][j] = plane[j][i] = ex.mul(ex.HALF, ex.add(
                     *[ex.mul(ginv[a][dd], inner[dd]) for dd in range(n)]))
             gam.append(tuple(tuple(r) for r in plane))
@@ -283,15 +297,40 @@ class CurvaturePackage:
 
     @cached_property
     def riemann_low(self):
-        n = self.n
-        g = self.metric.rows
-        up = self.riemann_up
-        return _riemann_symmetric(n, lambda a, b, c, dd: ex.add(
-            *[ex.mul(g[a][e], up[e][b][c][dd]) for e in range(n)]))
+        """R_abcd from the second derivatives of the metric and the
+        Christoffel symbols of both kinds; R^a_bcd is never built."""
+        n, coords, dg = self.n, self.chart.coords, self.dg
+        br, gam = self.brackets, self.christoffel
+
+        def d2(u, v, i, j):  # d_u d_v g_ij
+            return ex.differentiate(dg[v][i][j], coords[u])
+
+        def quad(i, j, a, c):  # the nonzero terms of sum_f [ij, f] Gamma^f_ac
+            inner = br[min(i, j), max(i, j)]
+            return [ex.mul(inner[f], gam[f][a][c]) for f in range(n)
+                    if inner[f] is not ex.ZERO and gam[f][a][c] is not ex.ZERO]
+
+        def component(a, b, c, dd):
+            return ex.mul(ex.HALF, ex.add(
+                d2(b, c, a, dd), d2(a, dd, b, c),
+                ex.neg(d2(b, dd, a, c)), ex.neg(d2(a, c, b, dd)),
+                *quad(b, c, a, dd), *map(ex.neg, quad(b, dd, a, c))))
+
+        return _riemann_symmetric(n, component)
 
     @cached_property
     def ricci(self):
-        return ricci_from_riemann(self.riemann_up, self.n)
+        """R_bd = g^ac R_abcd."""
+        n, ginv, low = self.n, self.inverse, self.riemann_low
+
+        def component(b, dd):
+            return ex.add(*[ex.mul(ginv[a][c], low[a][b][c][dd])
+                            for a in range(n) for c in range(n)
+                            if ginv[a][c] is not ex.ZERO
+                            and low[a][b][c][dd] is not ex.ZERO])
+
+        return tuple(tuple(component(b, dd) for dd in range(n))
+                     for b in range(n))
 
     @cached_property
     def scalar(self):
@@ -504,15 +543,14 @@ def frame_components(T: TensorField, coframe) -> TensorField:
     minv, _det = symbolic_inverse(m)
     # (m @ minv = 1) with m[a][i]: minv[i][a]
     k = len(T.variance)
-    flat = T.flatten()
-    out_flat = {}
+    nonzero = list(T.nontrivial().items())
 
     def convert(frame_idx):
         terms = []
-        for coord_idx, comp in flat.items():
-            if comp.is_zero_literal:
-                continue
+        for coord_idx, comp in nonzero:
             facts = [minv[coord_idx[r]][frame_idx[r]] for r in range(k)]
+            if any(f is ex.ZERO for f in facts):
+                continue
             terms.append(ex.mul(*facts, comp))
         return ex.add(*terms) if terms else ex.ZERO
 

@@ -94,6 +94,16 @@ def unit_box(names, lo=-1.0, hi=1.0) -> DomainBox:
     return DomainBox({n: (lo, hi) for n in names})
 
 
+def default_intervals(names, positive_guards) -> dict:
+    """Sampling intervals for a caller that gave none: (0.5, 2.0) for a
+    symbol that a positive guard needs positive as a bare symbol, so that
+    no sample is rejected for it, and (-1, 1) for every other symbol."""
+    positive = {ex.name_of(g) for g, _ in positive_guards
+                if g.kind in (ex.SYM, ex.FAM)}
+    return {n: (0.5, 2.0) if n in positive else (-1.0, 1.0)
+            for n in sorted(names)}
+
+
 def auto_guards(e: ex.Expression, margin: float = 1e-3):
     """Infer guards from the tree: bases of non-integer powers and log
     arguments must stay positive, denominators must stay away from zero."""

@@ -14,7 +14,7 @@ from odegeom.curvature import (
     weyl_connection_residual, weyl_square,
 )
 from odegeom.exterior import Chart, DifferentialForm, d_coord, one_form
-from odegeom.monge import frame_metric
+from odegeom.monge import example6_coframe, frame_metric
 from odegeom.ode2 import fefferman_metric, second_order
 from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
 
@@ -545,3 +545,88 @@ def test_tensor_zero_exprs_names_each_node_once():
               (ex.ZERO, ex.ZERO, ex.ZERO))
     named = tensor_zero_exprs(TensorField(E3, "ll", scaled))
     assert set(named) == {"00", "01", "02"}
+
+
+# --- Ricci and scalar from the lowered Riemann tensor -------------------------
+#
+# The package builds R_abcd from the metric's second derivatives and
+# R_bd = g^ac R_abcd from it; the reference is R_bd = R^a_bad of the
+# all-index R^a_bcd chain above.
+
+@pytest.mark.parametrize("make", [
+    lambda: fefferman_metric(second_order("p^4")),
+    nonflat_4metric,
+    frame_metric_cubic,
+], ids=["fefferman-p4", "nonflat-4metric", "frame-metric-q3"])
+def test_ricci_and_scalar_match_riemann_up_reference(make):
+    g = make()
+    pkg = curvature_package(g)
+    n, ginv = pkg.n, pkg.inverse
+    up = reference_connection_curvature(n, g.chart.coords,
+                                        reference_christoffel(pkg))
+    ric = [[ex.add(*[up[a][b][a][dd] for a in range(n)]) for dd in range(n)]
+           for b in range(n)]
+    scalar = ex.add(*[ex.mul(ginv[b][dd], ric[b][dd])
+                      for b in range(n) for dd in range(n)])
+    named = {f"ric{b}{dd}": ex.add(pkg.ricci[b][dd], ex.neg(ric[b][dd]))
+             for b in range(n) for dd in range(n)}
+    named["scalar"] = ex.add(pkg.scalar, ex.neg(scalar))
+    exprs_zero(named, g.box, RunConfig(samples=5))
+    assert "riemann_up" not in pkg.__dict__
+
+
+def test_levi_civita_path_builds_no_riemann_up():
+    for g in (nonflat_4metric(), frame_metric_cubic()):
+        pkg = curvature_package(g)
+        pkg.weyl_low
+        pkg.scalar
+        assert "riemann_low" in pkg.__dict__
+        assert "riemann_up" not in pkg.__dict__
+    # the brackets are the ones the Christoffel symbols are built from
+    pkg = curvature_package(nonflat_4metric())
+    n, dg = pkg.n, pkg.dg
+    for (i, j), inner in pkg.brackets.items():
+        assert i <= j
+        for f in range(n):
+            assert inner[f] is ex.add(dg[i][f][j], dg[j][i][f],
+                                      ex.neg(dg[f][i][j]))
+
+
+# --- frame components against the loop they replaced --------------------------
+
+def reference_frame_components(T, coframe):
+    """The old build: every coordinate component rescanned for each frame
+    component, zero minv factors multiplied in."""
+    n = T.chart.dim
+    m = [[coframe[a].coeff((i,)) for i in range(n)] for a in range(n)]
+    minv, _det = symbolic_inverse(m)
+    k = len(T.variance)
+    flat = T.flatten()
+
+    def convert(frame_idx):
+        terms = []
+        for coord_idx, comp in flat.items():
+            if comp.is_zero_literal:
+                continue
+            facts = [minv[coord_idx[r]][frame_idx[r]] for r in range(k)]
+            terms.append(ex.mul(*facts, comp))
+        return ex.add(*terms) if terms else ex.ZERO
+
+    return {idx: convert(idx) for idx in T.flatten()}
+
+
+def test_frame_components_match_reference_node_for_node():
+    F = ex.parse("q^3/6")
+    W = weyl(frame_metric(F))
+    coframe = list(example6_coframe(F)["alpha"])
+    cases = [(W, coframe)]
+    g = synthetic_nonflat_3metric()
+    x, y, z = (ex.sym(c) for c in E3.coords)
+    cases.append((einstein_residual(g), [
+        one_form(E3, (1, x, 0)), one_form(E3, (0, 1, 0)),
+        one_form(E3, (y, 0, ex.add(1, ex.pow_(z, 2))))]))
+    for T, cf in cases:
+        got = frame_components(T, cf).flatten()
+        want = reference_frame_components(T, cf)
+        assert got.keys() == want.keys()
+        assert all(got[idx] is want[idx] for idx in want)

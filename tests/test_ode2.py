@@ -3,6 +3,7 @@ import random
 import pytest
 
 from odegeom import expr as ex
+from odegeom.cli import build_box
 from odegeom.config import RunConfig
 from odegeom.curvature import (curvature_package, signature_at,
                                tensor_zero_exprs, weyl)
@@ -138,7 +139,9 @@ def test_stray_symbol_rejected():
 # component of each antisymmetric and pair-symmetric set is tested.  The
 # all-index build reported the same witness for p^4.  For x*p^2+y and
 # p^(5/2) it reported W1001: a separately built copy of -W0101 with a
-# smaller term scale, so a larger ratio.
+# smaller term scale, so a larger ratio.  Building R_abcd from the metric's
+# second derivatives changed the top-level terms of p^(5/2)'s components, so
+# its worst ratio moved from W1212 to W0101.
 POSITIVE_P = {"x": (-1.0, 1.0), "y": (-1.0, 1.0), "p": (0.5, 2.0),
               "phi": (-1.0, 1.0)}
 
@@ -150,9 +153,9 @@ POSITIVE_P = {"x": (-1.0, 1.0), "y": (-1.0, 1.0), "p": (0.5, 2.0),
     ("x*p^2+y", None, "W0101", -1.3166420322835894,
      {"p": 0.628933726582672, "phi": 0.08056721394064792,
       "x": 0.9276770919476018, "y": 0.20637125592276595}),
-    ("p^(5/2)", POSITIVE_P, "W1212", -0.4396786715495752,
-     {"p": 0.5017142289716424, "phi": -0.012844267069350712,
-      "x": 0.7352055509855617, "y": -0.512178246225736}),
+    ("p^(5/2)", POSITIVE_P, "W0101", -2.7919179144419277,
+     {"p": 1.8695165798568474, "phi": 0.9332127355415176,
+      "x": -0.04598044689456593, "y": 0.7306198555432801}),
 ])
 def test_curved_weyl_verdict_witness(formula, intervals, label, value, point):
     ode = second_order(formula, DomainBox(intervals) if intervals else None)
@@ -163,3 +166,27 @@ def test_curved_weyl_verdict_witness(formula, intervals, label, value, point):
     comp = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")[label]
     got = float(ex.eval_numeric(comp, point))
     assert got == value
+
+
+# Without a box, a symbol that a positive guard needs positive as a bare
+# symbol is sampled in (0.5, 2.0).  In (-1, 1) about half the points failed
+# the guard p > 0, and the check gave up by chance at some of these seeds.
+@pytest.mark.parametrize("seed", range(6))
+def test_default_box_samples_positive_power_base(seed):
+    for samples in (10, 20):
+        rep = fefferman_flatness_check(second_order("p^(5/2)"),
+                                       RunConfig(samples=samples, seed=seed))
+        assert rep.verdict == "curved"
+        assert all(v.rejected == 0 and v.attempts == samples
+                   for v in rep.checks.values())
+
+
+def test_default_intervals_shared_by_cli_and_constructor():
+    assert second_order("p^(5/2)").box.intervals["p"] == (0.5, 2.0)
+    assert second_order("x*p^2").box.intervals["p"] == (-1.0, 1.0)
+    Q = ex.parse("p^(5/2)")
+    coords = ("x", "y", "p", "phi")
+    assert build_box(Q, coords, None).intervals["p"] == (0.5, 2.0)
+    assert build_box(Q, coords, None).intervals["x"] == (-1.0, 1.0)
+    # an explicit interval stays as it is
+    assert build_box(Q, coords, ["p:0.1:3"]).intervals["p"] == (0.1, 3.0)
