@@ -243,6 +243,16 @@ def ricci_from_riemann(riem, n):
                        for dd in range(n)) for b in range(n))
 
 
+def _symmetric(n, component):
+    """An n x n symmetric table: component(i, j) built for i <= j only, the
+    same node at (j, i)."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = component(i, j)
+    return tuple(map(tuple, rows))
+
+
 class CurvaturePackage:
     """Levi-Civita curvature data of a metric, built lazily and shared."""
 
@@ -320,7 +330,8 @@ class CurvaturePackage:
 
     @cached_property
     def ricci(self):
-        """R_bd = g^ac R_abcd."""
+        """R_bd = g^ac R_abcd, built for b <= d and shared with R_db (the
+        Levi-Civita Ricci tensor is symmetric)."""
         n, ginv, low = self.n, self.inverse, self.riemann_low
 
         def component(b, dd):
@@ -329,8 +340,7 @@ class CurvaturePackage:
                             if ginv[a][c] is not ex.ZERO
                             and low[a][b][c][dd] is not ex.ZERO])
 
-        return tuple(tuple(component(b, dd) for dd in range(n))
-                     for b in range(n))
+        return _symmetric(n, component)
 
     @cached_property
     def scalar(self):
@@ -348,10 +358,9 @@ class CurvaturePackage:
         ric = self.ricci
         g = self.metric.rows
         r_over = ex.div(self.scalar, ex.num(2 * (n - 1)))
-        return tuple(tuple(
-            ex.mul(ex.num(Fraction(1, n - 2)),
-                   ex.add(ric[i][j], ex.neg(ex.mul(r_over, g[i][j]))))
-            for j in range(n)) for i in range(n))
+        return _symmetric(n, lambda i, j: ex.mul(
+            ex.num(Fraction(1, n - 2)),
+            ex.add(ric[i][j], ex.neg(ex.mul(r_over, g[i][j])))))
 
     @cached_property
     def weyl_low(self):

@@ -5,7 +5,8 @@ object, so structural equality is identity, and the differentiation cache
 and the evaluation tape (`Tape`) key on node identity.  Construction applies light normalization only
 (constant folding, 0/1 identities, flattening of sums and products); there is
 no factorization or canonical simplification.  Identity claims are settled by
-randomized numeric sampling, not by rewriting.
+randomized evaluation (modulo a prime, or at floating sample points), not by
+rewriting.
 
 Node kinds:
   num   exact Fraction (or float literal)
@@ -23,6 +24,7 @@ Node kinds:
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -496,7 +498,8 @@ def contains_antiderivative(e: Expression) -> bool:
 # slots.  Each instruction is (f, dst, a, b) and runs as
 # slots[dst] = f(slots[a], slots[b], prec, rnd), with f an mpmath.libmp
 # function on raw mpf tuples at the context's precision and rounding; exact
-# evaluation swaps each f for its Fraction counterpart.  An n-ary add or mul
+# evaluation swaps each f for its Fraction counterpart, and `Tape.modular`
+# for its counterpart modulo a prime.  An n-ary add or mul
 # folds left to right into binary steps, as mpf operators would.
 
 _DIV_FLOOR_MPF = from_float(DIV_FLOOR)
@@ -714,6 +717,142 @@ class Tape:
         mpmath precision."""
         make = mpmath.mp.make_mpf
         return [make(v) for v in next(self.run(bindings))]
+
+    def modular(self, group):
+        """The instructions that the roots of `group` need, translated to
+        arithmetic modulo a prime (a `ModularTape`), or None when one of
+        them has no counterpart there: exp, log, Int, a float literal, a
+        symbolic exponent, or a fractional power of anything but a bare
+        symbol.
+
+        A symbol q is bound as q = t^r, with r the lcm of the denominators
+        of q's fractional exponents, so q^(m/r') = t^(m r / r') is an
+        integer power of t.  Each slot also gets bounds on the degrees in
+        the t's of a numerator and a denominator of its value as a rational
+        function; `degrees` holds the numerator bound of each root.
+        """
+        code = [ins for seg in self.code for ins in seg]
+        consts, syms = dict(self.consts), dict(self.syms)
+        need = set(self.outs[group])
+        root = {}  # symbol -> r
+        for f, d, a, b in reversed(code):
+            if d not in need:
+                continue
+            need.add(a)
+            need.add(b)
+            if f is _mpf_pow:
+                e = consts.get(b)
+                if a not in syms or not isinstance(e, Fraction):
+                    return None
+                root[syms[a]] = math.lcm(root.get(syms[a], 1), e.denominator)
+            elif f not in _MODULAR and f is not _mpf_powi:  # exp, log, Int
+                return None
+        if any(type(v) is float for i, v in self.consts if i in need):
+            return None
+        ints = {i: k for k, i in self.exponents.items()}
+        m = ModularTape()
+        m.consts = [(i, v) for i, v in self.consts if i in need]
+        m.syms = [(i, n, root.get(n, 1)) for i, n in self.syms if i in need]
+        m.ints = [(i, k) for i, k in ints.items() if i in need]
+        deg = dict.fromkeys((i for i, _ in m.consts), (0, 0))
+        deg.update((i, (r, 0)) for i, _, r in m.syms)
+        m.code = []
+        size, t_slot = self.size, {}
+        for f, d, a, b in code:
+            if d not in need:
+                continue
+            if f is _mpf_pow:  # q^e with q = t^r is t^(e r)
+                name = syms[a]
+                if name not in t_slot:
+                    t_slot[name] = size
+                    m.syms.append((size, name, 1))
+                    size += 1
+                k = int(consts[b] * root[name])
+                m.ints.append((size, k))
+                m.code.append((_p_powi, d, t_slot[name], size))
+                deg[d] = _deg_pow((1, 0), k)
+                size += 1
+            elif f is _mpf_powi:
+                m.code.append((_p_powi, d, a, b))
+                deg[d] = _deg_pow(deg[a], ints[b])
+            else:
+                op, rule = _MODULAR[f]
+                m.code.append((op, d, a, b))
+                deg[d] = rule(deg[a], deg[b])
+        m.size = size
+        m.outs = self.outs[group]
+        m.degrees = [deg[i][0] for i in m.outs]
+        return m
+
+
+# ---------------------------------------------------------------------------
+# modular evaluation: the instructions of a tape over the integers modulo a
+# prime P.  A value is zero there exactly when the numerator of the rational
+# function it stands for vanishes at the point, as long as no division on
+# the way was by zero; the degree rules bound that numerator.
+
+
+def _p_add(a, b, P, _):
+    return (a + b) % P
+
+
+def _p_mul(a, b, P, _):
+    return a * b % P
+
+
+def _p_div(a, b, P, _):
+    if not b:
+        raise DomainError("division by zero modulo p")
+    return a * pow(b, -1, P) % P
+
+
+def _p_powi(b, k, P, _):
+    if k < 0 and not b:
+        raise DomainError("division by zero modulo p")
+    return pow(b, k, P)
+
+
+def _deg_add(x, y):  # n1/d1 + n2/d2 = (n1 d2 + n2 d1)/(d1 d2)
+    return max(x[0] + y[1], y[0] + x[1]), x[1] + y[1]
+
+
+def _deg_mul(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _deg_div(x, y):
+    return x[0] + y[1], x[1] + y[0]
+
+
+def _deg_pow(x, k):
+    return (k * x[0], k * x[1]) if k >= 0 else (-k * x[1], -k * x[0])
+
+
+_MODULAR = {mpf_add: (_p_add, _deg_add), mpf_mul: (_p_mul, _deg_mul),
+            _mpf_div: (_p_div, _deg_div)}
+
+
+class ModularTape:
+    """The instructions one group of a `Tape` needs, over the integers
+    modulo a prime; built by `Tape.modular`."""
+
+    __slots__ = ("size", "consts", "syms", "ints", "code", "outs", "degrees")
+
+    def run(self, P, point) -> list:
+        """The values of the roots modulo the prime P, each symbol q bound
+        to t^r for the t in [0, P) that `point` gives it; raises DomainError
+        on a division by zero, a Fraction constant with P in its
+        denominator included."""
+        slots = [None] * self.size
+        for i, k in self.ints:
+            slots[i] = k
+        for i, v in self.consts:
+            slots[i] = _p_div(v.numerator % P, v.denominator % P, P, None)
+        for i, name, r in self.syms:
+            slots[i] = pow(point[name], r, P)
+        for f, d, a, b in self.code:
+            slots[d] = f(slots[a], slots[b], P, None)
+        return [slots[i] for i in self.outs]
 
 
 def evaluate(e: Expression, bindings: dict, cache: dict | None = None):

@@ -23,7 +23,7 @@ from .exterior import (MONGE1, MONGE2, d_coord, sym_product, sym_square,
                        total_derivative)
 from .ode3 import InvariantReport
 from .zerotest import (DomainBox, ZeroTestVerdict, auto_guards, box,
-                       combined_verdict, is_zero, is_zero_many,
+                       combined_verdict, equation_box, is_zero, is_zero_many,
                        structural_zero, unit_box)
 
 
@@ -56,23 +56,13 @@ class MongeSecond:
 def monge_first(text_or_expr, bx: DomainBox | None = None, params=()):
     F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
         else ex.as_expr(text_or_expr)
-    if bx is None:
-        bx = unit_box(sorted(ex.free_symbols(F) | set(MONGE1.coords)))
-    pos, nz = auto_guards(F)
-    bx = DomainBox(bx.intervals, bx.positive_guards + pos,
-                   bx.nonzero_guards + nz)
-    return MongeFirst(F, bx, frozenset(params))
+    return MongeFirst(F, equation_box(F, MONGE1.coords, bx), frozenset(params))
 
 
 def monge_second(text_or_expr, bx: DomainBox | None = None, params=()):
     F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
         else ex.as_expr(text_or_expr)
-    if bx is None:
-        bx = unit_box(sorted(ex.free_symbols(F) | set(MONGE2.coords)))
-    pos, nz = auto_guards(F)
-    bx = DomainBox(bx.intervals, bx.positive_guards + pos,
-                   bx.nonzero_guards + nz)
-    return MongeSecond(F, bx, frozenset(params))
+    return MongeSecond(F, equation_box(F, MONGE2.coords, bx), frozenset(params))
 
 
 # ---------------------------------------------------------------------------

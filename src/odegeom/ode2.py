@@ -15,8 +15,8 @@ from .config import RunConfig
 from .curvature import MetricTensor, tensor_zero_exprs, weyl
 from .exterior import J1EXT, d_coord, sym_product, total_derivative
 from .ode3 import InvariantReport
-from .zerotest import (DomainBox, auto_guards, combined_verdict,
-                       default_intervals, is_zero_many, structural_zero)
+from .zerotest import (DomainBox, combined_verdict, equation_box,
+                       is_zero_many, structural_zero)
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,9 @@ def second_order(text_or_expr, box: DomainBox | None = None,
                  params=(), margin=1e-3) -> SecondOrderODE:
     Q = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
         else ex.as_expr(text_or_expr)
-    pos, nz = auto_guards(Q, margin)
-    if box is None:
-        box = DomainBox(default_intervals(
-            ex.free_symbols(Q) | {"x", "y", "p", "phi"}, pos))
+    box = equation_box(Q, J1EXT.coords, box, margin)
     if "phi" not in box.intervals:
         box = box.with_symbols(phi=(-1.0, 1.0))
-    box = DomainBox(box.intervals,
-                    box.positive_guards + pos, box.nonzero_guards + nz)
     return SecondOrderODE(Q, box, frozenset(params))
 
 

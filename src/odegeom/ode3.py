@@ -19,8 +19,8 @@ from .exterior import (
     sym_product, sym_square, total_derivative, wedge_all,
 )
 from .zerotest import (
-    DomainBox, ZeroTestVerdict, auto_guards, combined_verdict, is_zero,
-    is_zero_many, structural_zero, unit_box,
+    DomainBox, ZeroTestVerdict, combined_verdict, equation_box, is_zero,
+    is_zero_many, structural_zero,
 )
 
 
@@ -42,12 +42,8 @@ def third_order(text_or_expr, box: DomainBox | None = None,
                 params=(), margin=1e-3) -> ThirdOrderODE:
     F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
         else ex.as_expr(text_or_expr)
-    if box is None:
-        box = unit_box(sorted(ex.free_symbols(F) | set(J2_3RD.coords)))
-    pos, nz = auto_guards(F, margin)
-    box = DomainBox(box.intervals,
-                    box.positive_guards + pos, box.nonzero_guards + nz)
-    return ThirdOrderODE(F, box, frozenset(params))
+    return ThirdOrderODE(F, equation_box(F, J2_3RD.coords, box, margin),
+                         frozenset(params))
 
 
 @dataclass

@@ -1,14 +1,20 @@
 """Randomized zero-testing of expressions over sampling boxes.
 
-An expression is declared identically zero on a box when, at every sampled
-point, |value| <= tol * (1 + S) where S is the term-magnitude scale: the sum
-of the absolute values of the expression's top-level additive terms at that
-point.  The scale makes the test relative for large cancellations while
-staying absolute near zero.  Sampling is seed-deterministic.
+An expression built from + - * /, integer powers, Fraction constants and
+fractional powers of bare symbols is first tested exactly: it is an exact
+zero when it vanishes modulo a random prime at two independent points.  An
+expression that does not is sampled: it is declared identically zero on the
+box when, at every sampled point, |value| <= tol * (1 + S) where S is the
+term-magnitude scale: the sum of the absolute values of the expression's
+top-level additive terms at that point.  The scale makes the test relative
+for large cancellations while staying absolute near zero.  Both tests are
+seed-deterministic.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -132,6 +138,18 @@ def auto_guards(e: ex.Expression, margin: float = 1e-3):
     return tuple(positive), tuple(nonzero)
 
 
+def equation_box(e: ex.Expression, names, box: DomainBox | None = None,
+                 margin: float = 1e-3) -> DomainBox:
+    """The sampling box of a defining function e on a chart with coordinates
+    `names`: `box`, or when none is given `default_intervals` over the
+    chart's symbols and e's, with e's `auto_guards` added to its guards."""
+    pos, nz = auto_guards(e, margin)
+    if box is None:
+        box = DomainBox(default_intervals(ex.free_symbols(e) | set(names), pos))
+    return DomainBox(box.intervals, box.positive_guards + pos,
+                     box.nonzero_guards + nz)
+
+
 def auto_box(e: ex.Expression, ranges=None, default=(-1.0, 1.0),
              margin: float = 1e-3) -> DomainBox:
     names = sorted(ex.free_symbols(e))
@@ -144,10 +162,13 @@ def auto_box(e: ex.Expression, ranges=None, default=(-1.0, 1.0),
 
 @dataclass
 class ZeroTestVerdict:
-    """Outcome of a zero test.  `method` is "sampled" when points were
-    evaluated (`attempts` drawn, `rejected` of them failing a guard or an
-    evaluation) and "structural" when the expression is a literal zero and
-    nothing was sampled."""
+    """Outcome of a zero test.  `method` says how it was decided:
+    "structural" when the expression is a literal zero and nothing was
+    evaluated, "exact" when it vanished modulo a random prime at `samples`
+    = 2 independent points (`error_bound` bounds the chance that a nonzero
+    expression does so), and "sampled" when floating points were evaluated.
+    `attempts` counts the floating points drawn and `rejected` those that
+    failed a guard or an evaluation."""
     is_zero: bool
     samples: int
     seed: int
@@ -160,6 +181,7 @@ class ZeroTestVerdict:
     attempts: int = 0
     rejected: int = 0
     method: str = "sampled"
+    error_bound: float | None = None
 
     def to_json(self):
         return {
@@ -175,6 +197,7 @@ class ZeroTestVerdict:
             "attempts": self.attempts,
             "rejected": self.rejected,
             "method": self.method,
+            "error_bound": self.error_bound,
         }
 
 
@@ -184,60 +207,164 @@ def structural_zero(cfg: RunConfig) -> ZeroTestVerdict:
                            method="structural")
 
 
-def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> dict:
-    """Zero-test several expressions over one shared set of sample points.
+# ---------------------------------------------------------------------------
+# the exact test: evaluation modulo a random prime (Schwartz 1980; Zippel
+# 1979).  A nonzero rational function whose numerator has degree at most D
+# vanishes at a uniform point of F_p^n with probability at most D/p, so at
+# two independent points with probability at most (D/p)^2.
 
-    One tape is compiled for the call: the box guards first, then every
-    expression and every top-level additive term of each (the terms give
-    the scale).  Expressions typically share large sub-DAGs (tensor
-    components), so each node is evaluated once per point.  A point where a
-    guard fails skips the rest of the tape; it and points where any
-    expression raises a domain error are resampled, and more than half of
-    the attempts failing makes the box unusable.
-    """
-    cfg = cfg or RunConfig()
-    names = list(named)
-    exprs = [named[n] for n in names]
+# the prime is drawn from [2^60, 2^61)
+PRIME_BITS = 61
+# a call with a larger degree bound is sampled: its (D/p)^2 could pass 2^-40
+DEGREE_CAP = 2 ** 40
+# Miller-Rabin with these seven bases (Sinclair 2011) is deterministic below
+# 2^64; the odd primes below 200 sieve out most candidates first
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SMALL_PRIMES = math.prod(n for n in range(3, 200, 2)
+                          if all(n % k for k in range(3, n, 2)))
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2^64."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)
+def _prime(seed: int) -> int:
+    """The modulus of the exact test under `seed`: the first prime among
+    numbers drawn uniformly from [2^(PRIME_BITS-1), 2^PRIME_BITS) and made
+    odd."""
+    rng = random.Random(f"modulus:{seed}")
+    while True:
+        n = rng.randrange(2 ** (PRIME_BITS - 1), 2 ** PRIME_BITS) | 1
+        if math.gcd(n, _SMALL_PRIMES) == 1 and _is_prime(n):
+            return n
+
+
+def _points(names, P: int, seed: int):
+    """The exact test's points under `seed`: each symbol uniform in [0, P)."""
+    rng = random.Random(f"points:{seed}")
+    while True:
+        yield {n: rng.randrange(P) for n in names}
+
+
+def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
+                 seed: int) -> dict | None:
+    """Of the first `count` roots of the tape's root group, those that
+    vanish modulo the call's prime at two independent points, with their
+    degree bounds, by index.  None (or an empty dict) sends the whole call
+    to the sampled path: the roots hold an operation the modular tape
+    cannot take or a symbol the box does not sample, the degree bound
+    passes DEGREE_CAP, a second point hits a zero divisor, or no root
+    vanishes at the first point."""
+    mod = tape.modular(1)
+    if mod is None or max(mod.degrees[:count], default=0) > DEGREE_CAP:
+        return None
+    names = sorted({n for _, n, _ in mod.syms})
+    if not box.intervals.keys() >= set(names):
+        return None
+    P = _prime(seed)
+    points = _points(names, P, seed)
+    runs, divisions_by_zero = [], 0
+    while len(runs) < 2:
+        try:
+            runs.append(mod.run(P, next(points))[:count])
+        except ex.DomainError:
+            divisions_by_zero += 1
+            if divisions_by_zero > 1:
+                return None
+            continue
+        if 0 not in runs[0]:
+            return None
+    return {i: mod.degrees[i] for i in range(count)
+            if runs[0][i] == 0 and runs[1][i] == 0}
+
+
+# ---------------------------------------------------------------------------
+# the sampled test
+
+
+def _tape(named: dict, box: DomainBox):
+    """The tape of a sampled test and the top-level additive terms of each
+    expression: the box guards first, then every expression and every term
+    (the terms give the scale)."""
+    exprs = list(named.values())
     terms = [e.args if e.kind == ex.ADD else (e,) for e in exprs]
-    tape = ex.Tape(box.guards(), exprs + [t for ts in terms for t in ts])
-    worst = {n: (from_int(-1), None, None, None) for n in names}
+    return ex.Tape(box.guards(), exprs + [t for ts in terms for t in ts]), terms
+
+
+def _draw(tape: ex.Tape, box: DomainBox, cfg: RunConfig, accept=None):
+    """Draw the sampled test's points at the current mpmath precision until
+    `cfg.samples` are accepted, calling accept(point, values of the tape's
+    root group) at each; without `accept` only the guard group runs.
+    Returns the number of points attempted and the number rejected."""
     rng = random.Random(cfg.seed)
-    accepted = 0
-    attempts = 0
-    failures = 0
+    accepted = attempts = failures = 0
     max_attempts = max(4 * cfg.samples, cfg.samples + 20)
-    with mpmath.workdps(cfg.dps):
-        prec, rnd = mpmath.mp._prec_rounding
-        while accepted < cfg.samples:
-            if attempts >= max_attempts or (
-                    failures > attempts / 2 and attempts >= cfg.samples):
-                raise BoxError(
-                    f"sampling box unusable: {failures}/{attempts} attempted "
-                    f"points failed")
-            attempts += 1
-            pt = box.sample(rng)
-            groups = tape.run(pt)
-            try:
-                if not box.clears(next(groups)):
-                    failures += 1
-                    continue
-                vals = next(groups)
-            except ex.EvalError:
+    while accepted < cfg.samples:
+        if attempts >= max_attempts or (
+                failures > attempts / 2 and attempts >= cfg.samples):
+            raise BoxError(
+                f"sampling box unusable: {failures}/{attempts} attempted "
+                f"points failed")
+        attempts += 1
+        pt = box.sample(rng)
+        groups = tape.run(pt)
+        try:
+            if not box.clears(next(groups)):
                 failures += 1
                 continue
-            accepted += 1
-            pos = len(exprs)
-            for n, v, ts in zip(names, vals, terms):
-                # the scale sums |term| from zero in the order mpf(0) += abs(t)
-                # would, so it rounds the same way
-                s = fzero
-                for t in vals[pos:pos + len(ts)]:
-                    s = mpf_add(s, mpf_abs(t, prec, rnd), prec, rnd)
-                pos += len(ts)
-                ratio = mpf_div(mpf_abs(v, prec, rnd), mpf_add(s, fone, prec, rnd),
-                                prec, rnd)
-                if mpf_gt(ratio, worst[n][0]):
-                    worst[n] = (ratio, pt, v, s)
+            vals = next(groups) if accept else None
+        except ex.EvalError:
+            failures += 1
+            continue
+        accepted += 1
+        if accept:
+            accept(pt, vals)
+    return attempts, failures
+
+
+def _sampled(named: dict, box: DomainBox, cfg: RunConfig, compiled=None) -> dict:
+    """The sampled zero test of every expression, over one shared set of
+    points; `compiled` is the `_tape` of `named` when the caller has it."""
+    names = list(named)
+    tape, terms = compiled or _tape(named, box)
+    worst = {n: (from_int(-1), None, None, None) for n in names}
+
+    def score(pt, vals):
+        pos = len(names)
+        for n, v, ts in zip(names, vals, terms):
+            # the scale sums |term| from zero in the order mpf(0) += abs(t)
+            # would, so it rounds the same way
+            s = fzero
+            for t in vals[pos:pos + len(ts)]:
+                s = mpf_add(s, mpf_abs(t, prec, rnd), prec, rnd)
+            pos += len(ts)
+            ratio = mpf_div(mpf_abs(v, prec, rnd), mpf_add(s, fone, prec, rnd),
+                            prec, rnd)
+            if mpf_gt(ratio, worst[n][0]):
+                worst[n] = (ratio, pt, v, s)
+
+    with mpmath.workdps(cfg.dps):
+        prec, rnd = mpmath.mp._prec_rounding
+        attempts, failures = _draw(tape, box, cfg, score)
     make = mpmath.mp.make_mpf
     out = {}
     for n in names:
@@ -260,6 +387,47 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
     return out
 
 
+def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> dict:
+    """Zero-test several expressions over one box.
+
+    One tape is compiled for the call: the box guards first, then every
+    expression and every top-level additive term of each (the terms give
+    the scale).  Expressions typically share large sub-DAGs (tensor
+    components), so each node is evaluated once per point.
+
+    The exact test runs first.  An expression that vanishes modulo the
+    call's prime at two independent points is an exact zero; the sampled
+    test's points are still drawn, with only the guards evaluated, so a box
+    the guards reject raises the same BoxError.  The other expressions are
+    sampled on a tape compiled for them alone, or on the call's tape when
+    no expression is an exact zero.  At a sample point a failing guard
+    skips the rest of the tape; it and points where any expression raises
+    a domain error are resampled, and more than half of the attempts
+    failing makes the box unusable.
+    """
+    cfg = cfg or RunConfig()
+    compiled = _tape(named, box)
+    exact = _exact_zeros(compiled[0], len(named), box, cfg.seed)
+    if not exact:
+        return _sampled(named, box, cfg, compiled)
+    with mpmath.workdps(cfg.dps):
+        attempts, rejected = _draw(ex.Tape(box.guards()), box, cfg)
+    names = list(named)
+    rest = {n: named[n] for i, n in enumerate(names) if i not in exact}
+    rest = _sampled(rest, box, cfg) if rest else {}
+    P = _prime(cfg.seed)
+    out = {}
+    for i, n in enumerate(names):
+        if i in exact:
+            out[n] = ZeroTestVerdict(
+                True, 2, cfg.seed, cfg.tol, 0.0, 0.0, label=n,
+                attempts=attempts, rejected=rejected, method="exact",
+                error_bound=(exact[i] / P) ** 2)
+        else:
+            out[n] = rest[n]
+    return out
+
+
 def is_zero(e: ex.Expression, box: DomainBox,
             cfg: RunConfig | None = None, **overrides) -> ZeroTestVerdict:
     cfg = (cfg or RunConfig())
@@ -270,9 +438,20 @@ def is_zero(e: ex.Expression, box: DomainBox,
     return is_zero_many({"expr": e}, box, cfg)["expr"]
 
 
+# the order of strength of the methods
+_STRENGTH = {"sampled": 0, "exact": 1, "structural": 2}
+
+
 def combined_verdict(verdicts: dict) -> ZeroTestVerdict:
-    """All-zero verdict across components; carries the worst witness."""
-    worst = max(verdicts.values(), key=lambda v: v.max_ratio)
+    """All-zero verdict across components, carrying the worst one: the
+    largest ratio, and among equal ratios the weakest method.  Exact and
+    structural verdicts have ratio 0, so the worst one's method is the
+    weakest of all; when that is "exact" no component was sampled, and the
+    error bound is the sum of the components' bounds."""
+    worst = max(verdicts.values(),
+                key=lambda v: (v.max_ratio, -_STRENGTH[v.method]))
+    bound = sum(v.error_bound or 0.0 for v in verdicts.values()) \
+        if worst.method == "exact" else None
     all_zero = all(v.is_zero for v in verdicts.values())
     return ZeroTestVerdict(
         is_zero=all_zero,
@@ -287,4 +466,5 @@ def combined_verdict(verdicts: dict) -> ZeroTestVerdict:
         attempts=worst.attempts,
         rejected=worst.rejected,
         method=worst.method,
+        error_bound=bound,
     )

@@ -98,9 +98,10 @@ def test_verify_paper_subset_schema(capsys):
 
 
 def test_exit_code_follows_report_content(capsys):
-    # tighten tolerance absurdly so a true identity is reported as failed
+    # tighten tolerance absurdly so a true identity is reported as failed;
+    # the root of the compound base 2qy - p^2 keeps the identities sampled
     status, out, _ = run_cli(
-        ["verify", "paper", "--only", "ode3-pow-3-2", "--tol", "1e-40",
+        ["verify", "paper", "--only", "ode3-root-family", "--tol", "1e-40",
          "--json"], capsys)
     report = json.loads(out)
     assert (status == 0) == (report["summary"]["failed"] == 0)
@@ -111,6 +112,13 @@ def test_exit_code_follows_report_content(capsys):
              if not c["pass"]}
     assert "numerical-headroom" in kinds.values()
     assert kinds.get("classification") in (None, "logical")
+    # q^(3/2) is a fractional power of a bare symbol: its identities are
+    # exact zeros, which no tolerance can fail
+    status, out, _ = run_cli(
+        ["verify", "paper", "--only", "ode3-pow-3-2", "--tol", "1e-40",
+         "--json"], capsys)
+    assert status == 0
+    assert json.loads(out)["summary"]["failed"] == 0
 
 
 def test_config_validation():
@@ -180,3 +188,27 @@ def test_deeply_nested_formula_exits_two(capsys):
         ["ode3", "invariants", "--F", "(" * depth + "q" + ")" * depth], capsys)
     assert status == 2
     assert "nesting" in err
+
+
+@pytest.mark.parametrize("args, exact", [
+    (["ode2", "flatness", "--Q", "p^4"], False),
+    (["ode2", "flatness", "--Q", "p^3"], True),
+    (["ode3", "classify", "--F", "q^(3/2)"], True),
+    (["ode3", "classify", "--F", "q^2 + sqrt(1 + q^2)"], False),
+])
+def test_cli_verdicts_match_schema(args, exact, capsys):
+    import jsonschema
+    from importlib import resources
+    schema = json.loads(resources.files("odegeom.data")
+                        .joinpath("report_schema.json").read_text())
+    verdict_schema = {"$ref": "#/definitions/verdict",
+                      "definitions": schema["definitions"]}
+    status, out, _ = run_cli(args + ["--json"], capsys)
+    assert status == 0
+    checks = json.loads(out)["checks"]
+    for v in checks.values():
+        jsonschema.validate(v, verdict_schema)
+    assert any(v["method"] == "exact" for v in checks.values()) == exact
+    bad = dict(next(iter(checks.values())), method="exact", error_bound=None)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, verdict_schema)

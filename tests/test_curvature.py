@@ -575,6 +575,20 @@ def test_ricci_and_scalar_match_riemann_up_reference(make):
     assert "riemann_up" not in pkg.__dict__
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fefferman_metric(second_order("p^(5/2)")),
+    nonflat_4metric,
+    frame_metric_cubic,
+], ids=["fefferman-p52", "nonflat-4metric", "frame-metric-q3"])
+def test_ricci_and_schouten_are_built_once_per_pair(make):
+    pkg = curvature_package(make())
+    n = pkg.n
+    for b in range(n):
+        for dd in range(n):
+            assert pkg.ricci[b][dd] is pkg.ricci[dd][b]
+            assert pkg.schouten[b][dd] is pkg.schouten[dd][b]
+
+
 def test_levi_civita_path_builds_no_riemann_up():
     for g in (nonflat_4metric(), frame_metric_cubic()):
         pkg = curvature_package(g)

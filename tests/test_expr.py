@@ -683,6 +683,11 @@ def _check_against_reference(named, bx, cfg):
     got = is_zero_many(named, bx, cfg)
     assert list(got) == list(want)
     for n, v in got.items():
+        if v.method == "exact":
+            # decided modulo a prime: it must be a zero in the reference
+            assert want[n][0] is True
+            assert (v.is_zero, v.samples, v.max_ratio) == (True, 2, 0.0)
+            continue
         assert _verdict_fields(v) == want[n]
         assert (v.samples, v.attempts, v.rejected, v.method) == \
             (cfg.samples, attempts, rejected, "sampled")
@@ -696,6 +701,8 @@ def test_is_zero_many_matches_reference_on_ode2_weyl():
     cfg = RunConfig(samples=6, seed=11)
     got = _check_against_reference(named, ode.box, cfg)
     assert not all(v.is_zero for v in got.values())
+    methods = {v.method for v in got.values()}
+    assert methods == {"exact", "sampled"}
 
 
 def test_is_zero_many_matches_reference_with_guards():
@@ -709,6 +716,8 @@ def test_is_zero_many_matches_reference_with_guards():
              "sq": ex.add(ex.pow_(ex.sqrt(ex.parse("1 - p*q")), ex.num(2)),
                           ex.parse("p*q - 1"))}
     got = _check_against_reference(named, bx, RunConfig(samples=12, seed=5))
+    # sqrt of a compound base sends the whole call to the sampled path
+    assert {v.method for v in got.values()} == {"sampled"}
     assert got["id"].is_zero and got["sq"].is_zero and not got["e"].is_zero
     assert got["e"].rejected > 0
     assert got["e"].attempts == 12 + got["e"].rejected

@@ -375,3 +375,15 @@ def test_g32_runner_zero_tests_a5():
     entry = CatalogEntry("g32-inverse", "g32", {"formula": "1/q", "tag": "test"})
     out = _run_g32(entry, RunConfig())
     assert out["weyl_zero"] is True and out["a5_zero"] is True
+
+
+def test_monge_default_box_keeps_guarded_symbol_positive():
+    for make, coords, root in ((monge_first, ("x", "y", "p", "z"), "p"),
+                               (monge_second, ("x", "y", "p", "q", "z"), "q")):
+        eq = make(f"{root}^(1/2) + y")
+        assert eq.box.intervals[root] == (0.5, 2.0)
+        assert all(eq.box.intervals[n] == (-1.0, 1.0)
+                   for n in coords if n != root)
+        # an explicit box is kept as given
+        bx = box(**{n: (-1, 1) for n in coords if n != root}, **{root: (0.1, 3.0)})
+        assert make(f"{root}^(1/2)", bx).box.intervals[root] == (0.1, 3.0)

@@ -307,3 +307,15 @@ def test_dkp_coframe_linear_independence():
     mat = np.array([[float(ex.eval_numeric(f.coeff((i,)), pt))
                      for i in range(4)] for f in forms])
     assert abs(np.linalg.det(mat)) > 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_default_box_keeps_guarded_symbol_positive(seed):
+    # q^(3/2) needs q > 0: with no box given q is sampled in (0.5, 2.0), so
+    # the guard rejects no point
+    ode = third_order("q^(3/2)")
+    assert ode.box.intervals["q"] == (0.5, 2.0)
+    assert ode.box.intervals["p"] == (-1.0, 1.0)
+    rep = classify3(ode, RunConfig(samples=10, seed=seed))
+    assert rep.verdict == EINSTEIN_WEYL
+    assert all(v.rejected == 0 for v in rep.checks.values())
