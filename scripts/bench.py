@@ -2,14 +2,13 @@
 """Compare the end-to-end benchmark of two checkouts in alternating pairs.
 
     python3 scripts/bench.py --workload stream-distinct --pairs 10 \\
-        --seed 9601 --out BENCH_6.json [--parent DIR | --rev REV]
+        --seed 9601 --rev HEAD~1 --out BENCH_6.json
 
-Runs the benchmark of BENCHMARK.json (perfbench/run.py, unchanged) on a
-parent checkout and on this working tree, one run after the other with the
-same seed; the side that runs first alternates from pair to pair, and every
-pair has a seed of its own (seed, seed + 1, ...).  The parent checkout is
-DIR, or the revision REV (default HEAD) exported with `git archive` into a
-temporary directory.  The output file keeps the runs of every workload
+Runs the benchmark of BENCHMARK.json (perfbench/run.py, unchanged) for its
+run_seconds on the parent revision REV, exported with `git archive` into a
+temporary directory, and on this working tree, one run after the other with
+the same seed; the side that runs first alternates from pair to pair, and
+every pair has a seed of its own (seed, seed + 1, ...).  The output file keeps the runs of every workload
 benchmarked into it so far: per run its seed, side, correctness and
 metrics, and per metric the median and quartiles of each side, the number
 of pairs the working tree won, the distance between the medians and the
@@ -73,28 +72,21 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="time budget of a run (default: BENCHMARK.json's)")
+    ap.add_argument("--rev", required=True,
+                    help="git revision to export as the parent")
     ap.add_argument("--out", type=Path, required=True)
-    where = ap.add_mutually_exclusive_group()
-    where.add_argument("--parent", type=Path, help="parent checkout")
-    where.add_argument("--rev", default="HEAD",
-                       help="git revision to export as the parent")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
 
     with tempfile.TemporaryDirectory() as tmp:
-        parent = args.parent
-        if parent is None:
-            parent = Path(tmp)
-            archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
-                                     capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"parent": parent.resolve(), "change": ROOT}
+        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = {"parent": Path(tmp), "change": ROOT}
         runs = []
         for i in range(args.pairs):
             seed = args.seed + i

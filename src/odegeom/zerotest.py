@@ -165,10 +165,12 @@ class ZeroTestVerdict:
     """Outcome of a zero test.  `method` says how it was decided:
     "structural" when the expression is a literal zero and nothing was
     evaluated, "exact" when it vanished modulo a random prime at `samples`
-    = 2 independent points (`error_bound` bounds the chance that a nonzero
-    expression does so), and "sampled" when floating points were evaluated.
-    `attempts` counts the floating points drawn and `rejected` those that
-    failed a guard or an evaluation."""
+    = 2 independent points, and "sampled" when floating points were
+    evaluated.  `error_bound` bounds the chance, over the seeds, that a
+    nonzero expression passes the exact test given that the seed's prime
+    divides no coefficient of its numerator.  `attempts` counts the
+    floating points drawn and `rejected` those that failed a guard or an
+    evaluation."""
     is_zero: bool
     samples: int
     seed: int
@@ -210,8 +212,11 @@ def structural_zero(cfg: RunConfig) -> ZeroTestVerdict:
 # ---------------------------------------------------------------------------
 # the exact test: evaluation modulo a random prime (Schwartz 1980; Zippel
 # 1979).  A nonzero rational function whose numerator has degree at most D
-# vanishes at a uniform point of F_p^n with probability at most D/p, so at
-# two independent points with probability at most (D/p)^2.
+# and stays nonzero modulo p vanishes at a uniform point of F_p^n with
+# probability at most D/p, so at two independent points with probability at
+# most (D/p)^2.  That p divides every coefficient of the numerator is left
+# out of the bound: p is drawn from the seed among ~2^54 primes, so a
+# literal coefficient cannot be aimed at it.
 
 # the prime is drawn from [2^60, 2^61)
 PRIME_BITS = 61
@@ -271,14 +276,22 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
     vanish modulo the call's prime at two independent points, with their
     degree bounds, by index.  None (or an empty dict) sends the whole call
     to the sampled path: the roots hold an operation the modular tape
-    cannot take or a symbol the box does not sample, the degree bound
-    passes DEGREE_CAP, a second point hits a zero divisor, or no root
-    vanishes at the first point."""
+    cannot take or a symbol the box does not sample, a symbol under a
+    fractional power may be negative on the box, the degree bound passes
+    DEGREE_CAP, a second point hits a zero divisor, or no root vanishes at
+    the first point."""
     mod = tape.modular(1)
     if mod is None or max(mod.degrees[:count], default=0) > DEGREE_CAP:
         return None
     names = sorted({n for _, n, _ in mod.syms})
     if not box.intervals.keys() >= set(names):
+        return None
+    # q = t^r stands for the real root only where q > 0; elsewhere the
+    # sampled test meets the root's domain error at every point
+    positive = {ex.name_of(g) for g, _ in box.positive_guards
+                if g.kind in (ex.SYM, ex.FAM)}
+    if any(r > 1 and n not in positive and not box.intervals[n][0] > 0
+           for _, n, r in mod.syms):
         return None
     P = _prime(seed)
     points = _points(names, P, seed)
@@ -396,25 +409,31 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
     components), so each node is evaluated once per point.
 
     The exact test runs first.  An expression that vanishes modulo the
-    call's prime at two independent points is an exact zero; the sampled
-    test's points are still drawn, with only the guards evaluated, so a box
-    the guards reject raises the same BoxError.  The other expressions are
-    sampled on a tape compiled for them alone, or on the call's tape when
-    no expression is an exact zero.  At a sample point a failing guard
-    skips the rest of the tape; it and points where any expression raises
-    a domain error are resampled, and more than half of the attempts
-    failing makes the box unusable.
+    call's prime at two independent points is an exact zero.  The other
+    expressions are sampled on a tape compiled for them alone, or on the
+    call's tape when no expression is an exact zero; when every expression
+    is an exact zero, the sampled test's points are still drawn with only
+    the guards evaluated.  Either pass gives the exact zeros their
+    `attempts` and `rejected`, and a box it cannot use raises BoxError.  At
+    a sample point a failing guard skips the rest of the tape; it and
+    points where any sampled expression raises a domain error are
+    resampled, and more than half of the attempts failing makes the box
+    unusable.
     """
     cfg = cfg or RunConfig()
     compiled = _tape(named, box)
     exact = _exact_zeros(compiled[0], len(named), box, cfg.seed)
     if not exact:
         return _sampled(named, box, cfg, compiled)
-    with mpmath.workdps(cfg.dps):
-        attempts, rejected = _draw(ex.Tape(box.guards()), box, cfg)
     names = list(named)
     rest = {n: named[n] for i, n in enumerate(names) if i not in exact}
-    rest = _sampled(rest, box, cfg) if rest else {}
+    if rest:
+        rest = _sampled(rest, box, cfg)
+        some = next(iter(rest.values()))
+        attempts, rejected = some.attempts, some.rejected
+    else:
+        with mpmath.workdps(cfg.dps):
+            attempts, rejected = _draw(ex.Tape(box.guards()), box, cfg)
     P = _prime(cfg.seed)
     out = {}
     for i, n in enumerate(names):

@@ -114,6 +114,21 @@ def test_guards_that_reject_every_point_raise():
         is_zero(e, auto_box(e, {"q": (-2.0, -1.0)}))
 
 
+def test_root_of_a_symbol_that_may_be_negative_is_sampled():
+    # without a guard the box alone must keep q positive: on q < 0 every
+    # point meets the root's domain error, as in the sampled test
+    e = ex.parse("q^(3/2) - q*q^(1/2)")
+    with pytest.raises(BoxError):
+        is_zero(e, zerotest.box(q=(-2.0, -1.0)))
+    assert is_zero(e, zerotest.box(q=(0.5, 2.0))).method == "exact"
+    assert is_zero(e, zerotest.box(q=(0.0, 2.0))).method == "sampled"
+    guarded = zerotest.box(q=(-1.0, 2.0)).with_positive_guard(ex.sym("q"))
+    assert is_zero(e, guarded).method == "exact"
+    # an integer power needs no sign
+    e = ex.parse("(q + 1)^2 - q^2 - 2*q - 1")
+    assert is_zero(e, zerotest.box(q=(-2.0, -1.0))).method == "exact"
+
+
 def test_exact_verdict_counts_come_from_the_guard_pass():
     e = ex.parse("q^(3/2) - q*q^(1/2)")
     bx = auto_box(e, {"q": (-0.5, 2.0)})
@@ -135,6 +150,9 @@ def test_mixed_call_samples_only_the_rest():
     assert got["zero"].method == "exact"
     alone = is_zero_many({"one": named["one"]}, bx, cfg)["one"]
     assert got["one"] == alone and not alone.is_zero
+    # the exact zero takes its counts from the pass that sampled the rest
+    assert (got["zero"].attempts, got["zero"].rejected) == \
+        (alone.attempts, alone.rejected)
 
 
 def test_error_bound_in_json_and_combined_verdict():
