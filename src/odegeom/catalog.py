@@ -11,14 +11,14 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from . import expr as ex
 from .config import RunConfig
 from .curvature import signature_at, tensor_zero_exprs, weyl, weyl_square
-from .exterior import J2_3RD
-from .zerotest import DomainBox, combined_verdict, is_zero, is_zero_many
+from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
+from .zerotest import (DomainBox, combined_verdict, equation_box, is_zero,
+                       is_zero_many)
 from . import liealg, monge, ode2, ode3
 
 
@@ -52,72 +52,51 @@ def load_catalog() -> list:
     return entries
 
 
-def _box_from(data: dict, names, overrides=None) -> DomainBox:
+def _box_from(data: dict, names) -> DomainBox:
+    """The entry's sampling intervals over `names`, (-1, 1) where it lists
+    none; the guards are added by `equation_box`."""
     intervals = {n: (-1.0, 1.0) for n in names}
     for name, pair in data.get("box", {}).items():
         intervals[name] = tuple(pair)
-    if overrides:
-        for name, pair in overrides.items():
-            intervals[name] = tuple(pair)
     return DomainBox(intervals)
 
 
 def _run_ode3(entry: CatalogEntry, cfg: RunConfig) -> dict:
-    params = sorted(entry.data.get("params", {}))
+    """Every listed parameter is sampled as a coordinate on [min, max] of
+    its listed values, so one run decides the claim on that interval."""
+    params = entry.data.get("params", {})
     F = ex.parse(entry.data["formula"],
                  allowed=set(J2_3RD.coords) | set(params))
-    values = entry.data.get("params", {})
-    runs = [{}]
-    if params:
-        runs = [{p: v for p, v in zip(params, combo)}
-                for combo in zip(*[values[p] for p in params])]
-    out: dict = {}
-    ratios: dict = {}
-    for binding in runs:
-        names = set(J2_3RD.coords)
-        bx = _box_from(entry.data, names, cfg.box_overrides.get(entry.id))
-        Fb = ex.substitute(F, {k: ex.num(Fraction(v).limit_denominator(10 ** 6))
-                               for k, v in binding.items()}) if binding else F
-        ode = ode3.third_order(Fb, bx)
-        rep = ode3.classify3(ode, cfg)
-        key = "" if not binding else "@" + ",".join(
-            f"{k}={v}" for k, v in sorted(binding.items()))
-        out[f"classification{key}"] = rep.verdict
-        out[f"wuenschmann{key}"] = rep.checks["A"].is_zero
-        out[f"cartan{key}"] = rep.checks["G"].is_zero
-        ratios[f"wuenschmann{key}"] = rep.checks["A"].max_ratio
-        ratios[f"cartan{key}"] = rep.checks["G"].max_ratio
-        if "conformally_flat_solution_space" in rep.values:
-            out[f"conformally_flat_solution_space{key}"] = \
-                rep.values["conformally_flat_solution_space"]
-        transport = ode3.transport_check(ode, cfg)
-        out[f"transport{key}"] = transport.success
-        out[f"nu_closed{key}"] = ode3.nu_closedness_check(ode, cfg).is_zero
-        if "wuenschmann_witness" in entry.expect and not binding:
-            witness_expr = ex.parse(entry.expect["wuenschmann_witness"])
-            A = ode3.ode3_invariants(ode).A
-            v = is_zero(A, bx, cfg)
-            wexp = float(ex.eval_numeric(witness_expr, v.witness_point))
-            ok = abs(v.witness_value - wexp) <= 1e-9 * (1 + abs(wexp))
-            out["wuenschmann_witness"] = \
-                entry.expect["wuenschmann_witness"] if ok else \
-                f"witness mismatch: {v.witness_value} vs {wexp}"
-    # collapse parametrized runs: all bindings must agree with the expectation
-    collapsed: dict = {}
-    for key, val in out.items():
-        base = key.split("@")[0]
-        if base in collapsed and collapsed[base] != val:
-            collapsed[base] = f"inconsistent across parameters: {val}"
-        else:
-            collapsed.setdefault(base, val)
-    collapsed["_ratios"] = {k.split("@")[0]: v for k, v in ratios.items()}
-    return collapsed
+    bx = _box_from(entry.data, J2_3RD.coords).with_symbols(
+        **{k: (min(v), max(v)) for k, v in params.items()})
+    ode = ode3.third_order(F, bx, params)
+    rep = ode3.classify3(ode, cfg)
+    out = {
+        "classification": rep.verdict,
+        "wuenschmann": rep.checks["A"].is_zero,
+        "cartan": rep.checks["G"].is_zero,
+        "_ratios": {"wuenschmann": rep.checks["A"].max_ratio,
+                    "cartan": rep.checks["G"].max_ratio},
+    }
+    if "conformally_flat_solution_space" in rep.values:
+        out["conformally_flat_solution_space"] = \
+            rep.values["conformally_flat_solution_space"]
+    out["transport"] = ode3.transport_check(ode, cfg).success
+    out["nu_closed"] = ode3.nu_closedness_check(ode, cfg).is_zero
+    if "wuenschmann_witness" in entry.expect:
+        witness_expr = ex.parse(entry.expect["wuenschmann_witness"])
+        v = is_zero(ode3.ode3_invariants(ode).A, ode.box, cfg)
+        wexp = float(ex.eval_numeric(witness_expr, v.witness_point))
+        ok = abs(v.witness_value - wexp) <= 1e-9 * (1 + abs(wexp))
+        out["wuenschmann_witness"] = \
+            entry.expect["wuenschmann_witness"] if ok else \
+            f"witness mismatch: {v.witness_value} vs {wexp}"
+    return out
 
 
 def _run_dkp(entry: CatalogEntry, cfg: RunConfig) -> dict:
     u = ex.parse(entry.data["u"], allowed={"x", "y", "t"})
-    bx = _box_from(entry.data, ("x", "y", "t", "v"),
-                   cfg.box_overrides.get(entry.id))
+    bx = equation_box(u, DKP.coords, _box_from(entry.data, DKP.coords))
     res = ode3.dkp_residual(u, bx, cfg)
     out = {"residual_zero": res.verdict.is_zero}
     if "X" in entry.data:
@@ -128,9 +107,8 @@ def _run_dkp(entry: CatalogEntry, cfg: RunConfig) -> dict:
 
 def _run_ode2(entry: CatalogEntry, cfg: RunConfig) -> dict:
     Q = ex.parse(entry.data["formula"], allowed={"x", "y", "p"})
-    bx = _box_from(entry.data, ("x", "y", "p", "phi"),
-                   cfg.box_overrides.get(entry.id))
-    ode = ode2.SecondOrderODE(Q, bx)
+    ode = ode2.second_order(Q, _box_from(entry.data, J1EXT.coords))
+    bx = ode.box
     rep = ode2.fefferman_flatness_check(ode, cfg)
     out = {
         "w1_zero": rep.checks["w1"].is_zero,
@@ -153,20 +131,20 @@ def _run_ode2(entry: CatalogEntry, cfg: RunConfig) -> dict:
 
 def _run_monge1(entry: CatalogEntry, cfg: RunConfig) -> dict:
     m = monge.monge_first(entry.data["formula"],
-                          _box_from(entry.data, ("x", "y", "p", "z")))
+                          _box_from(entry.data, MONGE1.coords))
     return {"branch": monge.classify_monge1(m, cfg).verdict}
 
 
 def _run_monge2(entry: CatalogEntry, cfg: RunConfig) -> dict:
     m = monge.monge_second(entry.data["formula"],
-                           _box_from(entry.data, ("x", "y", "p", "q", "z")))
+                           _box_from(entry.data, MONGE2.coords))
     return {"branch": monge.classify_monge2(m, cfg).verdict}
 
 
 def _run_solution(entry: CatalogEntry, cfg: RunConfig, order: int) -> dict:
     sol = monge.parametrized_solution(**entry.data["solution"])
     names = sorted({"t"} | {f"w_{k}" for k in range(6)})
-    bx = _box_from(entry.data, names, cfg.box_overrides.get(entry.id))
+    bx = _box_from(entry.data, names)
     if order == 1:
         eq = monge.monge_first(entry.data["formula"])
     else:

@@ -24,8 +24,8 @@ from . import expr as ex
 from .catalog import verify_catalog
 from .config import RunConfig, load_config
 from .curvature import signature_at
-from .exterior import J2_3RD, MONGE1, MONGE2
-from .zerotest import BoxError, DomainBox, auto_guards, default_intervals
+from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
+from .zerotest import BoxError, DomainBox, equation_box
 from . import liealg, monge, ode2, ode3
 
 USAGE_ERROR = 2
@@ -51,10 +51,10 @@ def parse_box_args(specs, defaults: dict) -> dict:
 
 
 def build_box(formula: ex.Expression, chart_names, specs) -> DomainBox:
-    pos, nz = auto_guards(formula)
-    defaults = default_intervals(
-        set(chart_names) | ex.free_symbols(formula), pos)
-    return DomainBox(parse_box_args(specs, defaults), pos, nz)
+    """The --box intervals over the defaults of `equation_box`, without
+    guards: the equation constructors add them."""
+    defaults = equation_box(formula, chart_names).intervals
+    return DomainBox(parse_box_args(specs, defaults))
 
 
 def _parse_formula(text, allowed):
@@ -89,8 +89,7 @@ def emit(report: dict, as_json: bool):
 
 def cmd_ode3(args, cfg: RunConfig) -> tuple:
     F = _parse_formula(args.F, set(J2_3RD.coords))
-    bx = build_box(F, J2_3RD.coords, args.box)
-    ode = ode3.third_order(F, bx)
+    ode = ode3.third_order(F, build_box(F, J2_3RD.coords, args.box))
     if args.action == "invariants":
         inv = ode3.ode3_invariants(ode)
         report = {name: ex.to_str(getattr(inv, name))
@@ -118,7 +117,7 @@ def cmd_ode3(args, cfg: RunConfig) -> tuple:
 
 def cmd_dkp(args, cfg: RunConfig) -> tuple:
     u = _parse_formula(args.u, {"x", "y", "t"})
-    bx = build_box(u, ("x", "y", "t", "v"), args.box)
+    bx = equation_box(u, DKP.coords, build_box(u, DKP.coords, args.box))
     if args.action == "residual":
         res = ode3.dkp_residual(u, bx, cfg)
         return (0 if res.verdict.is_zero else 1), \
@@ -139,15 +138,15 @@ def cmd_dkp(args, cfg: RunConfig) -> tuple:
 
 def cmd_ode2(args, cfg: RunConfig) -> tuple:
     Q = _parse_formula(args.Q, {"x", "y", "p"})
-    bx = build_box(Q, ("x", "y", "p", "phi"), args.box)
-    ode = ode2.SecondOrderODE(Q, bx)
+    ode = ode2.second_order(Q, build_box(Q, J1EXT.coords, args.box))
     if args.action == "metric":
         g = ode2.fefferman_metric(ode)
         comps = {f"{g.chart.coords[i]}{g.chart.coords[j]}":
                  ex.to_str(g.rows[i][j])
                  for i in range(4) for j in range(i, 4)
                  if not g.rows[i][j].is_zero_literal}
-        sig = signature_at(g, bx.sample(random.Random(cfg.seed)), cfg.dps)
+        sig = signature_at(g, ode.box.sample(random.Random(cfg.seed)),
+                           cfg.dps)
         return 0, {"formula": ex.to_str(Q), "components": comps,
                    "signature": list(sig)}
     if args.action == "invariants":
@@ -192,8 +191,7 @@ def cmd_monge(args, cfg: RunConfig) -> tuple:
             "verdict": verdict.to_json()}
     if args.action == "g32":
         F = _parse_formula(args.F, set(MONGE2.coords))
-        bx = build_box(F, MONGE2.coords, args.box)
-        m = monge.monge_second(F, bx)
+        m = monge.monge_second(F, build_box(F, MONGE2.coords, args.box))
         g = monge.g32_metric(m, cfg)
         comps = {f"{g.chart.coords[i]}{g.chart.coords[j]}":
                  ex.to_str(g.rows[i][j])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 20
@@ -22,8 +22,6 @@ class RunConfig:
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     dps: int = DEFAULT_DPS
-    output: str = "human"  # "human" | "json"
-    box_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -46,5 +44,5 @@ def load_config(path: str | None = None) -> RunConfig:
         return RunConfig()
     with open(path) as fh:
         data = json.load(fh)
-    known = {k: data[k] for k in ("tol", "samples", "seed", "dps", "output") if k in data}
+    known = {k: data[k] for k in ("tol", "samples", "seed", "dps") if k in data}
     return RunConfig(**known)

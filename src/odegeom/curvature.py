@@ -41,43 +41,12 @@ class MetricError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MetricTensor:
-    chart: Chart
-    rows: tuple
-    box: DomainBox
-    signature: tuple | None = None
-
-    def __post_init__(self):
-        n = self.chart.dim
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise MetricError("matrix shape must match chart dimension")
-        for i in range(n):
-            for j in range(i):
-                if self.rows[i][j] is not self.rows[j][i]:
-                    raise MetricError("metric must be structurally symmetric")
-
-    @staticmethod
-    def from_symmetric_form(sf: SymmetricForm, box: DomainBox,
-                            signature=None) -> "MetricTensor":
-        return MetricTensor(sf.chart, sf.rows, box, signature)
-
-    @property
-    def dim(self):
-        return self.chart.dim
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def to_symmetric_form(self) -> SymmetricForm:
-        return SymmetricForm(self.chart, self.rows)
-
-
-def metric_from_rows(chart: Chart, rows, box: DomainBox, signature=None):
+def metric_from_rows(chart: Chart, rows, box: DomainBox) -> SymmetricForm:
+    """The metric whose entries are the upper triangle of `rows`."""
     rows = tuple(tuple(ex.as_expr(c) for c in r) for r in rows)
     sym_rows = tuple(tuple(rows[min(i, j)][max(i, j)]
                            for j in range(chart.dim)) for i in range(chart.dim))
-    return MetricTensor(chart, sym_rows, box, signature)
+    return SymmetricForm(chart, sym_rows, box)
 
 
 @dataclass(frozen=True)
@@ -256,7 +225,7 @@ def _symmetric(n, component):
 class CurvaturePackage:
     """Levi-Civita curvature data of a metric, built lazily and shared."""
 
-    def __init__(self, g: MetricTensor):
+    def __init__(self, g: SymmetricForm):
         self.metric = g
         self.chart = g.chart
         self.n = g.dim
@@ -411,23 +380,23 @@ class CurvaturePackage:
             for k in range(n)) for j in range(n)) for i in range(n))
 
 
-def curvature_package(g: MetricTensor) -> CurvaturePackage:
+def curvature_package(g: SymmetricForm) -> CurvaturePackage:
     return CurvaturePackage(g)
 
 
-def weyl(g: MetricTensor) -> TensorField:
+def weyl(g: SymmetricForm) -> TensorField:
     if g.dim not in (4, 5):
         raise MetricError("Weyl tensor computed in dimensions 4 and 5")
     return TensorField(g.chart, "llll", CurvaturePackage(g).weyl_low)
 
 
-def cotton3(g: MetricTensor) -> TensorField:
+def cotton3(g: SymmetricForm) -> TensorField:
     if g.dim != 3:
         raise MetricError("Cotton tensor computed in dimension 3")
     return TensorField(g.chart, "lll", CurvaturePackage(g).cotton)
 
 
-def weyl_square(g: MetricTensor) -> ex.Expression:
+def weyl_square(g: SymmetricForm) -> ex.Expression:
     """Full contraction C^abcd C_abcd, with indices raised one at a time to
     keep the expression DAG polynomial in size."""
     pkg = CurvaturePackage(g)
@@ -467,7 +436,7 @@ def weyl_square(g: MetricTensor) -> ex.Expression:
     return ex.add(*terms)
 
 
-def einstein_residual(g: MetricTensor) -> TensorField:
+def einstein_residual(g: SymmetricForm) -> TensorField:
     """Trace-adjusted Ricci: Ric - (R/n) g."""
     pkg = CurvaturePackage(g)
     n = g.dim
@@ -478,7 +447,7 @@ def einstein_residual(g: MetricTensor) -> TensorField:
     return TensorField(g.chart, "ll", comps)
 
 
-def weyl_connection_residual(g: MetricTensor, nu: DifferentialForm) -> TensorField:
+def weyl_connection_residual(g: SymmetricForm, nu: DifferentialForm) -> TensorField:
     """Einstein-Weyl residual R_(ij) - (R/3) g_ij of the Weyl connection
     determined by (g, nu) in dimension 3."""
     if g.dim != 3:
@@ -522,18 +491,9 @@ def weyl_connection_residual(g: MetricTensor, nu: DifferentialForm) -> TensorFie
     return TensorField(g.chart, "ll", comps)
 
 
-def conformal_rescale(g: MetricTensor, upsilon) -> MetricTensor:
+def conformal_rescale(g: SymmetricForm, upsilon) -> SymmetricForm:
     """e^{2 upsilon} g, componentwise."""
-    factor = ex.exp(ex.mul(2, ex.as_expr(upsilon)))
-    n = g.dim
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = ex.mul(factor, g.rows[i][j])
-            rows[i][j] = v
-            rows[j][i] = v
-    return MetricTensor(g.chart, tuple(tuple(r) for r in rows), g.box,
-                        g.signature)
+    return g.scaled(ex.exp(ex.mul(2, ex.as_expr(upsilon))))
 
 
 def frame_components(T: TensorField, coframe) -> TensorField:
@@ -582,7 +542,7 @@ def evaluate_matrix(rows, point, dps):
                         dtype=float)
 
 
-def signature_at(g: MetricTensor, point, dps: int = 30, zero_tol=1e-9):
+def signature_at(g: SymmetricForm, point, dps: int = 30, zero_tol=1e-9):
     """Inertia (pos, neg, zero) of the metric matrix at a point."""
     mat = evaluate_matrix(g.rows, point, dps)
     eigs = np.linalg.eigvalsh(mat)

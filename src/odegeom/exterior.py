@@ -14,7 +14,8 @@ import mpmath
 
 from . import expr as ex
 from .config import RunConfig
-from .zerotest import DomainBox, ZeroTestVerdict, combined_verdict, is_zero_many
+from .zerotest import (DomainBox, ZeroTestVerdict, combined_verdict,
+                       equation_box, is_zero_many)
 
 
 class ChartError(Exception):
@@ -254,11 +255,12 @@ def lie_derivative_form(X: VectorField, form: DifferentialForm) -> DifferentialF
 
 
 class SymmetricForm:
-    """Symmetric bilinear form as a dense matrix of expressions."""
+    """Symmetric bilinear form as a dense matrix of expressions; a metric
+    carries the box its identities are sampled on."""
 
-    __slots__ = ("chart", "rows")
+    __slots__ = ("chart", "rows", "box")
 
-    def __init__(self, chart: Chart, rows):
+    def __init__(self, chart: Chart, rows, box: DomainBox | None = None):
         n = chart.dim
         rows = tuple(tuple(ex.as_expr(c) for c in r) for r in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -269,6 +271,11 @@ class SymmetricForm:
                     raise ChartError("matrix must be structurally symmetric")
         self.chart = chart
         self.rows = rows
+        self.box = box
+
+    @property
+    def dim(self):
+        return self.chart.dim
 
     def entry(self, i, j) -> ex.Expression:
         return self.rows[i][j]
@@ -293,7 +300,7 @@ class SymmetricForm:
                 v = ex.mul(s, self.rows[i][j])
                 out[i][j] = v
                 out[j][i] = v
-        return SymmetricForm(self.chart, out)
+        return SymmetricForm(self.chart, out, self.box)
 
     def contract(self, X: VectorField) -> DifferentialForm:
         """1-form g(X, .)"""
@@ -374,10 +381,11 @@ def lie_derivative(X: VectorField, T):
 
 
 # ---------------------------------------------------------------------------
-# total-derivative fields of the ODE classes
+# the equation classes and their total-derivative fields
 
 _TOTAL_DERIVATIVE_SLOTS = {
-    # class tag -> (chart, fixed components, slot index of the defining f)
+    # class tag -> (chart, fixed components, slot index of the defining f);
+    # the chart's coordinates are the symbols the defining f may use
     "3rd-order": (J2_3RD, ("1", "p", "q"), 3),
     "2nd-order": (J1, ("1", "p"), 2),
     "monge1": (MONGE1, ("1", "p", "0"), 3),
@@ -385,12 +393,48 @@ _TOTAL_DERIVATIVE_SLOTS = {
 }
 
 
+def _class_chart(class_tag: str) -> Chart:
+    if class_tag not in _TOTAL_DERIVATIVE_SLOTS:
+        raise ChartError(f"unknown ODE class {class_tag!r}")
+    return _TOTAL_DERIVATIVE_SLOTS[class_tag][0]
+
+
+@dataclass(frozen=True)
+class Equation:
+    """An equation of the tagged class with defining function F, the box
+    its identities are sampled on, and the parameters F may use besides
+    the class chart's coordinates."""
+    kind: str
+    F: ex.Expression
+    box: DomainBox
+    params: frozenset = frozenset()
+
+    def __post_init__(self):
+        allowed = set(_class_chart(self.kind).coords) | set(self.params)
+        stray = ex.free_symbols(self.F) - allowed
+        if stray:
+            raise ValueError(
+                f"defining function uses undeclared symbols {sorted(stray)}")
+
+
+def equation(kind: str, text_or_expr, box: DomainBox | None = None,
+             params=(), margin=1e-3) -> Equation:
+    """The equation of class `kind` with defining function F, sampled on
+    `equation_box`; a 2nd-order box also covers the fiber coordinate phi
+    of the Fefferman metric, on (-1, 1) unless `box` gives it."""
+    F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
+        else ex.as_expr(text_or_expr)
+    box = equation_box(F, _class_chart(kind).coords, box, margin)
+    if kind == "2nd-order" and "phi" not in box.intervals:
+        box = box.with_symbols(phi=(-1.0, 1.0))
+    return Equation(kind, F, box, frozenset(params))
+
+
 def total_derivative(class_tag: str, f) -> VectorField:
     """Vector field along solutions of the tagged ODE class, with the
     defining function in its designated slot."""
-    if class_tag not in _TOTAL_DERIVATIVE_SLOTS:
-        raise ChartError(f"unknown ODE class {class_tag!r}")
-    chart, fixed, slot = _TOTAL_DERIVATIVE_SLOTS[class_tag]
+    chart = _class_chart(class_tag)
+    _, fixed, slot = _TOTAL_DERIVATIVE_SLOTS[class_tag]
     f = ex.as_expr(f)
     coord_names = {"x", "y", "p", "q", "z", "t", "v", "phi"}
     stray = (ex.free_symbols(f) & coord_names) - set(chart.coords)

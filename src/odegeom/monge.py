@@ -17,52 +17,22 @@ import mpmath
 
 from . import expr as ex
 from .config import RunConfig
-from .curvature import (MetricTensor, TensorField, conformal_rescale,
-                        einstein_residual, frame_components, weyl)
-from .exterior import (MONGE1, MONGE2, d_coord, sym_product, sym_square,
-                       total_derivative)
+from .curvature import (TensorField, conformal_rescale, einstein_residual,
+                        frame_components, weyl)
+from .exterior import (MONGE2, Equation, SymmetricForm, d_coord, equation,
+                       sym_product, sym_square, total_derivative)
 from .ode3 import InvariantReport
-from .zerotest import (DomainBox, ZeroTestVerdict, auto_guards, box,
-                       combined_verdict, equation_box, is_zero, is_zero_many,
-                       structural_zero, unit_box)
-
-
-@dataclass(frozen=True)
-class MongeFirst:
-    F: ex.Expression
-    box: DomainBox
-    params: frozenset = frozenset()
-
-    def __post_init__(self):
-        allowed = set(MONGE1.coords) | set(self.params)
-        stray = ex.free_symbols(self.F) - allowed
-        if stray:
-            raise ValueError(f"undeclared symbols {sorted(stray)}")
-
-
-@dataclass(frozen=True)
-class MongeSecond:
-    F: ex.Expression
-    box: DomainBox
-    params: frozenset = frozenset()
-
-    def __post_init__(self):
-        allowed = set(MONGE2.coords) | set(self.params)
-        stray = ex.free_symbols(self.F) - allowed
-        if stray:
-            raise ValueError(f"undeclared symbols {sorted(stray)}")
+from .zerotest import (DomainBox, ZeroTestVerdict, box, combined_verdict,
+                       equation_box, is_zero, is_zero_many, structural_zero,
+                       unit_box)
 
 
 def monge_first(text_or_expr, bx: DomainBox | None = None, params=()):
-    F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
-        else ex.as_expr(text_or_expr)
-    return MongeFirst(F, equation_box(F, MONGE1.coords, bx), frozenset(params))
+    return equation("monge1", text_or_expr, bx, params)
 
 
 def monge_second(text_or_expr, bx: DomainBox | None = None, params=()):
-    F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
-        else ex.as_expr(text_or_expr)
-    return MongeSecond(F, equation_box(F, MONGE2.coords, bx), frozenset(params))
+    return equation("monge2", text_or_expr, bx, params)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +42,7 @@ SOLUTION_DEPTH_1 = "integral-free-depth-1"  # general solution uses w, w'
 SOLUTION_DEPTH_2 = "integral-free-depth-2"  # general solution uses w, w', w''
 
 
-def classify_monge1(m: MongeFirst, cfg: RunConfig | None = None) -> InvariantReport:
+def classify_monge1(m: Equation, cfg: RunConfig | None = None) -> InvariantReport:
     """Split on F_pp == 0 and D F_p - F_y - F_p F_z == 0: when both hold the
     general solution needs one fewer derivative of the arbitrary function."""
     cfg = cfg or RunConfig()
@@ -91,7 +61,7 @@ def classify_monge1(m: MongeFirst, cfg: RunConfig | None = None) -> InvariantRep
     return rep
 
 
-def classify_monge2(m: MongeSecond, cfg: RunConfig | None = None) -> InvariantReport:
+def classify_monge2(m: Equation, cfg: RunConfig | None = None) -> InvariantReport:
     """F_qq == 0 keeps integral-free solutions; F_qq != 0 is the exceptional
     class carrying the split-G2 geometry."""
     cfg = cfg or RunConfig()
@@ -136,7 +106,7 @@ def _solution_residual(eq, sol: ParametrizedSolution):
     yp = ex.div(yt, xt)
     zp = ex.div(zt, xt)
     bindings = {"x": sol.x, "y": sol.y, "z": sol.z, "p": yp}
-    if isinstance(eq, MongeSecond):
+    if eq.kind == "monge2":
         bindings["q"] = ex.div(dt(yp), xt)
     rhs = ex.substitute(eq.F, bindings)
     return ex.add(zp, ex.neg(rhs)), xt
@@ -156,10 +126,7 @@ def verify_parametrized_solution(eq, sol: ParametrizedSolution,
         names = sorted(ex.free_symbols(residual) | {"t"}
                        | {f"w_{k}" for k in range(6)})
         bx = unit_box(names)
-    pos, nz = auto_guards(residual)
-    bx = DomainBox(bx.intervals, bx.positive_guards + pos,
-                   bx.nonzero_guards + nz)
-    bx = bx.with_nonzero_guard(xt, 1e-2)
+    bx = equation_box(residual, (), bx).with_nonzero_guard(xt, 1e-2)
     not_degenerate = is_zero(xt, bx, cfg)
     if not_degenerate.is_zero:
         raise ValueError("dx/dt vanishes identically on the sample box")
@@ -330,7 +297,7 @@ def g32_coefficient(F: ex.Expression, pair, quantities=None) -> ex.Expression:
     return ex.add(*terms)
 
 
-def g32_metric(m: MongeSecond, cfg: RunConfig | None = None) -> MetricTensor:
+def g32_metric(m: Equation, cfg: RunConfig | None = None) -> SymmetricForm:
     """Representative of the (3,2) conformal metric on (x, y, p, q, z),
     assembled from the coefficient table over the contact coframe."""
     cfg = cfg or RunConfig()
@@ -345,7 +312,7 @@ def g32_metric(m: MongeSecond, cfg: RunConfig | None = None) -> MetricTensor:
         block = sym_product(forms[pair[0]], forms[pair[1]]).scaled(coeff)
         total = block if total is None else total + block
     bx = m.box.with_nonzero_guard(Fqq, 1e-3) if Fqq.kind != ex.NUM else m.box
-    return MetricTensor.from_symmetric_form(total, bx)
+    return SymmetricForm(MONGE2, total.rows, bx)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +381,14 @@ def example6_coframe(F: ex.Expression) -> dict:
     }
 
 
-def frame_metric(F: ex.Expression, bx: DomainBox | None = None) -> MetricTensor:
+def frame_metric(F: ex.Expression, bx: DomainBox | None = None) -> SymmetricForm:
     """2 theta1 theta5 - 2 theta2 theta4 + (4/3) (theta3)^2 in coordinates."""
     cf = example6_coframe(F)
     t1, t2, t3, t4, t5 = cf["theta"]
     g = (sym_product(t1, t5).scaled(2)
          - sym_product(t2, t4).scaled(2)
          + sym_square(t3).scaled(ex.num(Fraction(4, 3))))
-    return MetricTensor.from_symmetric_form(g, bx or example6_box())
+    return SymmetricForm(MONGE2, g.rows, bx or example6_box())
 
 
 def example6_a5(F: ex.Expression) -> ex.Expression:
@@ -483,7 +450,7 @@ _METPRZY_TERMS = (
 )
 
 
-def example6_metric(F: ex.Expression, bx: DomainBox | None = None) -> MetricTensor:
+def example6_metric(F: ex.Expression, bx: DomainBox | None = None) -> SymmetricForm:
     """Closed-form coordinate representative of the (3,2) metric for
     z' = F(q)."""
     f = _f_derivatives(F, upto=4)
@@ -493,7 +460,7 @@ def example6_metric(F: ex.Expression, bx: DomainBox | None = None) -> MetricTens
         block = sym_product(d_coord(MONGE2, n1), d_coord(MONGE2, n2))
         block = block.scaled(coeff_of(f, q, p))
         total = block if total is None else total + block
-    return MetricTensor.from_symmetric_form(total, bx or example6_box())
+    return SymmetricForm(MONGE2, total.rows, bx or example6_box())
 
 
 # ---------------------------------------------------------------------------

@@ -8,45 +8,25 @@ of its Weyl curvature, which vanishes exactly when both do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import expr as ex
 from .config import RunConfig
-from .curvature import MetricTensor, tensor_zero_exprs, weyl
-from .exterior import J1EXT, d_coord, sym_product, total_derivative
+from .curvature import tensor_zero_exprs, weyl
+from .exterior import (J1EXT, Equation, SymmetricForm, d_coord, equation,
+                       sym_product, total_derivative)
 from .ode3 import InvariantReport
-from .zerotest import (DomainBox, combined_verdict, equation_box,
-                       is_zero_many, structural_zero)
-
-
-@dataclass(frozen=True)
-class SecondOrderODE:
-    Q: ex.Expression
-    box: DomainBox
-    params: frozenset = frozenset()
-
-    def __post_init__(self):
-        allowed = {"x", "y", "p"} | set(self.params)
-        stray = ex.free_symbols(self.Q) - allowed
-        if stray:
-            raise ValueError(
-                f"defining function uses undeclared symbols {sorted(stray)}")
+from .zerotest import (DomainBox, combined_verdict, is_zero_many,
+                       structural_zero)
 
 
 def second_order(text_or_expr, box: DomainBox | None = None,
-                 params=(), margin=1e-3) -> SecondOrderODE:
-    Q = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
-        else ex.as_expr(text_or_expr)
-    box = equation_box(Q, J1EXT.coords, box, margin)
-    if "phi" not in box.intervals:
-        box = box.with_symbols(phi=(-1.0, 1.0))
-    return SecondOrderODE(Q, box, frozenset(params))
+                 params=(), margin=1e-3) -> Equation:
+    return equation("2nd-order", text_or_expr, box, params, margin)
 
 
-def fefferman_metric(ode: SecondOrderODE) -> MetricTensor:
+def fefferman_metric(ode: Equation) -> SymmetricForm:
     """g = 2[(dp - Q dx) dx - (dy - p dx)(dphi + (2/3)Q_p dx
     + (1/6)Q_pp (dy - p dx))], a (2,2)-signature metric on (x, y, p, phi)."""
-    Q = ode.Q
+    Q = ode.F
     Qp = ex.differentiate(Q, "p")
     Qpp = ex.differentiate(Qp, "p")
     dx, dy, dp, dphi = (d_coord(J1EXT, n) for n in ("x", "y", "p", "phi"))
@@ -56,13 +36,13 @@ def fefferman_metric(ode: SecondOrderODE) -> MetricTensor:
     second = (dphi + dx.scaled(ex.mul(ex.num(2) / 3, Qp))
               + contact.scaled(ex.mul(ex.num(1) / 6, Qpp)))
     g = (sym_product(first, dx) - sym_product(contact, second)).scaled(2)
-    return MetricTensor.from_symmetric_form(g, ode.box, signature=(2, 2))
+    return SymmetricForm(J1EXT, g.rows, ode.box)
 
 
-def ode2_invariants(ode: SecondOrderODE) -> dict:
+def ode2_invariants(ode: Equation) -> dict:
     """w1 governs one duality half of the Weyl curvature, w2 = Q_pppp the
     other; each vanishing is a point-invariant condition."""
-    Q = ode.Q
+    Q = ode.F
     D = total_derivative("2nd-order", Q)
     Qp = ex.differentiate(Q, "p")
     Qy = ex.differentiate(Q, "y")
@@ -79,7 +59,7 @@ def ode2_invariants(ode: SecondOrderODE) -> dict:
     return {"w1": w1, "w2": w2}
 
 
-def fefferman_flatness_check(ode: SecondOrderODE,
+def fefferman_flatness_check(ode: Equation,
                              cfg: RunConfig | None = None) -> InvariantReport:
     """Weyl(g) == 0 iff w1 == 0 and w2 == 0; reports all three verdicts."""
     cfg = cfg or RunConfig()

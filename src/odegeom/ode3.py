@@ -14,36 +14,19 @@ from dataclasses import dataclass, field
 from . import expr as ex
 from .config import RunConfig
 from .exterior import (
-    DKP, J2_3RD, DifferentialForm, SymmetricForm, TransportResult,
-    conformal_transport_factor, d, d_coord, lie_derivative,
+    DKP, J2_3RD, DifferentialForm, Equation, SymmetricForm, TransportResult,
+    conformal_transport_factor, d, d_coord, equation, lie_derivative,
     sym_product, sym_square, total_derivative, wedge_all,
 )
 from .zerotest import (
-    DomainBox, ZeroTestVerdict, combined_verdict, equation_box, is_zero,
-    is_zero_many, structural_zero,
+    DomainBox, ZeroTestVerdict, combined_verdict, is_zero, is_zero_many,
+    structural_zero,
 )
 
 
-@dataclass(frozen=True)
-class ThirdOrderODE:
-    F: ex.Expression
-    box: DomainBox
-    params: frozenset = frozenset()
-
-    def __post_init__(self):
-        allowed = set(J2_3RD.coords) | set(self.params)
-        stray = ex.free_symbols(self.F) - allowed
-        if stray:
-            raise ValueError(
-                f"defining function uses undeclared symbols {sorted(stray)}")
-
-
 def third_order(text_or_expr, box: DomainBox | None = None,
-                params=(), margin=1e-3) -> ThirdOrderODE:
-    F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
-        else ex.as_expr(text_or_expr)
-    return ThirdOrderODE(F, equation_box(F, J2_3RD.coords, box, margin),
-                         frozenset(params))
+                params=(), margin=1e-3) -> Equation:
+    return equation("3rd-order", text_or_expr, box, params, margin)
 
 
 @dataclass
@@ -64,7 +47,7 @@ class Ode3Invariants:
                 "C4": self.C4, "C5": self.C5}
 
 
-def ode3_invariants(ode: ThirdOrderODE) -> Ode3Invariants:
+def ode3_invariants(ode: Equation) -> Ode3Invariants:
     F = ode.F
     D = total_derivative("3rd-order", F)
     dq = lambda e: ex.differentiate(e, "q")
@@ -104,7 +87,7 @@ def ode3_invariants(ode: ThirdOrderODE) -> Ode3Invariants:
     return Ode3Invariants(K, A, G, L, N, C1, C2, C3, C4, C5)
 
 
-def metric_tilde(ode: ThirdOrderODE) -> SymmetricForm:
+def metric_tilde(ode: Equation) -> SymmetricForm:
     """Degenerate bilinear form on (x, y, p, q) with D in its kernel;
     signature (+, -, -, 0)."""
     F = ode.F
@@ -124,7 +107,7 @@ def metric_tilde(ode: ThirdOrderODE) -> SymmetricForm:
     return sym_product(omega1, second).scaled(2) - sym_square(contact2)
 
 
-def nu_tilde(ode: ThirdOrderODE) -> DifferentialForm:
+def nu_tilde(ode: Equation) -> DifferentialForm:
     """Weyl 1-form candidate in the gauge where the fiber scale is 1."""
     F = ode.F
     D = total_derivative("3rd-order", F)
@@ -143,12 +126,12 @@ def nu_tilde(ode: ThirdOrderODE) -> DifferentialForm:
             + omega4.scaled(ex.mul(two_thirds, Fq))).scaled(ex.MINUS_ONE)
 
 
-def transport_check(ode: ThirdOrderODE, cfg: RunConfig | None = None) -> TransportResult:
+def transport_check(ode: Equation, cfg: RunConfig | None = None) -> TransportResult:
     D = total_derivative("3rd-order", ode.F)
     return conformal_transport_factor(D, metric_tilde(ode), ode.box, cfg)
 
 
-def nu_closedness_check(ode: ThirdOrderODE, cfg: RunConfig | None = None):
+def nu_closedness_check(ode: Equation, cfg: RunConfig | None = None):
     """d(L_D nu) == 0 exactly when the Cartan scalar condition holds."""
     cfg = cfg or RunConfig()
     D = total_derivative("3rd-order", ode.F)
@@ -183,7 +166,7 @@ class InvariantReport:
         }
 
 
-def classify3(ode: ThirdOrderODE, cfg: RunConfig | None = None) -> InvariantReport:
+def classify3(ode: Equation, cfg: RunConfig | None = None) -> InvariantReport:
     """generic (A != 0), wuenschmann (A == 0, G != 0), or einstein-weyl
     (A == 0 and G == 0); in the non-generic cases also reports whether all
     five conformal-obstruction components vanish."""

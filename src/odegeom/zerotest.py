@@ -156,8 +156,7 @@ def auto_box(e: ex.Expression, ranges=None, default=(-1.0, 1.0),
     intervals = {n: default for n in names}
     if ranges:
         intervals.update(ranges)
-    positive, nonzero = auto_guards(e, margin)
-    return DomainBox(intervals, positive, nonzero)
+    return equation_box(e, (), DomainBox(intervals), margin)
 
 
 @dataclass

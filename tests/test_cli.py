@@ -6,9 +6,12 @@ import sys
 import pytest
 
 from odegeom import expr as ex
+from odegeom import monge, ode2, ode3
 from odegeom.cli import main, parse_box_args, CliError
-from odegeom.catalog import load_catalog, run_entry, verify_catalog
+from odegeom.catalog import CatalogEntry, load_catalog, run_entry, verify_catalog
 from odegeom.config import RunConfig, load_config
+from odegeom.exterior import equation
+from odegeom.zerotest import DomainBox, auto_guards
 
 
 def run_cli(args, capsys):
@@ -212,3 +215,69 @@ def test_cli_verdicts_match_schema(args, exact, capsys):
     bad = dict(next(iter(checks.values())), method="exact", error_bound=None)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(bad, verdict_schema)
+
+
+class _Captured(Exception):
+    pass
+
+
+# per class: catalog kind, CLI arguments, the pipeline both of them call,
+# and a formula with one positive and one nonzero guard
+GUARDED = {
+    "3rd-order": ("ode3", ["ode3", "classify", "--F"], (ode3, "classify3"),
+                  "q^(3/2)/y"),
+    "2nd-order": ("ode2", ["ode2", "flatness", "--Q"],
+                  (ode2, "fefferman_flatness_check"), "p^(3/2)/y"),
+    "monge1": ("monge1", ["monge", "classify1", "--F"],
+               (monge, "classify_monge1"), "p^(3/2)/y"),
+    "monge2": ("monge2", ["monge", "classify2", "--F"],
+               (monge, "classify_monge2"), "q^(3/2)/y"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GUARDED))
+def test_equation_boxes_hold_each_guard_once(kind, monkeypatch):
+    catalog_kind, args, (module, pipeline), formula = GUARDED[kind]
+    want = auto_guards(ex.parse(formula))
+    assert all(len(g) == 1 for g in want)
+    captured = []
+
+    def capture(eq, cfg=None):
+        captured.append(eq.box)
+        raise _Captured
+
+    monkeypatch.setattr(module, pipeline, capture)
+    with pytest.raises(_Captured):
+        main(args + [formula])
+    entry = CatalogEntry("guards", catalog_kind,
+                         {"formula": formula, "tag": "trivial"})
+    with pytest.raises(_Captured):
+        run_entry(entry, RunConfig())
+    boxes = dict(zip(("cli", "catalog"), captured))
+    boxes["equation"] = equation(kind, formula).box
+    boxes["equation with a box"] = equation(
+        kind, formula, DomainBox({"p": (0.5, 2.0), "q": (0.5, 2.0)})).box
+    for source, bx in boxes.items():
+        assert (bx.positive_guards, bx.nonzero_guards) == want, source
+
+
+def _alpha_family(values, wuenschmann):
+    return CatalogEntry("alpha-family", "ode3", {
+        "formula": "(alpha - 1)*(alpha - 2)*q^2",
+        "params": {"alpha": values},
+        "expect": {"wuenschmann": wuenschmann}, "tag": "derived"})
+
+
+def test_catalog_parameter_is_sampled_on_its_interval(monkeypatch):
+    # A vanishes at the listed values alpha = 1 and 2 but not between them
+    result = run_entry(_alpha_family([1.0, 2.0], False), RunConfig())
+    assert result["checks"]["wuenschmann"]["got"] is False
+    assert result["pass"]
+    boxes = []
+    classify3 = ode3.classify3
+    monkeypatch.setattr(ode3, "classify3",
+                        lambda ode, cfg: boxes.append(ode.box)
+                        or classify3(ode, cfg))
+    result = run_entry(_alpha_family([1.0], True), RunConfig())
+    assert result["checks"]["wuenschmann"]["got"] is True
+    assert [bx.intervals["alpha"] for bx in boxes] == [(1.0, 1.0)]

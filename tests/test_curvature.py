@@ -8,7 +8,7 @@ import pytest
 from odegeom import expr as ex
 from odegeom.config import RunConfig
 from odegeom.curvature import (
-    CurvaturePackage, MetricTensor, TensorField, conformal_rescale, cotton3,
+    CurvaturePackage, TensorField, conformal_rescale, cotton3,
     curvature_package, einstein_residual, frame_components, metric_from_rows,
     signature_at, symbolic_det, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,

@@ -9,7 +9,7 @@ from odegeom.curvature import (curvature_package, frame_components,
                                signature_at, tensor_zero_exprs, weyl,
                                weyl_square)
 from odegeom.monge import (
-    SOLUTION_DEPTH_1, SOLUTION_DEPTH_2, MongeSecond, ParametrizedSolution,
+    SOLUTION_DEPTH_1, SOLUTION_DEPTH_2, Equation, ParametrizedSolution,
     PsiInvariants, allowed_frame_pattern, classify_monge1, classify_monge2,
     einstein_scale_residual, einstein_scale_rhs, example6_a5,
     example6_box, example6_coframe, example6_metric, example6_psi,

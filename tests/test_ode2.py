@@ -7,7 +7,7 @@ from odegeom.cli import build_box
 from odegeom.config import RunConfig
 from odegeom.curvature import (curvature_package, signature_at,
                                tensor_zero_exprs, weyl)
-from odegeom.ode2 import (SecondOrderODE, fefferman_flatness_check,
+from odegeom.ode2 import (Equation, fefferman_flatness_check,
                           fefferman_metric, ode2_invariants, second_order)
 from odegeom.zerotest import DomainBox, is_zero, is_zero_many, unit_box
 
@@ -132,7 +132,8 @@ def test_weyl_properties_on_p4():
 
 def test_stray_symbol_rejected():
     with pytest.raises(ValueError):
-        SecondOrderODE(ex.parse("q^2"), unit_box(("x", "y", "p", "phi", "q")))
+        Equation("2nd-order", ex.parse("q^2"),
+                 unit_box(("x", "y", "p", "phi", "q")))
 
 
 # Weyl verdicts of curved equations under the default config.  Only one

@@ -5,14 +5,15 @@ import pytest
 from odegeom import expr as ex
 from odegeom import ode3
 from odegeom.config import RunConfig
-from odegeom.exterior import J2_3RD, d, interior, lie_derivative, total_derivative
+from odegeom.exterior import (J2_3RD, SymmetricForm, d, interior, lie_derivative,
+                              total_derivative)
 from odegeom.ode3 import (
-    EINSTEIN_WEYL, GENERIC, WUENSCHMANN, ThirdOrderODE, classify3,
+    EINSTEIN_WEYL, GENERIC, WUENSCHMANN, Equation, classify3,
     dkp_coframe, dkp_residual, dkp_scalar_residual, dkp_x_membership,
     metric_tilde, nu_closedness_check, nu_tilde, ode3_invariants, third_order,
     transport_check,
 )
-from odegeom.curvature import MetricTensor, signature_at
+from odegeom.curvature import signature_at
 from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
 
 CFG = RunConfig(samples=10)
@@ -114,7 +115,7 @@ def test_metric_tilde_flat_hand_expansion():
 
 def test_metric_tilde_signature():
     g = metric_tilde(POW32)
-    m = MetricTensor(g.chart, g.rows, POW32.box)
+    m = SymmetricForm(g.chart, g.rows, POW32.box)
     sig = signature_at(m, {"x": 0.1, "y": 0.2, "p": 0.3, "q": 1.7}, zero_tol=1e-7)
     assert sig == (1, 2, 1)
 
@@ -167,9 +168,9 @@ def test_classify_catalog():
 
 def test_classify_example1_all_alphas():
     for a in (0.5, 1.0, 2.0):
-        ode = ThirdOrderODE(FOUR_SYM.F,
-                            FOUR_SYM.box.with_symbols(alpha=(a, a)),
-                            FOUR_SYM.params)
+        ode = Equation("3rd-order", FOUR_SYM.F,
+                       FOUR_SYM.box.with_symbols(alpha=(a, a)),
+                       FOUR_SYM.params)
         rep = classify3(ode, CFG)
         assert rep.checks["A"].is_zero
 
@@ -295,7 +296,7 @@ def test_metric_tilde_signature_more_fixtures():
     for ode, pt in ((POW32, pts["pow32"]), (TOD, pts["tod"]),
                     (DKP_F, pts["dkp"])):
         g = metric_tilde(ode)
-        m = MetricTensor(g.chart, g.rows, ode.box)
+        m = SymmetricForm(g.chart, g.rows, ode.box)
         assert signature_at(m, pt, zero_tol=1e-7) == (1, 2, 1)
 
 
