@@ -17,8 +17,8 @@ from . import expr as ex
 from .config import RunConfig
 from .curvature import signature_at, tensor_zero_exprs, weyl, weyl_square
 from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
-from .zerotest import (DomainBox, combined_verdict, equation_box, is_zero,
-                       is_zero_many)
+from .zerotest import (BoxError, DomainBox, combined_verdict, equation_box,
+                       is_zero, is_zero_many)
 from . import liealg, monge, ode2, ode3
 
 
@@ -143,8 +143,7 @@ def _run_monge2(entry: CatalogEntry, cfg: RunConfig) -> dict:
 
 def _run_solution(entry: CatalogEntry, cfg: RunConfig, order: int) -> dict:
     sol = monge.parametrized_solution(**entry.data["solution"])
-    names = sorted({"t"} | {f"w_{k}" for k in range(6)})
-    bx = _box_from(entry.data, names)
+    bx = _box_from(entry.data, ())
     if order == 1:
         eq = monge.monge_first(entry.data["formula"])
     else:
@@ -247,13 +246,24 @@ HEADROOM_RATIO = 1e-6
 
 
 def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
+    """The entry's checks against its expectations.  A runner that raises
+    (an unusable box, a failed evaluation, inconsistent dKP residuals) fails
+    the entry with `error` and every check with failure_kind "error"."""
     t0 = time.perf_counter()
-    got = _RUNNERS[entry.kind](entry, cfg)
+    error = None
+    try:
+        got = _RUNNERS[entry.kind](entry, cfg)
+    except (BoxError, ex.EvalError, ode3.DkpConsistencyError) as err:
+        got, error = {}, f"{type(err).__name__}: {err}"
     elapsed = time.perf_counter() - t0
     diagnostics = got.pop("_ratios", {})
     checks = {}
-    ok = True
+    ok = error is None
     for key, want in entry.expect.items():
+        if error is not None:
+            checks[key] = {"expected": want, "got": None, "pass": False,
+                           "failure_kind": "error"}
+            continue
         have = got.get(key, "<missing>")
         if isinstance(want, list):
             match = list(have) == list(want) if have != "<missing>" else False
@@ -271,9 +281,12 @@ def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
             else:
                 checks[key]["failure_kind"] = "logical"
         ok = ok and match
-    return {"id": entry.id, "kind": entry.kind, "tag": entry.tag,
-            "claim": entry.claim, "pass": ok, "checks": checks,
-            "seconds": round(elapsed, 3)}
+    out = {"id": entry.id, "kind": entry.kind, "tag": entry.tag,
+           "claim": entry.claim, "pass": ok, "checks": checks,
+           "seconds": round(elapsed, 3)}
+    if error is not None:
+        out["error"] = error
+    return out
 
 
 def verify_catalog(cfg: RunConfig | None = None, only=None) -> dict:

@@ -177,12 +177,7 @@ def cmd_monge(args, cfg: RunConfig) -> tuple:
         eq_text = data.get("equation", args.F)
         if eq_text is None:
             raise CliError("no equation given (solution file or --F)")
-        bx = None
-        if "box" in data:
-            names = sorted({"t"} | {f"w_{k}" for k in range(6)})
-            intervals = {n: (-1.0, 1.0) for n in names}
-            intervals.update({k: tuple(v) for k, v in data["box"].items()})
-            bx = DomainBox(intervals)
+        bx = DomainBox({k: tuple(v) for k, v in data.get("box", {}).items()})
         eq = monge.monge_first(eq_text) if order == 1 \
             else monge.monge_second(eq_text)
         verdict = monge.verify_parametrized_solution(eq, sol, bx, cfg)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 
 import mpmath
@@ -35,8 +34,6 @@ from mpmath.libmp import (fzero, from_float, from_int, mpf_abs, mpf_add,
                           mpf_mul, mpf_pos, mpf_pow, mpf_pow_int)
 
 from .config import DEFAULT_DPS
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 50000))
 
 NUM = "num"
 SYM = "sym"
@@ -93,13 +90,8 @@ class Expression:
         self.payload = payload
         self.args = args
 
-    # identity semantics: hash-consing makes structural equality == identity
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
+    # equality and hash are object's, by identity: hash-consing makes
+    # structural equality identity
     def __str__(self):
         return to_str(self)
 
@@ -348,69 +340,103 @@ def antideriv(body, var: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# traversal: every walk over a DAG below is this one, over an explicit stack,
+# so depth costs heap memory and never Python stack frames
+
+
+def walk(root: Expression, done: set | None = None, children=None):
+    """Yield each node reachable from `root` once, after its arguments
+    (post-order, arguments left to right).
+
+    `done` holds the ids of nodes already handled: the walk neither yields
+    nor enters them, and adds the id of each node it yields.  `children(n)`
+    gives the arguments of a node with arguments to enter, `n.args` by
+    default.
+    """
+    if done is None:
+        done = set()
+    stack = [(None, iter((root,)))]  # (node, its arguments not yet entered)
+    while stack:
+        n, pending = stack[-1]
+        for a in pending:
+            if id(a) not in done:
+                args = a.args
+                if args and children is not None:
+                    args = children(a)
+                stack.append((a, iter(args)))
+                break
+        else:
+            stack.pop()
+            if n is not None:
+                done.add(id(n))
+                yield n
+
+
+# ---------------------------------------------------------------------------
 # differentiation
 
 _dcache: dict = {}
 
 
 def differentiate(e: Expression, var: str) -> Expression:
-    key = (e, var)
-    hit = _dcache.get(key)
-    if hit is not None:
-        return hit
-    k = e.kind
-    if k == NUM:
-        d = ZERO
-    elif k == SYM:
-        d = ONE if e.payload == var else ZERO
-    elif k == FAM:
-        base, idx, fvar = e.payload
-        d = fam(base, idx + 1) if fvar == var else ZERO
-    elif k == ADD:
-        d = add(*[differentiate(a, var) for a in e.args])
-    elif k == MUL:
+    d = _dcache.get((e, var))
+    if d is not None:
+        return d
+
+    def enter(n):  # the arguments whose derivatives d(n) needs and lacks
+        if n.kind == INT and n.payload == var:
+            return ()
+        return [a for a in n.args if (a, var) not in _dcache]
+
+    for n in walk(e, children=enter):
+        _dcache[n, var] = _derivative(n, var)
+    return _dcache[e, var]
+
+
+def _derivative(e: Expression, var: str) -> Expression:
+    """d e/d var from the cached derivatives of e's arguments."""
+    k, args = e.kind, e.args
+    if k == ADD:
+        return add(*[_dcache[a, var] for a in args])
+    if k == MUL:
         terms = []
-        for i, a in enumerate(e.args):
-            da = differentiate(a, var)
-            if da.is_zero_literal:
-                continue
-            terms.append(mul(*e.args[:i], da, *e.args[i + 1:]))
-        d = add(*terms)
-    elif k == DIV:
-        a, b = e.args
-        da, db = differentiate(a, var), differentiate(b, var)
-        if db.is_zero_literal:
-            d = div(da, b)
-        else:
-            d = div(add(mul(da, b), neg(mul(a, db))), pow_(b, 2))
-    elif k == POW:
-        b, x = e.args
-        db, dx = differentiate(b, var), differentiate(x, var)
-        if dx.is_zero_literal:
-            d = mul(x, pow_(b, add(x, MINUS_ONE)), db)
-        elif db.is_zero_literal:
-            d = mul(e, log(b), dx)
-        else:
-            d = mul(e, add(mul(dx, log(b)), div(mul(x, db), b)))
-    elif k == FUNC:
-        (a,) = e.args
-        da = differentiate(a, var)
-        if e.payload == "exp":
-            d = mul(e, da)
-        elif e.payload == "log":
-            d = div(da, a)
-        else:  # pragma: no cover
-            raise ExprError(f"no derivative rule for {e.payload}")
-    elif k == INT:
-        (body,) = e.args
+        for i, a in enumerate(args):
+            da = _dcache[a, var]
+            if not da.is_zero_literal:
+                terms.append(mul(*args[:i], da, *args[i + 1:]))
+        return add(*terms)
+    if k == NUM:
+        return ZERO
+    if k == SYM:
+        return ONE if e.payload == var else ZERO
+    if k == FAM:
+        base, idx, fvar = e.payload
+        return fam(base, idx + 1) if fvar == var else ZERO
+    if k == INT:
         if e.payload == var:
-            d = body
-        else:
-            d = antideriv(differentiate(body, var), e.payload)
-    else:  # pragma: no cover
-        raise ExprError(f"unknown node kind {k}")
-    _dcache[key] = d
-    return d
+            return args[0]
+        return antideriv(_dcache[args[0], var], e.payload)
+    if k == DIV:
+        a, b = args
+        da, db = _dcache[a, var], _dcache[b, var]
+        if db.is_zero_literal:
+            return div(da, b)
+        return div(add(mul(da, b), neg(mul(a, db))), pow_(b, 2))
+    if k == POW:
+        b, x = args
+        db, dx = _dcache[b, var], _dcache[x, var]
+        if dx.is_zero_literal:
+            return mul(x, pow_(b, add(x, MINUS_ONE)), db)
+        if db.is_zero_literal:
+            return mul(e, log(b), dx)
+        return mul(e, add(mul(dx, log(b)), div(mul(x, db), b)))
+    if k == FUNC:
+        (a,) = args
+        if e.payload == "exp":
+            return mul(e, _dcache[a, var])
+        if e.payload == "log":
+            return div(_dcache[a, var], a)
+    raise ExprError(f"no derivative rule for {k} {e.payload}")  # pragma: no cover
 
 
 def diff_n(e: Expression, var: str, n: int) -> Expression:
@@ -422,73 +448,35 @@ def diff_n(e: Expression, var: str, n: int) -> Expression:
 # ---------------------------------------------------------------------------
 # substitution and symbol scans
 
+_REBUILD = {ADD: lambda n, args: add(*args),
+            MUL: lambda n, args: mul(*args),
+            DIV: lambda n, args: div(*args),
+            POW: lambda n, args: pow_(*args),
+            FUNC: lambda n, args: _node(FUNC, n.payload, args),
+            INT: lambda n, args: antideriv(args[0], n.payload)}
+
 
 def substitute(e: Expression, bindings: dict) -> Expression:
     """Simultaneous substitution.  Keys are printed symbol names."""
     repl = {k: as_expr(v) for k, v in bindings.items()}
-    cache: dict = {}
-
-    def go(n):
-        hit = cache.get(n)
-        if hit is not None:
-            return hit
-        k = n.kind
-        if k in (SYM, FAM):
-            out = repl.get(name_of(n), n)
-        elif k == NUM:
-            out = n
-        elif k == ADD:
-            out = add(*[go(a) for a in n.args])
-        elif k == MUL:
-            out = mul(*[go(a) for a in n.args])
-        elif k == DIV:
-            out = div(go(n.args[0]), go(n.args[1]))
-        elif k == POW:
-            out = pow_(go(n.args[0]), go(n.args[1]))
-        elif k == FUNC:
-            out = _node(FUNC, n.payload, (go(n.args[0]),))
-        elif k == INT:
-            out = antideriv(go(n.args[0]), n.payload)
-        else:  # pragma: no cover
-            raise ExprError(f"unknown node kind {k}")
-        cache[n] = out
-        return out
-
-    return go(e)
+    out: dict = {}
+    for n in walk(e):
+        if n.kind in (SYM, FAM):
+            out[n] = repl.get(name_of(n), n)
+        elif n.kind == NUM:
+            out[n] = n
+        else:
+            out[n] = _REBUILD[n.kind](n, [out[a] for a in n.args])
+    return out[e]
 
 
 def free_symbols(e: Expression) -> frozenset:
     """Printed names of all sym/fam leaves."""
-    seen: dict = {}
-
-    def go(n):
-        hit = seen.get(n)
-        if hit is not None:
-            return hit
-        if n.kind in (SYM, FAM):
-            out = frozenset((name_of(n),))
-        elif n.kind == NUM:
-            out = frozenset()
-        else:
-            out = frozenset().union(*[go(a) for a in n.args])
-        seen[n] = out
-        return out
-
-    return go(e)
+    return frozenset(name_of(n) for n in walk(e) if n.kind in (SYM, FAM))
 
 
 def contains_antiderivative(e: Expression) -> bool:
-    stack = [e]
-    visited = set()
-    while stack:
-        n = stack.pop()
-        if n in visited:
-            continue
-        visited.add(n)
-        if n.kind == INT:
-            return True
-        stack.extend(n.args)
-    return False
+    return any(n.kind == INT for n in walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +578,21 @@ _EXACT = {mpf_add: lambda a, b, *_: a + b, mpf_mul: lambda a, b, *_: a * b,
           _antiderivative: _antiderivative}
 
 
+def _tape_args(n: Expression):
+    """The arguments a tape evaluates: none under an Int, and the base
+    alone under an integer power."""
+    if n.kind == INT:
+        return ()
+    if n.kind == POW and is_integer_literal(n.args[1]):
+        return n.args[:1]
+    return n.args
+
+
 class Tape:
     """Straight-line program for groups of root expressions.
 
-    Compiled once, without recursion: every node reachable from the roots
-    gets one slot, in topological order, and the nodes of each group come
+    Compiled once, by `walk`: every node reachable from the roots gets one
+    slot, in topological order, and the nodes of each group come
     after those of the groups before it.  `run` evaluates the tape at one
     point and yields the values of each group's roots in turn, so a caller
     that stops after a group skips the work of the later ones.
@@ -605,6 +603,7 @@ class Tape:
 
     def __init__(self, *groups):
         slot_of: dict = {}  # id(node) -> slot of its value
+        done: set = set()
         self.consts = []  # (slot, payload) of num leaves
         self.exponents = {}  # integer exponent -> slot holding it as an int
         self.syms = []  # (slot, printed name) of sym/fam leaves
@@ -613,60 +612,45 @@ class Tape:
         for roots in groups:
             roots = list(roots)
             code = []
-            for root in roots:
-                stack = [root]
-                while stack:
-                    n = stack[-1]
-                    if id(n) in slot_of:
-                        stack.pop()
-                        continue
-                    k = n.kind
-                    if k == INT:
-                        args = ()
-                    elif k == POW and is_integer_literal(n.args[1]):
-                        args = n.args[:1]
-                    else:
-                        args = n.args
-                    pending = [a for a in args if id(a) not in slot_of]
-                    if pending:  # reversed, so arguments run left to right
-                        stack.extend(reversed(pending))
-                        continue
-                    stack.pop()
-                    if k == NUM:
-                        self.consts.append((size, n.payload))
-                    elif k in (SYM, FAM):
-                        self.syms.append((size, name_of(n)))
-                    elif k in (ADD, MUL):
-                        op = mpf_add if k == ADD else mpf_mul
-                        acc = slot_of[id(args[0])]
-                        for a in args[1:]:
-                            code.append((op, size, acc, slot_of[id(a)]))
-                            acc = size
-                            size += 1
-                        slot_of[id(n)] = acc
-                        continue
-                    elif k == DIV:
-                        code.append((_mpf_div, size, slot_of[id(args[0])],
-                                     slot_of[id(args[1])]))
-                    elif k == POW and len(args) == 1:
-                        p = n.args[1].payload.numerator
-                        if p not in self.exponents:
-                            self.exponents[p] = size
-                            size += 1
-                        code.append((_mpf_powi, size, slot_of[id(args[0])],
-                                     self.exponents[p]))
-                    elif k == POW:
-                        code.append((_mpf_pow, size, slot_of[id(args[0])],
-                                     slot_of[id(args[1])]))
-                    elif k == FUNC:
-                        a = slot_of[id(args[0])]
-                        code.append((_FUNCS[n.payload], size, a, a))
-                    elif k == INT:
-                        code.append((_antiderivative, size, size, size))
-                    else:  # pragma: no cover
-                        raise ExprError(f"unknown node kind {k}")
-                    slot_of[id(n)] = size
-                    size += 1
+            nodes = (n for root in roots for n in walk(root, done, _tape_args))
+            for n in nodes:
+                k = n.kind
+                args = _tape_args(n)
+                if k == NUM:
+                    self.consts.append((size, n.payload))
+                elif k in (SYM, FAM):
+                    self.syms.append((size, name_of(n)))
+                elif k in (ADD, MUL):
+                    op = mpf_add if k == ADD else mpf_mul
+                    acc = slot_of[id(args[0])]
+                    for a in args[1:]:
+                        code.append((op, size, acc, slot_of[id(a)]))
+                        acc = size
+                        size += 1
+                    slot_of[id(n)] = acc
+                    continue
+                elif k == DIV:
+                    code.append((_mpf_div, size, slot_of[id(args[0])],
+                                 slot_of[id(args[1])]))
+                elif k == POW and len(args) == 1:
+                    p = n.args[1].payload.numerator
+                    if p not in self.exponents:
+                        self.exponents[p] = size
+                        size += 1
+                    code.append((_mpf_powi, size, slot_of[id(args[0])],
+                                 self.exponents[p]))
+                elif k == POW:
+                    code.append((_mpf_pow, size, slot_of[id(args[0])],
+                                 slot_of[id(args[1])]))
+                elif k == FUNC:
+                    a = slot_of[id(args[0])]
+                    code.append((_FUNCS[n.payload], size, a, a))
+                elif k == INT:
+                    code.append((_antiderivative, size, size, size))
+                else:  # pragma: no cover
+                    raise ExprError(f"unknown node kind {k}")
+                slot_of[id(n)] = size
+                size += 1
             self.code.append(code)
             self.outs.append([slot_of[id(r)] for r in roots])
         self.size = size
@@ -899,85 +883,96 @@ def _is_negative_head(e: Expression) -> bool:
     return False
 
 
-def _negated(e: Expression) -> Expression:
-    return neg(e)
-
-
 def _frac_str(fr: Fraction):
     if fr.denominator == 1:
         return str(fr.numerator), _PREC_ATOM if fr >= 0 else _PREC_ADD
     return f"{fr.numerator}/{fr.denominator}", _PREC_MUL if fr >= 0 else _PREC_ADD
 
 
-def _render(e: Expression):
-    """Return (text, precedence of the outermost operator)."""
+def _printed_args(e: Expression):
+    """The nodes whose text the text of e contains: a sum prints a later
+    negative-headed term as the negation of its opposite, a product with
+    coefficient -1 prints a sign, and sqrt(b) prints b alone."""
+    args = e.args
+    if e.kind == ADD:
+        return [neg(t) if i and _is_negative_head(t) else t
+                for i, t in enumerate(args)]
+    if e.kind == MUL and args[0].kind == NUM and args[0].payload == -1 \
+            and len(args) > 1:
+        return args[1:]
+    if e.kind == POW and args[1].kind == NUM \
+            and args[1].payload == Fraction(1, 2):
+        return args[:1]
+    return args
+
+
+def _template(e: Expression, prec: dict):
+    """(pieces, precedence of the outermost operator) of e, where a piece is
+    literal text or an argument node; `prec` holds the arguments'
+    precedences."""
     k = e.kind
+    args = _printed_args(e)
+
+    def wrapped(a, cond):
+        return ["(", a, ")"] if cond else [a]
+
     if k == NUM:
         if isinstance(e.payload, Fraction):
-            return _frac_str(e.payload)
-        return repr(e.payload), _PREC_ATOM if e.payload >= 0 else _PREC_ADD
+            txt, p = _frac_str(e.payload)
+            return [txt], p
+        return [repr(e.payload)], _PREC_ATOM if e.payload >= 0 else _PREC_ADD
     if k in (SYM, FAM):
-        return name_of(e), _PREC_ATOM
+        return [name_of(e)], _PREC_ATOM
     if k == ADD:
-        parts = []
-        for i, t in enumerate(e.args):
-            if i > 0 and _is_negative_head(t):
-                txt, p = _render(_negated(t))
-                parts.append(" - " + (f"({txt})" if p < _PREC_MUL else txt))
+        pieces = wrapped(args[0], prec[args[0]] < _PREC_ADD)
+        for t, u in zip(e.args[1:], args[1:]):
+            if t is u:
+                pieces += [" + ", *wrapped(u, prec[u] <= _PREC_ADD)]
             else:
-                txt, p = _render(t)
-                if i == 0:
-                    parts.append(f"({txt})" if p < _PREC_ADD else txt)
-                else:
-                    parts.append(" + " + (f"({txt})" if p <= _PREC_ADD else txt))
-        return "".join(parts), _PREC_ADD
+                pieces += [" - ", *wrapped(u, prec[u] < _PREC_MUL)]
+        return pieces, _PREC_ADD
     if k == MUL:
-        args = e.args
-        prefix = ""
-        if args[0].kind == NUM and args[0].payload == -1 and len(args) > 1:
-            prefix = "-"
-            args = args[1:]
-        parts = []
-        for a in args:
-            txt, p = _render(a)
-            need = p < _PREC_MUL or a.kind == DIV
-            parts.append(f"({txt})" if need else txt)
-        return prefix + "*".join(parts), _PREC_ADD if prefix else _PREC_MUL
+        signed = len(args) < len(e.args)
+        pieces = ["-"] if signed else []
+        for i, a in enumerate(args):
+            pieces += ["*"] * (i > 0) + wrapped(
+                a, prec[a] < _PREC_MUL or a.kind == DIV)
+        return pieces, _PREC_ADD if signed else _PREC_MUL
     if k == DIV:
-        a, b = e.args
-        ta, pa = _render(a)
-        if pa < _PREC_MUL:
-            ta = f"({ta})"
-        tb, pb = _render(b)
-        if pb <= _PREC_MUL:
-            tb = f"({tb})"
-        return f"{ta}/{tb}", _PREC_MUL
+        a, b = args
+        return (wrapped(a, prec[a] < _PREC_MUL) + ["/"]
+                + wrapped(b, prec[b] <= _PREC_MUL)), _PREC_MUL
+    if k == POW and len(args) == 1:
+        return ["sqrt(", args[0], ")"], _PREC_ATOM
     if k == POW:
-        b, x = e.args
-        if x.kind == NUM and x.payload == Fraction(1, 2):
-            tb, _ = _render(b)
-            return f"sqrt({tb})", _PREC_ATOM
-        tb, pb = _render(b)
-        if pb < _PREC_ATOM:
-            tb = f"({tb})"
-        tx, px = _render(x)
+        b, x = args
         exp_atom = (x.kind == NUM and isinstance(x.payload, Fraction)
                     and x.payload.denominator == 1 and x.payload >= 0) \
             or x.kind in (SYM, FAM)
-        if not exp_atom:
-            tx = f"({tx})"
-        return f"{tb}^{tx}", _PREC_POW
+        return (wrapped(b, prec[b] < _PREC_ATOM) + ["^"]
+                + wrapped(x, not exp_atom)), _PREC_POW
     if k == FUNC:
-        ta, _ = _render(e.args[0])
-        return f"{e.payload}({ta})", _PREC_ATOM
+        return [f"{e.payload}(", args[0], ")"], _PREC_ATOM
     if k == INT:
-        tb, _ = _render(e.args[0])
-        return f"Int({tb}, {e.payload})", _PREC_ATOM
+        return ["Int(", args[0], f", {e.payload})"], _PREC_ATOM
     raise ExprError(f"unknown node kind {k}")  # pragma: no cover
 
 
 def to_str(e: Expression) -> str:
-    return _render(e)[0]
+    """The text of e.  One walk gives each node its template of literal text
+    and argument nodes, memoized for this call; a stack then expands the
+    templates, so the work is linear in the length of the text."""
+    templates, prec = {}, {}
+    for n in walk(e, children=_printed_args):
+        templates[n], prec[n] = _template(n, prec)
+    out, stack = [], [e]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack.extend(reversed(templates[piece]))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -992,8 +987,7 @@ _TOKEN_RE = re.compile(r"""
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "Int": 2}
 
-# deepest nesting the parser accepts; deeper input is a ParseError rather
-# than a RecursionError
+# deepest nesting the parser accepts; deeper input is a ParseError
 MAX_NESTING = 1000
 
 
@@ -1011,118 +1005,12 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, allowed):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.allowed = allowed
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", pos)
-
-    def parse(self):
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return e
-
-    def expr(self):
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if val == "+":
-                self.next()
-                e = add(e, self.term())
-            elif val == "-":
-                self.next()
-                e = add(e, neg(self.term()))
-            else:
-                return e
-
-    def term(self):
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if val == "*":
-                self.next()
-                e = mul(e, self.unary())
-            elif val == "/":
-                self.next()
-                e = div(e, self.unary())
-            else:
-                return e
-
-    def unary(self):
-        # every nested construct (parentheses, signs, powers, function
-        # arguments) passes through here, so this depth bounds the recursion
-        kind, val, pos = self.peek()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
-        if val in ("-", "+"):
-            self.next()
-            e = self.unary()
-            if val == "-":
-                e = neg(e)
-        else:
-            e = self.power()
-        self.depth -= 1
-        return e
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if val == "^":
-            self.next()
-            return pow_(base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "number":
-            if "." in val:
-                return num(Fraction(val))
-            return num(int(val))
-        if kind == "ident":
-            nkind, nval, _ = self.peek()
-            if nval == "(":
-                if val not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {val!r}", pos)
-                self.next()
-                if val == "Int":
-                    body = self.expr()
-                    self.expect(",")
-                    vkind, vval, vpos = self.next()
-                    if vkind != "ident":
-                        raise ParseError("Int needs a variable name", vpos)
-                    self.expect(")")
-                    return antideriv(body, vval)
-                arg = self.expr()
-                self.expect(")")
-                return {"sqrt": sqrt, "exp": exp, "log": log}[val](arg)
-            m = _FAMILY_RE.match(val)
-            is_family = bool(m and m.group(1) in FAMILY_VARS)
-            if self.allowed is not None and not is_family \
-                    and val not in self.allowed:
-                raise ParseError(f"unknown identifier {val!r}", pos)
-            return sym(val)
-        if val == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ParseError(f"unexpected token {val!r}", pos)
+# binding power of each operator on the parser's stack; an open bracket or
+# function call has none, so no reduction passes it
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pos": 3, "^": 4}
+_BINARY = {"+": add, "-": lambda a, b: add(a, neg(b)), "*": mul, "/": div,
+           "^": pow_}
+_CALLS = {"sqrt": sqrt, "exp": exp, "log": log, "(": lambda a: a}
 
 
 def parse(text: str, allowed=None) -> Expression:
@@ -1130,5 +1018,88 @@ def parse(text: str, allowed=None) -> Expression:
 
     `allowed`, when given, is the set of acceptable symbol names; indexed
     family symbols (w_0, w_1, ...) are always accepted.
+
+    Operator precedence over explicit stacks (shunting-yard): sums, then
+    products and quotients, then a sign, then `^` (right associative), whose
+    exponent may carry a sign.  A pending sign or `^` and an open bracket or
+    function call each nest the operand that follows one level deeper, and
+    an operand deeper than MAX_NESTING is a ParseError.  A literal division
+    by zero is a ParseError at its operator.
     """
-    return _Parser(text, allowed).parse()
+    tokens = _tokenize(text)
+    i = 0
+    vals, ops = [], []  # operands; (operator or opener, position, depth)
+
+    def expect(value):
+        nonlocal i
+        kind, val, pos = tokens[i]
+        i += 1
+        if val != value:
+            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+
+    def reduce(floor):  # apply the operators above `floor` binding power
+        while ops and _PREC.get(ops[-1][0], 0) >= floor:
+            op, pos, _ = ops.pop()
+            try:
+                if op == "neg":
+                    vals[-1] = neg(vals[-1])
+                elif op != "pos":
+                    b = vals.pop()
+                    vals[-1] = _BINARY[op](vals[-1], b)
+            except ZeroDivisionError as err:
+                raise ParseError(str(err), pos) from None
+
+    while True:
+        # an operand: its signs, then an atom
+        kind, val, pos = tokens[i]
+        depth = ops[-1][2] if ops else 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        i += 1
+        if val in ("-", "+"):
+            ops.append(("neg" if val == "-" else "pos", pos, depth + 1))
+            continue
+        if val == "(" or kind == "ident" and tokens[i][1] == "(":
+            if val != "(":
+                if val not in _FUNCTIONS:
+                    raise ParseError(f"unknown function {val!r}", pos)
+                i += 1
+            ops.append((val, pos, depth + 1))
+            continue
+        if kind == "number":
+            vals.append(num(Fraction(val) if "." in val else int(val)))
+        elif kind == "ident":
+            m = _FAMILY_RE.match(val)
+            is_family = bool(m and m.group(1) in FAMILY_VARS)
+            if allowed is not None and not is_family and val not in allowed:
+                raise ParseError(f"unknown identifier {val!r}", pos)
+            vals.append(sym(val))
+        else:
+            raise ParseError(f"unexpected token {val!r}", pos)
+        # after an operand: an operator, or the closers of finished brackets
+        while True:
+            kind, val, pos = tokens[i]
+            if val in _BINARY:
+                i += 1
+                if val != "^":
+                    reduce(_PREC[val])
+                depth = ops[-1][2] if ops else 1
+                ops.append((val, pos, depth + (val == "^")))
+                break
+            reduce(1)
+            if not ops:
+                if kind != "end":
+                    raise ParseError(f"unexpected trailing input {val!r}", pos)
+                return vals[0]
+            opener = ops.pop()[0]
+            if opener == "Int":
+                expect(",")
+                vkind, var, vpos = tokens[i]
+                i += 1
+                if vkind != "ident":
+                    raise ParseError("Int needs a variable name", vpos)
+                expect(")")
+                vals[-1] = antideriv(vals[-1], var)
+            else:
+                expect(")")
+                vals[-1] = _CALLS[opener](vals[-1])

@@ -116,16 +116,20 @@ def verify_parametrized_solution(eq, sol: ParametrizedSolution,
                                  bx: DomainBox | None = None,
                                  cfg: RunConfig | None = None) -> ZeroTestVerdict:
     """Zero-test z' - F(...) along the curve over random bindings of t and
-    the w-slots.  Formal antiderivatives must disappear under d/dt."""
+    the w-slots.  Formal antiderivatives must disappear under d/dt.
+
+    t, w_0..w_5 and every symbol of the residual and of dx/dt are sampled
+    on (-1, 1); the intervals and guards of `bx` are laid over those."""
     cfg = cfg or RunConfig()
     residual, xt = _solution_residual(eq, sol)
     if ex.contains_antiderivative(residual):
         raise ex.AntiderivativeError(
             "residual still contains a formal antiderivative")
-    if bx is None:
-        names = sorted(ex.free_symbols(residual) | {"t"}
-                       | {f"w_{k}" for k in range(6)})
-        bx = unit_box(names)
+    bx = bx or DomainBox({})
+    names = (ex.free_symbols(residual) | ex.free_symbols(xt) | {"t"}
+             | {f"w_{k}" for k in range(6)})
+    bx = DomainBox({**unit_box(names).intervals, **bx.intervals},
+                   bx.positive_guards, bx.nonzero_guards)
     bx = equation_box(residual, (), bx).with_nonzero_guard(xt, 1e-2)
     not_degenerate = is_zero(xt, bx, cfg)
     if not_degenerate.is_zero:

@@ -193,6 +193,37 @@ def test_deeply_nested_formula_exits_two(capsys):
     assert "nesting" in err
 
 
+@pytest.mark.parametrize("formula", ["1/0", "q + 0^(-1)", "q/(1-1)"])
+def test_literal_division_by_zero_is_a_malformed_formula(formula, capsys):
+    status, _, err = run_cli(["ode3", "classify", "--F", formula], capsys)
+    assert status == 2
+    assert "malformed formula" in err
+
+
+def test_raising_catalog_entry_is_reported(capsys):
+    # at tol 1e-40 the sampled dKP consistency check of dkp-sqrt raises;
+    # the entry is reported as failed and the other entry still runs
+    import jsonschema
+    from importlib import resources
+    status, out, _ = run_cli(
+        ["verify", "paper", "--json", "--tol", "1e-40", "--only", "dkp-sqrt",
+         "--only", "ode3-flat"], capsys)
+    assert status == 1
+    report = json.loads(out)
+    schema = json.loads(resources.files("odegeom.data")
+                        .joinpath("report_schema.json").read_text())
+    jsonschema.validate(report, schema)
+    entries = {e["id"]: e for e in report["entries"]}
+    assert sorted(entries) == ["dkp-sqrt", "ode3-flat"]
+    bad = entries["dkp-sqrt"]
+    assert not bad["pass"]
+    assert bad["error"].startswith("DkpConsistencyError: ")
+    assert bad["checks"] and all(
+        (c["got"], c["pass"], c["failure_kind"]) == (None, False, "error")
+        for c in bad["checks"].values())
+    assert "error" not in entries["ode3-flat"]
+
+
 @pytest.mark.parametrize("args, exact", [
     (["ode2", "flatness", "--Q", "p^4"], False),
     (["ode2", "flatness", "--Q", "p^3"], True),

@@ -757,3 +757,77 @@ def test_parser_nesting_limit_is_a_parse_error():
         ex.parse("-" * deep + "q")
     shallow = ex.MAX_NESTING - 2
     assert ex.parse("(" * shallow + "q" + ")" * shallow) is q
+    # parentheses, signs, ^ chains and function calls each nest one level:
+    # 999 of them parse and 1000 fail at the innermost operand
+    chains = {"parens": lambda n: "(" * n + "q" + ")" * n,
+              "signs": lambda n: "-" * n + "q",
+              "powers": lambda n: "q" + "^q" * n,
+              "calls": lambda n: "sqrt(" * n + "q" + ")" * n}
+    for name, chain in chains.items():
+        ex.parse(chain(ex.MAX_NESTING - 1))
+        text = chain(ex.MAX_NESTING)
+        with pytest.raises(ex.ParseError, match="nesting deeper") as err:
+            ex.parse(text)
+        assert err.value.pos == text.rindex("q"), name
+
+
+def test_parser_precedence_matches_the_constructors():
+    a, b, c, w2 = ex.sym("a"), ex.sym("b"), ex.sym("c"), ex.sym("w_2")
+    table = {
+        "-q^2": ex.neg(ex.pow_(q, 2)),
+        "-2^2": ex.num(-4),
+        "2^-q*y": ex.mul(ex.pow_(ex.num(2), ex.neg(q)), y),
+        "q^2^3": ex.pow_(q, 8),
+        "a/b*c": ex.mul(ex.div(a, b), c),
+        "a-b-c": ex.add(ex.add(a, ex.neg(b)), ex.neg(c)),
+        "--q": q,
+        "+q": q,
+        "a*-b": ex.mul(a, ex.neg(b)),
+        "Int(w_2, t)^2": ex.pow_(ex.antideriv(w2, "t"), 2),
+    }
+    for text, node in table.items():
+        assert ex.parse(text) is node, text
+
+
+def test_literal_division_by_zero_is_a_parse_error_at_its_operator():
+    for text, pos in (("1/0", 1), ("q + 0^(-1)", 5), ("q/(1-1)", 1)):
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse(text)
+        assert err.value.pos == pos, text
+
+
+_DEEP_CHAIN = """
+import sys
+limit = sys.getrecursionlimit()
+import odegeom.cli
+from odegeom import expr as ex
+from odegeom.zerotest import auto_guards
+assert sys.getrecursionlimit() == limit, sys.getrecursionlimit()
+y, q = ex.sym("y"), ex.sym("q")
+e = q
+for _ in range(20000):
+    e = ex.add(ex.mul(e, y), q)
+assert ex.to_str(e) == "(" * 19999 + "q*y + q" + ")*y + q" * 19999
+d = ex.differentiate(e, "y")
+s = ex.substitute(d, {"q": ex.num(1)})
+assert ex.free_symbols(d) == {"q", "y"} and ex.free_symbols(s) == {"y"}
+assert not ex.contains_antiderivative(d)
+assert auto_guards(d) == ((), ())
+ex.Tape([e, d, s])
+# e -> 2 and de/dy -> 4 at y = 1/2, q = 1
+assert abs(ex.eval_numeric(e, {"y": 0.5, "q": 1}) - 2) < 1e-20
+assert abs(ex.eval_numeric(s, {"y": 0.5}) - 4) < 1e-20
+"""
+
+
+def test_deep_expressions_need_no_recursion_limit():
+    # a fresh interpreter keeps its default recursion limit on import, and
+    # every walk over a 20,000-deep chain runs within it
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _DEEP_CHAIN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -112,6 +112,20 @@ def test_wrong_solution_fails():
     assert not v.is_zero
 
 
+def test_solution_box_covers_the_symbols_of_dx_dt():
+    # x = w_5 makes dx/dt = w_6, beyond the w_0..w_5 that a box lists; a
+    # given box is laid over the default one instead of replacing it
+    eq = monge_first("p*y")
+    sol = parametrized_solution("w_5", "t", "1/2*t^2")
+    given = verify_parametrized_solution(eq, sol, box(t=(0.5, 1.0)), CFG)
+    assert given.is_zero
+    assert verify_parametrized_solution(eq, sol, cfg=CFG).is_zero
+    wrong = parametrized_solution("w_5", "t", "t^2 + w_0")
+    v = verify_parametrized_solution(eq, wrong, box(t=(0.5, 1.0)), CFG)
+    assert not v.is_zero
+    assert 0.5 <= v.witness_point["t"] <= 1.0 and "w_6" in v.witness_point
+
+
 def test_unevaluated_antiderivative_is_rejected():
     # the equation references x, so an antiderivative in x(t) survives into
     # the residual and must error out
