@@ -270,25 +270,42 @@ def div(a, b) -> Expression:
     return _node(DIV, None, (a, b))
 
 
+def _iroot(n: int, root: int) -> int:
+    """The integer part of the `root`-th root of n >= 0, in integers only:
+    Newton's step from a power of two above the root decreases to it."""
+    if n < 2 or root >= n.bit_length():  # 2^root > n: the root is 0 or 1
+        return min(n, 1)
+    if root == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // root)
+    while True:
+        y = ((root - 1) * x + n // x ** (root - 1)) // root
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_root(fr: Fraction, root: int):
     """Integer `root`-th root of a Fraction, or None."""
     if fr < 0:
         return None
-
-    def iroot(n):
-        if n == 0:
-            return 0
-        r = round(n ** (1.0 / root))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** root == n:
-                return c
-        return None
-
-    rn = iroot(fr.numerator)
-    rd = iroot(fr.denominator)
-    if rn is None or rd is None:
+    rn = _iroot(fr.numerator, root)
+    rd = _iroot(fr.denominator, root)
+    if rn ** root != fr.numerator or rd ** root != fr.denominator:
         return None
     return Fraction(rn, rd)
+
+
+def _fold_power(b: Fraction, n: int) -> Expression:
+    """The literal b^n, refused with an OverflowError when it would need
+    more than MAX_LITERAL_BITS bits."""
+    if b == 0 and n < 0:
+        raise ZeroDivisionError("0 raised to a negative power")
+    if b and abs(n) * math.log2(max(abs(b.numerator), b.denominator)) \
+            > MAX_LITERAL_BITS:
+        raise OverflowError(
+            f"literal power larger than {MAX_LITERAL_BITS} bits")
+    return num(b ** n)
 
 
 def pow_(base, exponent) -> Expression:
@@ -302,13 +319,10 @@ def pow_(base, exponent) -> Expression:
         if base.kind == NUM and isinstance(base.payload, Fraction):
             b = base.payload
             if e.denominator == 1:
-                n = e.numerator
-                if b == 0 and n < 0:
-                    raise ZeroDivisionError("0 raised to a negative power")
-                return num(b ** n)
+                return _fold_power(b, e.numerator)
             root = _exact_root(b, e.denominator)
             if root is not None:
-                return num(root ** e.numerator)
+                return _fold_power(root, e.numerator)
         if base.is_zero_literal and e > 0:
             return ZERO
         if base.is_one_literal:
@@ -702,18 +716,29 @@ class Tape:
         make = mpmath.mp.make_mpf
         return [make(v) for v in next(self.run(bindings))]
 
-    def modular(self, group):
+    def modular(self, group, positive=None):
         """The instructions that the roots of `group` need, translated to
         arithmetic modulo a prime (a `ModularTape`), or None when one of
         them has no counterpart there: exp, log, Int, a float literal, a
-        symbolic exponent, or a fractional power of anything but a bare
-        symbol.
+        symbolic exponent, or a fractional power that neither rule below
+        takes.
 
         A symbol q is bound as q = t^r, with r the lcm of the denominators
         of q's fractional exponents, so q^(m/r') = t^(m r / r') is an
-        integer power of t.  Each slot also gets bounds on the degrees in
-        the t's of a numerator and a denominator of its value as a rational
-        function; `degrees` holds the numerator bound of each root.
+        integer power of t.
+
+        `positive`, when given, holds the slots of values the caller knows
+        to be positive.  A power m/2 of a base b in one of them, or of a
+        positive Fraction constant, is s^m for a root s adjoined with
+        s^2 = b: the values that depend on such roots are elements of
+        F_p[s_1..s_k]/(s_i^2 - b_i), k <= MAX_ROOTS, and the others stay
+        residues.  Any other denominator on such a base, a base that holds
+        a root, or more than MAX_ROOTS bases give None.
+
+        Each slot also gets bounds on the degrees in the t's of the
+        numerators and of a common denominator of its coordinates as
+        rational functions; `degrees` holds the numerator bound of each
+        root.
         """
         code = [ins for seg in self.code for ins in seg]
         consts, syms = dict(self.consts), dict(self.syms)
@@ -726,9 +751,15 @@ class Tape:
             need.add(b)
             if f is _mpf_pow:
                 e = consts.get(b)
-                if a not in syms or not isinstance(e, Fraction):
+                if not isinstance(e, Fraction):
                     return None
-                root[syms[a]] = math.lcm(root.get(syms[a], 1), e.denominator)
+                if a in syms:
+                    root[syms[a]] = math.lcm(root.get(syms[a], 1),
+                                             e.denominator)
+                elif positive is None or e.denominator != 2 or not (
+                        a in positive or isinstance(consts.get(a), Fraction)
+                        and consts[a] > 0):
+                    return None
             elif f not in _MODULAR and f is not _mpf_powi:  # exp, log, Int
                 return None
         if any(type(v) is float for i, v in self.consts if i in need):
@@ -740,12 +771,14 @@ class Tape:
         m.ints = [(i, k) for i, k in ints.items() if i in need]
         deg = dict.fromkeys((i for i, _ in m.consts), (0, 0))
         deg.update((i, (r, 0)) for i, _, r in m.syms)
+        carry = {}  # slot -> mask of the adjoined roots its value carries
+        betas, s_slot = [], {}  # degrees of each root's base; base -> s slot
         m.code = []
         size, t_slot = self.size, {}
         for f, d, a, b in code:
             if d not in need:
                 continue
-            if f is _mpf_pow:  # q^e with q = t^r is t^(e r)
+            if f is _mpf_pow and a in syms:  # q^e with q = t^r is t^(e r)
                 name = syms[a]
                 if name not in t_slot:
                     t_slot[name] = size
@@ -756,6 +789,35 @@ class Tape:
                 m.code.append((_p_powi, d, t_slot[name], size))
                 deg[d] = _deg_pow((1, 0), k)
                 size += 1
+            elif f is _mpf_pow:  # b^(k/2) = b^((k-1)/2) s with s^2 = b
+                if a in carry:
+                    return None
+                if a not in s_slot:
+                    if len(betas) == MAX_ROOTS:
+                        return None
+                    m.ints.append((size, len(betas)))
+                    m.code.append((_r_adjoin, size + 1, a, size))
+                    deg[size + 1], carry[size + 1] = (0, 0), 1 << len(betas)
+                    s_slot[a] = size + 1
+                    betas.append(deg[a])
+                    size += 2
+                k = consts[b].numerator
+                m.ints.append((size, k))
+                m.code.append((_r_powi, d, s_slot[a], size))
+                deg[d] = _deg_pow(deg[a], (k - 1) // 2)
+                carry[d] = carry[s_slot[a]]
+                size += 1
+            elif carry and (a in carry or b in carry):
+                x = deg[a] + (carry.get(a, 0),)
+                if f is _mpf_powi:
+                    m.code.append((_r_powi, d, a, b))
+                    n, dn, carry[d] = _ring_deg_pow(x, ints[b], betas)
+                else:
+                    op, rule = _RING[f]
+                    m.code.append((op, d, a, b))
+                    y = deg[b] + (carry.get(b, 0),)
+                    n, dn, carry[d] = rule(x, y, betas)
+                deg[d] = n, dn
             elif f is _mpf_powi:
                 m.code.append((_p_powi, d, a, b))
                 deg[d] = _deg_pow(deg[a], ints[b])
@@ -764,6 +826,7 @@ class Tape:
                 m.code.append((op, d, a, b))
                 deg[d] = rule(deg[a], deg[b])
         m.size = size
+        m.roots = len(betas)
         m.outs = self.outs[group]
         m.degrees = [deg[i][0] for i in m.outs]
         return m
@@ -774,6 +837,17 @@ class Tape:
 # prime P.  A value is zero there exactly when the numerator of the rational
 # function it stands for vanishes at the point, as long as no division on
 # the way was by zero; the degree rules bound that numerator.
+#
+# A value that depends on adjoined roots s_i (s_i^2 = b_i) is an element of
+# F_P[s_1..s_k]/(s_i^2 - b_i): a tuple of 2^k coordinates, the coordinate at
+# index S that of the product of the s_i for the bits i of S.  Such an
+# element is zero on every branch of the roots, the real one included,
+# exactly when every coordinate is.  The ring operations take the products
+# of the b_i over each set of roots (`bprod`, filled in as roots are
+# adjoined) as their last argument; a residue operand counts as a scalar.
+
+# the most roots of compound or constant bases one modular tape adjoins
+MAX_ROOTS = 3
 
 
 def _p_add(a, b, P, _):
@@ -796,6 +870,67 @@ def _p_powi(b, k, P, _):
     return pow(b, k, P)
 
 
+def _r_adjoin(b, i, P, bprod):
+    """The root s_i with s_i^2 = b, recorded in `bprod`."""
+    bit = 1 << i
+    for S in range(len(bprod)):
+        if S & bit:
+            bprod[S] = bprod[S ^ bit] * b % P
+    return tuple([int(S == bit) for S in range(len(bprod))])
+
+
+def _r_add(a, b, P, _):
+    if type(a) is int:
+        a, b = b, a
+    if type(b) is int:
+        return ((a[0] + b) % P,) + a[1:]
+    return tuple([(x + y) % P for x, y in zip(a, b)])
+
+
+def _r_mul(a, b, P, bprod):
+    if type(a) is int:
+        a, b = b, a
+    if type(b) is int:
+        return tuple([x * b % P for x in a])
+    out = [0] * len(a)
+    for S, x in enumerate(a):
+        if x:
+            for T, y in enumerate(b):
+                if y:
+                    out[S ^ T] += x * y * bprod[S & T]
+    return tuple([c % P for c in out])
+
+
+def _r_div(a, b, P, bprod):
+    """a / b: both are multiplied by b's conjugates (s_i -> -s_i, for each
+    root b carries) until b is its norm, a scalar; a zero norm is a
+    division by zero."""
+    if type(b) is int:
+        return _r_mul(a, _p_div(1, b, P, None), P, bprod)
+    if type(a) is int:
+        a = (a,) + (0,) * (len(b) - 1)
+    bit = 1
+    while bit < len(b):
+        if any(b[S] for S in range(len(b)) if S & bit):
+            conj = tuple([-x if S & bit else x for S, x in enumerate(b)])
+            a, b = _r_mul(a, conj, P, bprod), _r_mul(b, conj, P, bprod)
+        bit <<= 1
+    return _r_mul(a, _p_div(1, b[0], P, None), P, bprod)
+
+
+def _r_powi(b, k, P, bprod):
+    if k < 0:
+        b, k = _r_div(1, b, P, bprod), -k
+    out = None
+    while k:
+        if k & 1:
+            out = b if out is None else _r_mul(out, b, P, bprod)
+        k >>= 1
+        if k:
+            b = _r_mul(b, b, P, bprod)
+    return out
+
+
 def _deg_add(x, y):  # n1/d1 + n2/d2 = (n1 d2 + n2 d1)/(d1 d2)
     return max(x[0] + y[1], y[0] + x[1]), x[1] + y[1]
 
@@ -816,17 +951,63 @@ _MODULAR = {mpf_add: (_p_add, _deg_add), mpf_mul: (_p_mul, _deg_mul),
             _mpf_div: (_p_div, _deg_div)}
 
 
+# Degree rules for ring elements, over (numerator, denominator, mask of the
+# roots carried): the coordinates are rational functions with numerators of
+# degree at most the first entry over a common denominator of degree at
+# most the second.  `betas` holds the (numerator, denominator) bounds of
+# each root's base.
+
+
+def _ring_deg_add(x, y, _):
+    return _deg_add(x, y) + (x[2] | y[2],)
+
+
+def _ring_deg_mul(x, y, betas):
+    """A coordinate of a product sums products of coordinates, some times
+    b_i for roots s_i both factors carry; over the denominators of those
+    b_i, every term carries b_i's numerator or its denominator."""
+    n, d = _deg_mul(x, y)
+    for i, (bn, bd) in enumerate(betas):
+        if x[2] & y[2] & (1 << i):
+            n, d = n + max(bn, bd), d + bd
+    return n, d, x[2] | y[2]
+
+
+def _ring_deg_div(x, y, betas):
+    for i in range(len(betas)):  # as _r_div, over every root y may carry
+        if y[2] & (1 << i):
+            x = _ring_deg_mul(x, y, betas)
+            n, d, mask = _ring_deg_mul(y, y, betas)
+            y = n, d, mask & ~(1 << i)
+    return _deg_div(x, y) + (x[2],)
+
+
+def _ring_deg_pow(x, k, betas):
+    if k < 0:
+        x, k = _ring_deg_div((0, 0, 0), x, betas), -k
+    # each of the k - 1 products adds one x and what squaring x adds
+    n, d, _ = _ring_deg_mul(x, x, betas)
+    return x[0] + (k - 1) * (n - x[0]), x[1] + (k - 1) * (d - x[1]), x[2]
+
+
+_RING = {mpf_add: (_r_add, _ring_deg_add), mpf_mul: (_r_mul, _ring_deg_mul),
+         _mpf_div: (_r_div, _ring_deg_div)}
+
+
 class ModularTape:
     """The instructions one group of a `Tape` needs, over the integers
     modulo a prime; built by `Tape.modular`."""
 
-    __slots__ = ("size", "consts", "syms", "ints", "code", "outs", "degrees")
+    __slots__ = ("size", "consts", "syms", "ints", "code", "outs", "degrees",
+                 "roots")
 
     def run(self, P, point) -> list:
         """The values of the roots modulo the prime P, each symbol q bound
-        to t^r for the t in [0, P) that `point` gives it; raises DomainError
-        on a division by zero, a Fraction constant with P in its
-        denominator included."""
+        to t^r for the t in [0, P) that `point` gives it: residues, and for
+        a value that carries adjoined roots the tuple of its coordinates,
+        or 0 when every coordinate is.  Raises DomainError on a division by
+        zero, a Fraction constant with P in its denominator and a ring
+        element of zero norm included."""
         slots = [None] * self.size
         for i, k in self.ints:
             slots[i] = k
@@ -834,9 +1015,13 @@ class ModularTape:
             slots[i] = _p_div(v.numerator % P, v.denominator % P, P, None)
         for i, name, r in self.syms:
             slots[i] = pow(point[name], r, P)
+        bprod = [1] * (1 << self.roots) if self.roots else None
         for f, d, a, b in self.code:
-            slots[d] = f(slots[a], slots[b], P, None)
-        return [slots[i] for i in self.outs]
+            slots[d] = f(slots[a], slots[b], P, bprod)
+        out = [slots[i] for i in self.outs]
+        if self.roots:
+            return [v if type(v) is int or any(v) else 0 for v in out]
+        return out
 
 
 def evaluate(e: Expression, bindings: dict, cache: dict | None = None):
@@ -989,6 +1174,10 @@ _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "Int": 2}
 
 # deepest nesting the parser accepts; deeper input is a ParseError
 MAX_NESTING = 1000
+# largest literal power, in bits, that `pow_` folds (its decimal digits
+# stay under Python's default limit of 4300 for printing an int); a larger
+# one is an OverflowError, which the parser reports as a ParseError at its `^`
+MAX_LITERAL_BITS = 4096
 
 
 def _tokenize(text: str):
@@ -1024,7 +1213,8 @@ def parse(text: str, allowed=None) -> Expression:
     exponent may carry a sign.  A pending sign or `^` and an open bracket or
     function call each nest the operand that follows one level deeper, and
     an operand deeper than MAX_NESTING is a ParseError.  A literal division
-    by zero is a ParseError at its operator.
+    by zero, and a literal power of more than MAX_LITERAL_BITS bits, is a
+    ParseError at its operator.
     """
     tokens = _tokenize(text)
     i = 0
@@ -1046,7 +1236,7 @@ def parse(text: str, allowed=None) -> Expression:
                 elif op != "pos":
                     b = vals.pop()
                     vals[-1] = _BINARY[op](vals[-1], b)
-            except ZeroDivisionError as err:
+            except ArithmeticError as err:  # a zero divisor or a huge power
                 raise ParseError(str(err), pos) from None
 
     while True:

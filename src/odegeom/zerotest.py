@@ -1,8 +1,10 @@
 """Randomized zero-testing of expressions over sampling boxes.
 
-An expression built from + - * /, integer powers, Fraction constants and
-fractional powers of bare symbols is first tested exactly: it is an exact
-zero when it vanishes modulo a random prime at two independent points.  An
+An expression built from + - * /, integer powers, Fraction constants,
+fractional powers of bare symbols and half-integer powers of positive
+compound or constant bases is first tested exactly: it is an exact zero
+when it vanishes modulo a random prime at two independent points, in
+every coordinate over the square roots it adjoins.  An
 expression that does not is sampled: it is declared identically zero on the
 box when, at every sampled point, |value| <= tol * (1 + S) where S is the
 term-magnitude scale: the sum of the absolute values of the expression's
@@ -273,13 +275,18 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
                  seed: int) -> dict | None:
     """Of the first `count` roots of the tape's root group, those that
     vanish modulo the call's prime at two independent points, with their
-    degree bounds, by index.  None (or an empty dict) sends the whole call
-    to the sampled path: the roots hold an operation the modular tape
-    cannot take or a symbol the box does not sample, a symbol under a
-    fractional power may be negative on the box, the degree bound passes
-    DEGREE_CAP, a second point hits a zero divisor, or no root vanishes at
-    the first point."""
-    mod = tape.modular(1)
+    degree bounds, by index; a root that carries adjoined square roots
+    vanishes when every ring coordinate does.  None (or an empty dict)
+    sends the whole call to the sampled path: the roots hold an operation
+    the modular tape cannot take or a symbol the box does not sample, a
+    symbol under a fractional power may be negative on the box, a compound
+    or constant base under a half-integer power is neither a positive
+    guard nor a positive constant, the degree bound passes DEGREE_CAP, a
+    second point hits a zero divisor, or no root vanishes at the first
+    point."""
+    # the guard group comes first, positive guards first: a base that is a
+    # positive guard, by node identity, has that guard's slot
+    mod = tape.modular(1, set(tape.outs[0][:len(box.positive_guards)]))
     if mod is None or max(mod.degrees[:count], default=0) > DEGREE_CAP:
         return None
     names = sorted({n for _, n, _ in mod.syms})

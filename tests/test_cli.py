@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from odegeom import expr as ex
-from odegeom import monge, ode2, ode3
+from odegeom import monge, ode2, ode3, zerotest
 from odegeom.cli import main, parse_box_args, CliError
 from odegeom.catalog import CatalogEntry, load_catalog, run_entry, verify_catalog
 from odegeom.config import RunConfig, load_config
@@ -100,12 +101,15 @@ def test_verify_paper_subset_schema(capsys):
     assert report["summary"]["failed"] == 0
 
 
-def test_exit_code_follows_report_content(capsys):
+def test_exit_code_follows_report_content(capsys, monkeypatch):
     # tighten tolerance absurdly so a true identity is reported as failed;
-    # the root of the compound base 2qy - p^2 keeps the identities sampled
-    status, out, _ = run_cli(
-        ["verify", "paper", "--only", "ode3-root-family", "--tol", "1e-40",
-         "--json"], capsys)
+    # the catalog's ode3 identities are exact zeros, which no tolerance can
+    # fail, so every call is sent to the sampled test here
+    with monkeypatch.context() as m:
+        m.setattr(zerotest, "_exact_zeros", lambda *args: None)
+        status, out, _ = run_cli(
+            ["verify", "paper", "--only", "ode3-root-family", "--tol", "1e-40",
+             "--json"], capsys)
     report = json.loads(out)
     assert (status == 0) == (report["summary"]["failed"] == 0)
     assert status == 1
@@ -115,13 +119,15 @@ def test_exit_code_follows_report_content(capsys):
              if not c["pass"]}
     assert "numerical-headroom" in kinds.values()
     assert kinds.get("classification") in (None, "logical")
-    # q^(3/2) is a fractional power of a bare symbol: its identities are
-    # exact zeros, which no tolerance can fail
-    status, out, _ = run_cli(
-        ["verify", "paper", "--only", "ode3-pow-3-2", "--tol", "1e-40",
-         "--json"], capsys)
-    assert status == 0
-    assert json.loads(out)["summary"]["failed"] == 0
+    # q^(3/2) is a fractional power of a bare symbol, and (2qy - p^2)^(3/2)
+    # a half-integer power of a positive guard: their identities are exact
+    # zeros, which no tolerance can fail
+    for entry in ("ode3-pow-3-2", "ode3-root-family"):
+        status, out, _ = run_cli(
+            ["verify", "paper", "--only", entry, "--tol", "1e-40", "--json"],
+            capsys)
+        assert status == 0
+        assert json.loads(out)["summary"]["failed"] == 0
 
 
 def test_config_validation():
@@ -200,14 +206,50 @@ def test_literal_division_by_zero_is_a_malformed_formula(formula, capsys):
     assert "malformed formula" in err
 
 
-def test_raising_catalog_entry_is_reported(capsys):
-    # at tol 1e-40 the sampled dKP consistency check of dkp-sqrt raises;
-    # the entry is reported as failed and the other entry still runs
+@pytest.mark.parametrize("formula", ["2^(10^12)", "q + 2^(-10^12)",
+                                     "(1/3)^(10^6)", "(2^4000)^(3/2)"])
+def test_huge_literal_power_is_a_malformed_formula(formula, capsys):
+    # folding it would take unbounded time and memory
+    status, _, err = run_cli(["ode3", "classify", "--F", formula], capsys)
+    assert status == 2
+    assert "malformed formula" in err and "bits" in err
+
+
+def test_root_of_a_huge_literal_folds_in_integers(capsys):
+    # 10^400 is past the range of a float: the root is found in integers
+    status, out, _ = run_cli(
+        ["ode3", "classify", "--F", "(10^402)^(1/3)", "--json"], capsys)
+    assert status == 0
+    assert json.loads(out)["formula"] == str(10 ** 134)
+    status, out, _ = run_cli(
+        ["ode3", "classify", "--F", "(10^400)^(1/3)", "--json"], capsys)
+    assert status == 0
+    data = json.loads(out)
+    assert data["formula"] == f"{10 ** 400}^(1/3)"
+    assert data["verdict"] == "einstein-weyl"
+
+
+def test_raising_catalog_entry_is_reported(capsys, monkeypatch):
+    # one flipped verdict of the dKP consistency check of dkp-sqrt makes it
+    # raise; the entry is reported as failed and the other entry still runs
     import jsonschema
     from importlib import resources
+    real = ode3.is_zero_many
+    flipped = []
+
+    def one_nonzero(named, bx, cfg=None):
+        out = real(named, bx, cfg)
+        if "second_plus_scalar" in out:
+            flipped.append(named)
+            out["second_plus_scalar"] = dataclasses.replace(
+                out["second_plus_scalar"], is_zero=False)
+        return out
+
+    monkeypatch.setattr(ode3, "is_zero_many", one_nonzero)
     status, out, _ = run_cli(
-        ["verify", "paper", "--json", "--tol", "1e-40", "--only", "dkp-sqrt",
-         "--only", "ode3-flat"], capsys)
+        ["verify", "paper", "--json", "--only", "dkp-sqrt", "--only",
+         "ode3-flat"], capsys)
+    assert flipped
     assert status == 1
     report = json.loads(out)
     schema = json.loads(resources.files("odegeom.data")
@@ -222,6 +264,7 @@ def test_raising_catalog_entry_is_reported(capsys):
         (c["got"], c["pass"], c["failure_kind"]) == (None, False, "error")
         for c in bad["checks"].values())
     assert "error" not in entries["ode3-flat"]
+    assert entries["ode3-flat"]["pass"]
 
 
 @pytest.mark.parametrize("args, exact", [

@@ -10,7 +10,7 @@ import pytest
 
 from odegeom import expr as ex
 from odegeom import exterior, monge, ode2, ode3, zerotest
-from odegeom.catalog import verify_catalog
+from odegeom.catalog import load_catalog, run_entry, verify_catalog
 from odegeom.config import RunConfig
 from odegeom.zerotest import (BoxError, DomainBox, ZeroTestVerdict, auto_box,
                               combined_verdict, is_zero, is_zero_many)
@@ -243,6 +243,19 @@ def recorded(monkeypatch):
     return calls
 
 
+def _exact_zeros_sampled(recorded):
+    """Checks that every exact zero of the recorded calls is also a zero
+    through `zerotest._sampled`, and returns how many there were."""
+    exact = 0
+    for named, box, cfg, out in recorded:
+        zeros = {n: named[n] for n, v in out.items() if v.method == "exact"}
+        if zeros:
+            sampled = zerotest._sampled(zeros, box, cfg)
+            assert all(v.is_zero for v in sampled.values()), sampled
+            exact += len(zeros)
+    return exact
+
+
 def test_every_exact_zero_is_a_sampled_zero(recorded):
     assert verify_catalog(RunConfig(seed=0))["summary"]["failed"] == 0
     engine = SimpleNamespace(expr=ex, zerotest=zerotest, RunConfig=RunConfig,
@@ -253,11 +266,144 @@ def test_every_exact_zero_is_a_sampled_zero(recorded):
             assert worker.check_formula(engine, op)
         except BoxError:
             assert op["may_fail"]
-    exact = 0
-    for named, box, cfg, out in recorded:
-        zeros = {n: named[n] for n, v in out.items() if v.method == "exact"}
-        if zeros:
-            sampled = zerotest._sampled(zeros, box, cfg)
-            assert all(v.is_zero for v in sampled.values()), sampled
-            exact += len(zeros)
-    assert exact > 200
+    assert _exact_zeros_sampled(recorded) > 200
+
+
+# ---------------------------------------------------------------------------
+# half-integer powers of compound and constant bases: roots adjoined to F_p
+
+ROOT_BOX = {"p": (-0.5, 0.5), "q": (-1.0, 1.0)}
+FOUR = "(q^2 + (1 - p^2)^2)"
+
+
+@pytest.mark.parametrize("text", [
+    "(1-p^2)^(3/2) - (1-p^2)*sqrt(1-p^2)",
+    "sqrt(3)*sqrt(3) - 3",
+    f"{FOUR}^(3/2)/(1 - p^2)^(3/2)"
+    f" - {FOUR}*sqrt{FOUR}/((1 - p^2)*sqrt(1 - p^2))",
+    "1/(1 + sqrt(1 - p^2)) - (1 - sqrt(1 - p^2))/p^2",
+    "(1 - p^2)^(-1/2) - sqrt(1 - p^2)/(1 - p^2)",
+    "(sqrt(1 - p^2)*sqrt(2 - p))^2 - (1 - p^2)*(2 - p)",
+])
+def test_half_integer_powers_of_compound_bases_are_exact(text):
+    v = verdict(text, ROOT_BOX)
+    assert (v.is_zero, v.method, v.samples, v.max_ratio) == (True, "exact", 2, 0.0)
+    assert v.error_bound < 1e-30
+
+
+@pytest.mark.parametrize("text", [
+    "(1-p^2)^(3/2) - (1-2*p^2)*sqrt(1-p^2)",  # a changed coefficient
+    "sqrt(1-p^2) + (1-p^2)^(1/2)",  # the wrong branch of one root
+    "p*sqrt(1-p^2)",  # zero in the scalar coordinate alone
+    f"{FOUR}^(3/2) - {FOUR}*sqrt(1 - p^2)",  # the wrong root
+    "(1+q)^(1/3) - (1+q)^(1/2)",  # a cube root is no square root
+])
+def test_nonzero_ring_elements_are_sampled_with_a_witness(text):
+    v = verdict(text, ROOT_BOX)
+    assert (v.is_zero, v.method, v.error_bound) == (False, "sampled", None)
+    assert v.witness_point is not None and v.max_ratio > 1e-3
+
+
+def test_root_of_a_base_that_is_no_positive_guard_is_sampled():
+    e = ex.parse("(1-p^2)^(3/2) - (1-p^2)*sqrt(1-p^2)")
+    base = ex.parse("1 - p^2")
+    assert is_zero(e, auto_box(e, ROOT_BOX)).method == "exact"
+    # no guard, or a nonzero guard, leaves the sign of the base open
+    for bx in (zerotest.box(p=(-0.5, 0.5)),
+               zerotest.box(p=(-0.5, 0.5)).with_nonzero_guard(base)):
+        v = is_zero(e, bx)
+        assert (v.is_zero, v.method) == (True, "sampled")
+    # where the base is negative every point meets the root's domain error,
+    # with or without the guard
+    for bx in (zerotest.box(p=(1.5, 2.0)), auto_box(e, {"p": (1.5, 2.0)})):
+        with pytest.raises(BoxError):
+            is_zero(e, bx)
+    # a negative constant base is refused as well: s^2 = -3 would make this
+    # an exact zero
+    with pytest.raises(BoxError):
+        is_zero(ex.parse("(-3)^(1/2)*(-3)^(1/2) + 3"), zerotest.box(p=(0.5, 1.0)))
+
+
+@pytest.mark.parametrize("text", [
+    # a denominator other than 2 on a compound base
+    "(1+q)^(1/3)*(1+q)^(2/3) - (1+q)",
+    # a base that holds an adjoined root
+    "sqrt(1 + sqrt(1+q))*sqrt(1 + sqrt(1+q)) - 1 - sqrt(1+q)",
+])
+def test_roots_the_ring_does_not_take_are_sampled(text):
+    v = verdict(text)
+    assert (v.is_zero, v.method) == (True, "sampled")
+
+
+def test_at_most_three_roots_are_adjoined():
+    for k, method in ((3, "exact"), (4, "sampled")):
+        prod = ex.mul(*[ex.sqrt(ex.parse(f"{i} + q")) for i in range(1, k + 1)])
+        e = ex.add(prod, ex.neg(prod))  # not folded
+        v = is_zero(e, auto_box(e, Q_BOX))
+        assert (v.is_zero, v.method) == (True, method)
+
+
+def test_modular_tape_adjoins_roots_of_positive_slots_only():
+    P = zerotest._prime(0)
+    e = ex.parse("(1 + q)^(3/2) + 3^(1/2)*q")
+    guard = ex.parse("1 + q")
+    tape = ex.Tape([guard], [e])
+    assert tape.modular(1) is None  # no positive slots given
+    assert tape.modular(1, set()) is None  # 1 + q is not known positive
+    mod = tape.modular(1, set(tape.outs[0]))
+    # s1^2 = 1 + q, s2^2 = 3: (1 + q) s1 + q s2 at q = 5
+    assert mod.roots == 2
+    assert mod.run(P, {"q": 5}) == [(0, 6, 5, 0)]
+    # a ring element of norm zero is a division by zero
+    zero_norm = ex.Tape([ex.parse("1/(sqrt(3)*sqrt(3) - 3)")]).modular(0, set())
+    with pytest.raises(ex.DomainError):
+        zero_norm.run(P, {})
+
+
+def _poly_degree(xs, ys, P):
+    """The degree of the polynomial of degree < len(xs) through the points
+    (xs, ys) modulo P, by divided differences; -1 for zero."""
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], -1, P) % P
+    return max((i for i, c in enumerate(coef) if c), default=-1)
+
+
+@pytest.mark.parametrize("text, denominator", [
+    ("(1+x^2)^(3/2)", "1"),
+    ("(1+x^2)^(-1/2)", "1 + x^2"),
+    ("x*sqrt(1+x^2)*sqrt(1+x^2)", "1"),
+    ("1/(x + sqrt(1+x^2))", "1"),
+    ("(x + sqrt(1+x^2))^3", "1"),
+    ("(x + sqrt(1+x^2))^(-2)", "1"),
+    ("sqrt(1+x^2)*sqrt(2+x) + 3^(1/2)*x^2", "1"),
+    ("1/(sqrt(1+x^2) + sqrt(2+x))", "x^2 - x - 1"),
+    ("sqrt(x + 1/x)*x^2", "1"),
+    ("(x + sqrt(1/(1+x^2)))^2", "1 + x^2"),
+])
+def test_degree_bounds_of_ring_coordinates(text, denominator):
+    # each coordinate times its reduced denominator is a polynomial in x;
+    # interpolated through more points than the bound allows, its degree
+    # is at most the bound
+    P = zerotest._prime(1)
+    e = ex.parse(text)
+    guards = [g for g, _ in zerotest.auto_guards(e)[0]]
+    tape = ex.Tape(guards, [e])
+    mod = tape.modular(1, set(tape.outs[0]))
+    (D,) = mod.degrees
+    den = ex.Tape([ex.parse(denominator)]).modular(0)
+    xs = list(range(2, D + 9))
+    coords = [mod.run(P, {"x": x})[0] for x in xs]
+    cleared = [[c * den.run(P, {"x": x})[0] % P for c in cs]
+               for x, cs in zip(xs, coords)]
+    degrees = [_poly_degree(xs, list(ys), P) for ys in zip(*cleared)]
+    assert -1 < max(degrees) <= D
+
+
+@pytest.mark.parametrize("entry_id", ["ode3-root-family", "ode3-four-symmetries",
+                                      "ode3-dkp-derived", "univariate-cubic"])
+def test_every_ring_zero_is_a_sampled_zero(recorded, entry_id):
+    (entry,) = [e for e in load_catalog() if e.id == entry_id]
+    assert run_entry(entry, RunConfig(seed=0))["pass"]
+    assert _exact_zeros_sampled(recorded) > 0
