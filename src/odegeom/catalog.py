@@ -17,8 +17,8 @@ from . import expr as ex
 from .config import RunConfig
 from .curvature import signature_at, tensor_zero_exprs, weyl, weyl_square
 from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
-from .zerotest import (BoxError, DomainBox, combined_verdict, equation_box,
-                       is_zero, is_zero_many)
+from .zerotest import (HEADROOM_RATIO, BoxError, DomainBox, combined_verdict,
+                       equation_box, is_zero, is_zero_many)
 from . import liealg, monge, ode2, ode3
 
 
@@ -240,11 +240,6 @@ _RUNNERS = {
 }
 
 
-# a zero-test that misses only by tolerance headroom (tiny but nonzero
-# residual ratio) is reported as a numerical failure, not a logical one
-HEADROOM_RATIO = 1e-6
-
-
 def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
     """The entry's checks against its expectations.  A runner that raises
     (an unusable box, a failed evaluation, inconsistent dKP residuals) fails
@@ -275,6 +270,9 @@ def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
         if key in diagnostics:
             checks[key]["max_ratio"] = diagnostics[key]
         if not match:
+            # a zero test that misses only by tolerance headroom (a tiny but
+            # nonzero ratio, taken over every sampled point) is a numerical
+            # failure, not a logical one
             ratio = diagnostics.get(key)
             if want is True and ratio is not None and ratio < HEADROOM_RATIO:
                 checks[key]["failure_kind"] = "numerical-headroom"

@@ -321,7 +321,9 @@ def main(argv=None) -> int:
     except BoxError as err:
         print(f"error: box violation: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, ex.EvalError) as err:
+    except (ValueError, OverflowError, ex.EvalError) as err:
+        # OverflowError: a literal derived from the formula, such as a power
+        # of a coefficient, would pass expr.MAX_LITERAL_BITS
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     if "config" not in report:

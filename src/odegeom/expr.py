@@ -1178,6 +1178,21 @@ MAX_NESTING = 1000
 # stay under Python's default limit of 4300 for printing an int); a larger
 # one is an OverflowError, which the parser reports as a ParseError at its `^`
 MAX_LITERAL_BITS = 4096
+# most digits of a number token, those of 2^MAX_LITERAL_BITS: a longer token
+# is a ParseError before Python converts its digits
+MAX_LITERAL_DIGITS = len(str(2 ** MAX_LITERAL_BITS))
+
+
+def _bounded(e: Expression) -> Expression:
+    """e, or an OverflowError when e is a literal of more than
+    MAX_LITERAL_BITS bits, or a sum or product led by one (where `add` and
+    `mul` fold their numbers)."""
+    c = e.args[0] if e.kind in (ADD, MUL) else e
+    if c.kind == NUM and isinstance(c.payload, Fraction) and max(
+            c.payload.numerator.bit_length(),
+            c.payload.denominator.bit_length()) > MAX_LITERAL_BITS:
+        raise OverflowError(f"literal larger than {MAX_LITERAL_BITS} bits")
+    return e
 
 
 def _tokenize(text: str):
@@ -1212,9 +1227,10 @@ def parse(text: str, allowed=None) -> Expression:
     products and quotients, then a sign, then `^` (right associative), whose
     exponent may carry a sign.  A pending sign or `^` and an open bracket or
     function call each nest the operand that follows one level deeper, and
-    an operand deeper than MAX_NESTING is a ParseError.  A literal division
-    by zero, and a literal power of more than MAX_LITERAL_BITS bits, is a
-    ParseError at its operator.
+    an operand deeper than MAX_NESTING is a ParseError.  A number of more
+    than MAX_LITERAL_DIGITS digits is a ParseError; so is a literal division
+    by zero, at its operator, and any literal, read or folded by an
+    operator, of more than MAX_LITERAL_BITS bits.
     """
     tokens = _tokenize(text)
     i = 0
@@ -1235,8 +1251,8 @@ def parse(text: str, allowed=None) -> Expression:
                     vals[-1] = neg(vals[-1])
                 elif op != "pos":
                     b = vals.pop()
-                    vals[-1] = _BINARY[op](vals[-1], b)
-            except ArithmeticError as err:  # a zero divisor or a huge power
+                    vals[-1] = _bounded(_BINARY[op](vals[-1], b))
+            except ArithmeticError as err:  # a zero divisor or a huge literal
                 raise ParseError(str(err), pos) from None
 
     while True:
@@ -1257,7 +1273,13 @@ def parse(text: str, allowed=None) -> Expression:
             ops.append((val, pos, depth + 1))
             continue
         if kind == "number":
-            vals.append(num(Fraction(val) if "." in val else int(val)))
+            if len(val) - ("." in val) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"number of more than {MAX_LITERAL_DIGITS} digits", pos)
+            try:
+                vals.append(_bounded(num(Fraction(val))))
+            except OverflowError as err:
+                raise ParseError(str(err), pos) from None
         elif kind == "ident":
             m = _FAMILY_RE.match(val)
             is_family = bool(m and m.group(1) in FAMILY_VARS)

@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_le)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_gt, mpf_le)
 
 from .config import RunConfig
 from . import expr as ex
@@ -171,7 +171,11 @@ class ZeroTestVerdict:
     nonzero expression passes the exact test given that the seed's prime
     divides no coefficient of its numerator.  `attempts` counts the
     floating points drawn and `rejected` those that failed a guard or an
-    evaluation."""
+    evaluation.  `max_ratio` and the witness of a sampled verdict are those
+    of its worst point evaluated: every point, unless the call's every
+    expression had a ratio above max(tol, HEADROOM_RATIO), after which the
+    expressions are evaluated no more; a ratio below HEADROOM_RATIO is
+    therefore the worst of every point."""
     is_zero: bool
     samples: int
     seed: int
@@ -319,6 +323,12 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
 # ---------------------------------------------------------------------------
 # the sampled test
 
+# once every expression of a call has a ratio above max(tol, HEADROOM_RATIO)
+# at some point, the sampled test evaluates them no more (is_zero_many); a
+# ratio below it is thus the worst of every point, which the catalog's
+# headroom rule reads
+HEADROOM_RATIO = 1e-6
+
 
 def _tape(named: dict, box: DomainBox):
     """The tape of a sampled test and the top-level additive terms of each
@@ -332,8 +342,9 @@ def _tape(named: dict, box: DomainBox):
 def _draw(tape: ex.Tape, box: DomainBox, cfg: RunConfig, accept=None):
     """Draw the sampled test's points at the current mpmath precision until
     `cfg.samples` are accepted, calling accept(point, values of the tape's
-    root group) at each; without `accept` only the guard group runs.
-    Returns the number of points attempted and the number rejected."""
+    root group) at each until it returns True; after that, and without
+    `accept`, only the guard group runs.  Returns the number of points
+    attempted and the number rejected."""
     rng = random.Random(cfg.seed)
     accepted = attempts = failures = 0
     max_attempts = max(4 * cfg.samples, cfg.samples + 20)
@@ -355,8 +366,8 @@ def _draw(tape: ex.Tape, box: DomainBox, cfg: RunConfig, accept=None):
             failures += 1
             continue
         accepted += 1
-        if accept:
-            accept(pt, vals)
+        if accept and accept(pt, vals):
+            accept = None
     return attempts, failures
 
 
@@ -366,8 +377,11 @@ def _sampled(named: dict, box: DomainBox, cfg: RunConfig, compiled=None) -> dict
     names = list(named)
     tape, terms = compiled or _tape(named, box)
     worst = {n: (from_int(-1), None, None, None) for n in names}
+    clear = from_float(max(cfg.tol, HEADROOM_RATIO))
 
     def score(pt, vals):
+        """Record the point's ratios; True once every expression has a
+        witness above `clear`, which no later point can overturn."""
         pos = len(names)
         for n, v, ts in zip(names, vals, terms):
             # the scale sums |term| from zero in the order mpf(0) += abs(t)
@@ -380,6 +394,7 @@ def _sampled(named: dict, box: DomainBox, cfg: RunConfig, compiled=None) -> dict
                             prec, rnd)
             if mpf_gt(ratio, worst[n][0]):
                 worst[n] = (ratio, pt, v, s)
+        return all(mpf_gt(w[0], clear) for w in worst.values())
 
     with mpmath.workdps(cfg.dps):
         prec, rnd = mpmath.mp._prec_rounding
@@ -425,6 +440,14 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
     points where any sampled expression raises a domain error are
     resampled, and more than half of the attempts failing makes the box
     unusable.
+
+    A point whose ratio passes tol proves an expression nonzero.  Once
+    every sampled expression has a ratio above max(tol, HEADROOM_RATIO),
+    the remaining points run only the guards, until `cfg.samples` are
+    accepted as before: no verdict changes, but a nonzero verdict's
+    `max_ratio` and witness come from the points evaluated, and a domain
+    error that an expression would have raised after its witness is not
+    counted.
     """
     cfg = cfg or RunConfig()
     compiled = _tape(named, box)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -213,6 +214,41 @@ def test_huge_literal_power_is_a_malformed_formula(formula, capsys):
     status, _, err = run_cli(["ode3", "classify", "--F", formula], capsys)
     assert status == 2
     assert "malformed formula" in err and "bits" in err
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("2^4000*2^4000*2^4000*2^4000", "bits"),   # folded by mul
+    ("q/2^4000/2^4000", "bits"),               # folded by div and mul
+    ("q + 2^4095 + 2^4095", "bits"),           # folded by add
+    ("7" * 5000, "digits"),                    # read by the parser
+    ("7" * 1234, "bits"),
+    ("0." + "0" * 1233 + "1", "digits"),
+    ("1." + "0" * 1234, "digits"),
+], ids=["mul", "div", "add", "5000-digits", "1234-digits", "decimal",
+        "trailing-zeros"])
+def test_huge_literal_is_a_malformed_formula(formula, message, capsys):
+    # each such literal would pass Python's limit of 4300 digits when
+    # printed or read
+    status, _, err = run_cli(["ode3", "classify", "--F", formula], capsys)
+    assert status == 2
+    assert "malformed formula" in err and message in err
+    assert "4300" not in err
+
+
+def test_literals_up_to_the_bound_are_read():
+    assert ex.parse("2^4000*q").args[0].payload == 2 ** 4000
+    assert ex.parse("7" * 1233).payload == int("7" * 1233)
+    big = 2 ** ex.MAX_LITERAL_BITS - 1
+    assert ex.parse(f"{big}/{big} + q").args[0].payload == 1
+    assert ex.parse("0." + "0" * 1232 + "1").payload == Fraction(1, 10 ** 1233)
+
+
+def test_huge_derived_literal_is_a_usage_error(capsys):
+    # F_q^2 of 2^4001*q is past the bound, which the formula itself is not
+    status, _, err = run_cli(
+        ["ode3", "classify", "--F", "2^4000*q + 2^4000*q"], capsys)
+    assert status == 2
+    assert "bits" in err and "Traceback" not in err
 
 
 def test_root_of_a_huge_literal_folds_in_integers(capsys):

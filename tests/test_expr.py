@@ -10,7 +10,8 @@ from odegeom.config import RunConfig
 from odegeom.zerotest import DomainBox, auto_box, box, is_zero, unit_box
 from odegeom.curvature import tensor_zero_exprs, weyl
 from odegeom.ode2 import fefferman_metric, second_order
-from odegeom.zerotest import BoxError, ZeroTestVerdict, auto_guards, is_zero_many
+from odegeom.zerotest import (HEADROOM_RATIO, BoxError, ZeroTestVerdict,
+                              auto_guards, is_zero_many)
 
 
 x, y, p, q = ex.sym("x"), ex.sym("y"), ex.sym("p"), ex.sym("q")
@@ -508,9 +509,12 @@ def reference_exact(e, bindings):
     return go(e)
 
 
-def reference_is_zero_many(named, bx, cfg):
+def reference_is_zero_many(named, bx, cfg, stop=True):
     """The zero test as it was before the tape: guards through mpf
-    comparisons, one node cache per point, the scale term by term."""
+    comparisons, one node cache per point, the scale term by term.  With
+    `stop`, once every expression has a ratio above max(tol, HEADROOM_RATIO)
+    the remaining points run only the guards; without it every expression
+    is evaluated at every point."""
     import random
 
     def admits(pt):
@@ -524,6 +528,8 @@ def reference_is_zero_many(named, bx, cfg):
 
     names = list(named)
     worst = {n: (mpmath.mpf(-1), None, None, None) for n in names}
+    clear = max(cfg.tol, HEADROOM_RATIO)
+    witnessed = False
     rng = random.Random(cfg.seed)
     accepted = attempts = failures = 0
     max_attempts = max(4 * cfg.samples, cfg.samples + 20)
@@ -540,7 +546,7 @@ def reference_is_zero_many(named, bx, cfg):
                 if not admits(pt):
                     failures += 1
                     continue
-                for n in names:
+                for n in names if not witnessed else ():
                     e = named[n]
                     v = reference_evaluate(e, pt, cache)
                     s = mpmath.mpf(0)
@@ -555,6 +561,7 @@ def reference_is_zero_many(named, bx, cfg):
                 ratio = abs(v) / (1 + s)
                 if ratio > worst[n][0]:
                     worst[n] = (ratio, pt, v, s)
+            witnessed = stop and all(w[0] > clear for w in worst.values())
     out = {}
     for n in names:
         ratio, pt, v, s = worst[n]
@@ -679,18 +686,22 @@ def _verdict_fields(v: ZeroTestVerdict):
 
 
 def _check_against_reference(named, bx, cfg):
-    want, attempts, rejected = reference_is_zero_many(named, bx, cfg)
     got = is_zero_many(named, bx, cfg)
-    assert list(got) == list(want)
+    assert list(got) == list(named)
+    # the stop at a clear witness changes no verdict of the full test
+    full, _, _ = reference_is_zero_many(named, bx, cfg, stop=False)
+    assert [v.is_zero for v in got.values()] == [w[0] for w in full.values()]
+    # the exact zeros are left out of the sampled pass, and of its stop rule
+    sampled = {n: e for n, e in named.items() if got[n].method == "sampled"}
+    want, attempts, rejected = reference_is_zero_many(sampled, bx, cfg)
     for n, v in got.items():
+        assert (v.attempts, v.rejected) == (attempts, rejected)
         if v.method == "exact":
-            # decided modulo a prime: it must be a zero in the reference
-            assert want[n][0] is True
+            # decided modulo a prime: it is a zero of the full test
             assert (v.is_zero, v.samples, v.max_ratio) == (True, 2, 0.0)
             continue
         assert _verdict_fields(v) == want[n]
-        assert (v.samples, v.attempts, v.rejected, v.method) == \
-            (cfg.samples, attempts, rejected, "sampled")
+        assert (v.samples, v.method) == (cfg.samples, "sampled")
     return got
 
 

@@ -1,6 +1,7 @@
 """The exact zero test: evaluation modulo a random prime, and how it hands
-over to the sampled test."""
+over to the sampled test; where the sampled test stops evaluating."""
 
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -407,3 +408,84 @@ def test_every_ring_zero_is_a_sampled_zero(recorded, entry_id):
     (entry,) = [e for e in load_catalog() if e.id == entry_id]
     assert run_entry(entry, RunConfig(seed=0))["pass"]
     assert _exact_zeros_sampled(recorded) > 0
+
+
+# ---------------------------------------------------------------------------
+# the sampled test stops evaluating the expressions at their clear witnesses
+
+
+@pytest.fixture
+def root_runs(monkeypatch):
+    """How many points each tape run by the test evaluated its root group
+    at (its second group), as a list with one entry per such point."""
+    runs = []
+    real = ex.Tape.run
+
+    def run(self, bindings, exact=False):
+        for i, values in enumerate(real(self, bindings, exact)):
+            if i == 1:
+                runs.append(bindings)
+            yield values
+
+    monkeypatch.setattr(ex.Tape, "run", run)
+    return runs
+
+
+def full_test(monkeypatch, named, bx, cfg):
+    """The sampled test with every expression evaluated at every point."""
+    with monkeypatch.context() as m:
+        m.setattr(zerotest, "HEADROOM_RATIO", math.inf)
+        return is_zero_many(named, bx, cfg)
+
+
+def test_barely_nonzero_expression_is_evaluated_at_every_point(
+        root_runs, monkeypatch):
+    # every ratio is between tol and 1e-6: no point is a clear witness, so
+    # the verdict carries the worst ratio of all 20 points, as the
+    # catalog's headroom rule needs
+    named = {"e": ex.parse("q/10^8")}
+    bx, cfg = zerotest.box(q=(0.5, 2.0)), RunConfig(seed=3)
+    got = is_zero_many(named, bx, cfg)["e"]
+    assert len(root_runs) == 20
+    assert cfg.tol < got.max_ratio < zerotest.HEADROOM_RATIO
+    assert not got.is_zero and got.method == "sampled"
+    assert got.witness_point == max(root_runs, key=lambda pt: pt["q"])
+    assert got == full_test(monkeypatch, named, bx, cfg)["e"]
+
+
+def test_clearly_nonzero_expression_is_evaluated_at_one_point(
+        root_runs, monkeypatch):
+    # the guard q > 1 rejects about a third of the points; they are still
+    # drawn and counted after the witness
+    e = ex.parse("sqrt(q - 1) + q")
+    bx, cfg = auto_box(e, {"q": (0.5, 2.0)}), RunConfig(seed=2)
+    got = is_zero(e, bx, cfg)
+    assert len(root_runs) == 1
+    assert (got.is_zero, got.method) == (False, "sampled")
+    assert got.witness_point == root_runs[0]
+    full = full_test(monkeypatch, {"expr": e}, bx, cfg)["expr"]
+    assert len(root_runs) == 1 + 20
+    assert full.rejected > 0
+    assert (got.samples, got.attempts, got.rejected) == \
+        (full.samples, full.attempts, full.rejected)
+
+
+def test_unusable_box_raises_after_a_clear_witness(root_runs):
+    # the guard q > 4/5 rejects about nine points in ten of (-1, 1)
+    bx = zerotest.box(q=(-1.0, 1.0)).with_positive_guard(ex.parse("q - 4/5"))
+    with pytest.raises(BoxError):
+        is_zero(ex.parse("q + 1"), bx, RunConfig(seed=0))
+    assert len(root_runs) == 1
+
+
+def test_sampled_zero_keeps_every_point_evaluated(root_runs, monkeypatch):
+    # exp sends the whole call to the sampled test; the zero never has a
+    # clear witness, so the nonzero expression is evaluated everywhere too
+    named = {"zero": ex.parse("exp(2*q) - exp(q)^2"),
+             "one": ex.parse("exp(q) - q")}
+    bx, cfg = zerotest.box(q=(-1.0, 1.0)), RunConfig(seed=6)
+    got = is_zero_many(named, bx, cfg)
+    assert len(root_runs) == 20
+    assert {n: (v.is_zero, v.method) for n, v in got.items()} == \
+        {"zero": (True, "sampled"), "one": (False, "sampled")}
+    assert got == full_test(monkeypatch, named, bx, cfg)
