@@ -163,8 +163,7 @@ def _run_g32(entry: CatalogEntry, cfg: RunConfig) -> dict:
     g = monge.g32_metric(m, cfg)
     named = tensor_zero_exprs(weyl(g))
     if named:
-        weyl_zero = combined_verdict(is_zero_many(named, g.box,
-                                                  cfg.with_(tol=1e-8))).is_zero
+        weyl_zero = combined_verdict(is_zero_many(named, g.box, cfg)).is_zero
     else:
         weyl_zero = True
     out = {"weyl_zero": weyl_zero}
@@ -189,8 +188,7 @@ def _run_example6(entry: CatalogEntry, cfg: RunConfig) -> dict:
             else "mismatch"
     if "weyl_square_zero" in entry.expect:
         g = monge.example6_metric(F, bx)
-        out["weyl_square_zero"] = is_zero(weyl_square(g), bx,
-                                          cfg.with_(tol=1e-8)).is_zero
+        out["weyl_square_zero"] = is_zero(weyl_square(g), bx, cfg).is_zero
     if "einstein_scale_zero" in entry.expect:
         _, verdict = monge.einstein_scale_residual(F, bx, cfg)
         out["einstein_scale_zero"] = verdict.is_zero

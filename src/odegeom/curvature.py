@@ -25,6 +25,7 @@ take the first form for the Weyl connection.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,7 @@ import mpmath
 import numpy as np
 
 from . import expr as ex
-from .exterior import Chart, DifferentialForm, SymmetricForm
+from .exterior import Chart, DifferentialForm, SymmetricForm, _symmetric
 from .zerotest import DomainBox
 
 
@@ -43,10 +44,8 @@ class MetricError(Exception):
 
 def metric_from_rows(chart: Chart, rows, box: DomainBox) -> SymmetricForm:
     """The metric whose entries are the upper triangle of `rows`."""
-    rows = tuple(tuple(ex.as_expr(c) for c in r) for r in rows)
-    sym_rows = tuple(tuple(rows[min(i, j)][max(i, j)]
-                           for j in range(chart.dim)) for i in range(chart.dim))
-    return SymmetricForm(chart, sym_rows, box)
+    return SymmetricForm(chart, _symmetric(
+        chart.dim, lambda i, j: ex.as_expr(rows[i][j])), box)
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,7 @@ class TensorField:
     comps: tuple
 
     def component(self, *idx):
-        c = self.comps
-        for i in idx:
-            c = c[i]
-        return c
+        return _at(self.comps, idx)
 
     def flatten(self) -> dict:
         out = {}
@@ -100,53 +96,76 @@ class TensorField:
 
 
 # ---------------------------------------------------------------------------
+# the sum and table builders every tensor below goes through
+
+
+def _products(factor_tuples):
+    """The products of the factor tuples that hold no literal zero, in
+    order.  Their sum is the node of the dense sum: `mul` folds a zero
+    factor to ZERO and `add` drops it."""
+    return [ex.mul(*fs) for fs in factor_tuples if ex.ZERO not in fs]
+
+
+def _at(table, idx):
+    for i in idx:
+        table = table[i]
+    return table
+
+
+def _table(n, k, entry, idx=()):
+    """Nested tuples of depth k with entry(*idx) at idx, built in row-major
+    order."""
+    if len(idx) == k:
+        return entry(*idx)
+    return tuple(_table(n, k, entry, idx + (i,)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
 # symbolic inverse via adjugate / determinant with shared minors
 
 
-def _det_minors(rows, cols, row0, memo):
-    """Determinant of the submatrix on rows row0.. and the given column set."""
-    key = (row0, cols)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if len(cols) == 1:
-        out = rows[row0][cols[0]]
-    else:
-        terms = []
-        for k, j in enumerate(cols):
-            rest = cols[:k] + cols[k + 1:]
-            sub = _det_minors(rows, rest, row0 + 1, memo)
-            term = ex.mul(rows[row0][j], sub)
-            if k % 2:
-                term = ex.neg(term)
-            terms.append(term)
-        out = ex.add(*terms)
-    memo[key] = out
+def _minor(rows, rs, cs, memo):
+    """Determinant of the submatrix on the row indices rs and the column
+    indices cs, expanded along its first row; a zero entry's minor is never
+    built."""
+    key = (rs, cs)
+    out = memo.get(key)
+    if out is None:
+        if not cs:
+            out = ex.ONE
+        elif len(cs) == 1:
+            out = rows[rs[0]][cs[0]]
+        else:
+            terms = []
+            for k, j in enumerate(cs):
+                if rows[rs[0]][j] is ex.ZERO:
+                    continue
+                term = ex.mul(rows[rs[0]][j],
+                              _minor(rows, rs[1:], cs[:k] + cs[k + 1:], memo))
+                terms.append(ex.neg(term) if k % 2 else term)
+            out = ex.add(*terms)
+        memo[key] = out
     return out
 
 
 def symbolic_det(rows) -> ex.Expression:
-    n = len(rows)
-    return _det_minors(rows, tuple(range(n)), 0, {})
+    full = tuple(range(len(rows)))
+    return _minor(rows, full, full, {})
 
 
 def symbolic_inverse(rows):
-    """Inverse matrix entries as Div(cofactor, det) expression DAGs."""
-    n = len(rows)
-    det = symbolic_det(rows)
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub_rows = [[rows[r][c] for c in range(n) if c != i]
-                        for r in range(n) if r != j]
-            if n == 1:
-                cof = ex.ONE
-            else:
-                cof = _det_minors(sub_rows, tuple(range(n - 1)), 0, {})
-            if (i + j) % 2:
-                cof = ex.neg(cof)
-            inv[i][j] = ex.div(cof, det)
-    return tuple(tuple(r) for r in inv), det
+    """Inverse matrix entries as Div(cofactor, det) expression DAGs; the
+    determinant and all cofactors share one memo of minors."""
+    full = tuple(range(len(rows)))
+    memo = {}
+    det = _minor(rows, full, full, memo)
+
+    def entry(i, j):
+        cof = _minor(rows, full[:j] + full[j + 1:], full[:i] + full[i + 1:],
+                     memo)
+        return ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
+
+    return _table(len(rows), 2, entry), det
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +179,27 @@ def connection_curvature(chart: Chart, gamma):
     holds for every torsion-free connection."""
     n = chart.dim
     coords = chart.coords
-    dgamma = [[[[ex.differentiate(gamma[a][i][j], coords[c]) for c in range(n)]
-                for j in range(n)] for i in range(n)] for a in range(n)]
+    dgamma = _table(n, 4, lambda a, i, j, c: ex.differentiate(gamma[a][i][j],
+                                                              coords[c]))
 
     def component(a, b, c, dd):
-        terms = [dgamma[a][dd][b][c], ex.neg(dgamma[a][c][b][dd])]
-        for e in range(n):
-            terms.append(ex.mul(gamma[a][c][e], gamma[e][dd][b]))
-            terms.append(ex.mul(ex.MINUS_ONE, gamma[a][dd][e], gamma[e][c][b]))
-        return ex.add(*terms)
+        return ex.add(dgamma[a][dd][b][c], ex.neg(dgamma[a][c][b][dd]),
+                      *_products(f for e in range(n) for f in (
+                          (gamma[a][c][e], gamma[e][dd][b]),
+                          (ex.MINUS_ONE, gamma[a][dd][e], gamma[e][c][b]))))
 
-    out = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            rows = [[ex.ZERO] * n for _ in range(n)]
-            for c in range(n):
-                for dd in range(c + 1, n):
-                    r = component(a, b, c, dd)
-                    rows[c][dd], rows[dd][c] = r, ex.neg(r)
-            plane.append(tuple(tuple(r) for r in rows))
-        out.append(tuple(plane))
-    return tuple(out)
+    half = {}
+    for a, b, c, dd in itertools.product(range(n), repeat=4):
+        if c < dd:
+            r = component(a, b, c, dd)
+            half[a, b, c, dd] = (r, ex.neg(r))
+
+    def entry(a, b, c, dd):
+        if c == dd:
+            return ex.ZERO
+        return half[a, b, min(c, dd), max(c, dd)][c > dd]
+
+    return _table(n, 4, entry)
 
 
 def _riemann_symmetric(n, build):
@@ -198,28 +216,16 @@ def _riemann_symmetric(n, build):
     def entry(a, b, c, dd):
         if a == b or c == dd:
             return ex.ZERO
-        r, minus = comp[(min(a, b), max(a, b), min(c, dd), max(c, dd))]
-        return minus if (a > b) != (c > dd) else r
+        return comp[min(a, b), max(a, b), min(c, dd), max(c, dd)][
+            (a > b) != (c > dd)]
 
-    return tuple(tuple(tuple(tuple(entry(a, b, c, dd) for dd in range(n))
-                             for c in range(n)) for b in range(n))
-                 for a in range(n))
+    return _table(n, 4, entry)
 
 
 def ricci_from_riemann(riem, n):
     """R_bd = R^a_bad."""
-    return tuple(tuple(ex.add(*[riem[a][b][a][dd] for a in range(n)])
-                       for dd in range(n)) for b in range(n))
-
-
-def _symmetric(n, component):
-    """An n x n symmetric table: component(i, j) built for i <= j only, the
-    same node at (j, i)."""
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = component(i, j)
-    return tuple(map(tuple, rows))
+    return _table(n, 2, lambda b, dd: ex.add(*[riem[a][b][a][dd]
+                                               for a in range(n)]))
 
 
 class CurvaturePackage:
@@ -259,16 +265,10 @@ class CurvaturePackage:
     @cached_property
     def christoffel(self):
         """Gamma^a_ij, built for i <= j and shared with Gamma^a_ji."""
-        n = self.n
-        ginv = self.inverse
-        gam = []
-        for a in range(n):
-            plane = [[None] * n for _ in range(n)]
-            for (i, j), inner in self.brackets.items():
-                plane[i][j] = plane[j][i] = ex.mul(ex.HALF, ex.add(
-                    *[ex.mul(ginv[a][dd], inner[dd]) for dd in range(n)]))
-            gam.append(tuple(tuple(r) for r in plane))
-        return tuple(gam)
+        n, ginv, br = self.n, self.inverse, self.brackets
+        return tuple(_symmetric(n, lambda i, j, a=a: ex.mul(ex.HALF, ex.add(
+            *_products((ginv[a][f], br[i, j][f]) for f in range(n)))))
+            for a in range(n))
 
     @cached_property
     def riemann_up(self):
@@ -284,10 +284,9 @@ class CurvaturePackage:
         def d2(u, v, i, j):  # d_u d_v g_ij
             return ex.differentiate(dg[v][i][j], coords[u])
 
-        def quad(i, j, a, c):  # the nonzero terms of sum_f [ij, f] Gamma^f_ac
+        def quad(i, j, a, c):  # the terms of sum_f [ij, f] Gamma^f_ac
             inner = br[min(i, j), max(i, j)]
-            return [ex.mul(inner[f], gam[f][a][c]) for f in range(n)
-                    if inner[f] is not ex.ZERO and gam[f][a][c] is not ex.ZERO]
+            return _products((inner[f], gam[f][a][c]) for f in range(n))
 
         def component(a, b, c, dd):
             return ex.mul(ex.HALF, ex.add(
@@ -302,22 +301,13 @@ class CurvaturePackage:
         """R_bd = g^ac R_abcd, built for b <= d and shared with R_db (the
         Levi-Civita Ricci tensor is symmetric)."""
         n, ginv, low = self.n, self.inverse, self.riemann_low
-
-        def component(b, dd):
-            return ex.add(*[ex.mul(ginv[a][c], low[a][b][c][dd])
-                            for a in range(n) for c in range(n)
-                            if ginv[a][c] is not ex.ZERO
-                            and low[a][b][c][dd] is not ex.ZERO])
-
-        return _symmetric(n, component)
+        return _symmetric(n, lambda b, dd: ex.add(*_products(
+            (ginv[a][c], low[a][b][c][dd])
+            for a in range(n) for c in range(n))))
 
     @cached_property
     def scalar(self):
-        n = self.n
-        ginv = self.inverse
-        ric = self.ricci
-        return ex.add(*[ex.mul(ginv[b][dd], ric[b][dd])
-                        for b in range(n) for dd in range(n)])
+        return _trace(self.inverse, self.ricci, self.n)
 
     @cached_property
     def schouten(self):
@@ -354,30 +344,32 @@ class CurvaturePackage:
         """grad_k t_ij for a (0,2) tensor."""
         n, coords = self.n, self.chart.coords
         gam = self.christoffel
-        out = []
-        for k in range(n):
-            plane = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    terms = [ex.differentiate(t[i][j], coords[k])]
-                    for l in range(n):
-                        terms.append(ex.neg(ex.mul(gam[l][k][i], t[l][j])))
-                        terms.append(ex.neg(ex.mul(gam[l][k][j], t[i][l])))
-                    row.append(ex.add(*terms))
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
+        return _table(n, 3, lambda k, i, j: ex.add(
+            ex.differentiate(t[i][j], coords[k]),
+            *map(ex.neg, _products(f for l in range(n) for f in (
+                (gam[l][k][i], t[l][j]), (gam[l][k][j], t[i][l]))))))
 
     @cached_property
     def cotton(self):
         if self.n != 3:
             raise MetricError("Cotton tensor implemented in dimension 3 only")
-        n = self.n
         ds = self.covariant_derivative_02(self.schouten)
-        return tuple(tuple(tuple(
-            ex.add(ds[k][i][j], ex.neg(ds[j][i][k]))
-            for k in range(n)) for j in range(n)) for i in range(n))
+        return _table(self.n, 3, lambda i, j, k: ex.add(ds[k][i][j],
+                                                        ex.neg(ds[j][i][k])))
+
+
+def _trace(ginv, t, n):
+    """g^bd t_bd."""
+    return ex.add(*_products((ginv[b][dd], t[b][dd])
+                             for b in range(n) for dd in range(n)))
+
+
+def _trace_free(g: SymmetricForm, ric, scalar) -> TensorField:
+    """Ric - (R/n) g."""
+    n, rows = g.dim, g.rows
+    r_over = ex.div(scalar, ex.num(n))
+    return TensorField(g.chart, "ll", _table(n, 2, lambda i, j: ex.add(
+        ric[i][j], ex.neg(ex.mul(r_over, rows[i][j])))))
 
 
 def curvature_package(g: SymmetricForm) -> CurvaturePackage:
@@ -404,47 +396,19 @@ def weyl_square(g: SymmetricForm) -> ex.Expression:
     ginv = pkg.inverse
     low = pkg.weyl_low
 
-    cur = low
-    for pos in range(4):
-        out = []
-        for a in range(n):
-            pb = []
-            for b in range(n):
-                pc = []
-                for c in range(n):
-                    row = []
-                    for dd in range(n):
-                        idx = [a, b, c, dd]
-                        terms = []
-                        for e in range(n):
-                            src = idx.copy()
-                            src[pos] = e
-                            comp = cur[src[0]][src[1]][src[2]][src[3]]
-                            terms.append(ex.mul(ginv[idx[pos]][e], comp))
-                        row.append(ex.add(*terms))
-                    pc.append(tuple(row))
-                pb.append(tuple(pc))
-            out.append(tuple(pb))
-        cur = tuple(out)
-
-    terms = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for dd in range(n):
-                    terms.append(ex.mul(cur[a][b][c][dd], low[a][b][c][dd]))
-    return ex.add(*terms)
+    up = low
+    for pos in range(4):  # raise the index at pos of the table t
+        up = _table(n, 4, lambda *idx, t=up, pos=pos: ex.add(*_products(
+            (ginv[idx[pos]][e], _at(t, idx[:pos] + (e,) + idx[pos + 1:]))
+            for e in range(n))))
+    return ex.add(*_products((_at(up, idx), _at(low, idx))
+                             for idx in itertools.product(range(n), repeat=4)))
 
 
 def einstein_residual(g: SymmetricForm) -> TensorField:
     """Trace-adjusted Ricci: Ric - (R/n) g."""
     pkg = CurvaturePackage(g)
-    n = g.dim
-    r_over = ex.div(pkg.scalar, ex.num(n))
-    comps = tuple(tuple(
-        ex.add(pkg.ricci[i][j], ex.neg(ex.mul(r_over, g.rows[i][j])))
-        for j in range(n)) for i in range(n))
-    return TensorField(g.chart, "ll", comps)
+    return _trace_free(g, pkg.ricci, pkg.scalar)
 
 
 def weyl_connection_residual(g: SymmetricForm, nu: DifferentialForm) -> TensorField:
@@ -456,39 +420,18 @@ def weyl_connection_residual(g: SymmetricForm, nu: DifferentialForm) -> TensorFi
         raise MetricError("nu must be a 1-form on the metric chart")
     n = 3
     pkg = CurvaturePackage(g)
-    ginv = pkg.inverse
+    ginv, lc = pkg.inverse, pkg.christoffel
     nu_low = [nu.coeff((i,)) for i in range(n)]
-    nu_up = [ex.add(*[ex.mul(ginv[k][i], nu_low[i]) for i in range(n)])
+    nu_up = [ex.add(*_products((ginv[k][i], nu_low[i]) for i in range(n)))
              for k in range(n)]
-    lc = pkg.christoffel
-    gamma = []
-    for k in range(n):
-        plane = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                term = lc[k][i][j]
-                extra = []
-                if k == i:
-                    extra.append(nu_low[j])
-                if k == j:
-                    extra.append(nu_low[i])
-                extra.append(ex.neg(ex.mul(g.rows[i][j], nu_up[k])))
-                row.append(ex.add(term, ex.mul(ex.HALF, ex.add(*extra))))
-            plane.append(tuple(row))
-        gamma.append(tuple(plane))
-
-    riem = connection_curvature(g.chart, gamma)
-    ric = ricci_from_riemann(riem, n)
-    ric_sym = [[ex.mul(ex.HALF, ex.add(ric[i][j], ric[j][i]))
-                for j in range(n)] for i in range(n)]
-    scal = ex.add(*[ex.mul(ginv[i][j], ric_sym[i][j])
-                    for i in range(n) for j in range(n)])
-    r_over = ex.div(scal, ex.num(3))
-    comps = tuple(tuple(
-        ex.add(ric_sym[i][j], ex.neg(ex.mul(r_over, g.rows[i][j])))
-        for j in range(n)) for i in range(n))
-    return TensorField(g.chart, "ll", comps)
+    gamma = _table(n, 3, lambda k, i, j: ex.add(lc[k][i][j], ex.mul(
+        ex.HALF, ex.add(nu_low[j] if k == i else ex.ZERO,
+                        nu_low[i] if k == j else ex.ZERO,
+                        ex.neg(ex.mul(g.rows[i][j], nu_up[k]))))))
+    ric = ricci_from_riemann(connection_curvature(g.chart, gamma), n)
+    ric_sym = _table(n, 2, lambda i, j: ex.mul(ex.HALF,
+                                               ex.add(ric[i][j], ric[j][i])))
+    return _trace_free(g, ric_sym, _trace(ginv, ric_sym, n))
 
 
 def conformal_rescale(g: SymmetricForm, upsilon) -> SymmetricForm:
@@ -511,24 +454,14 @@ def frame_components(T: TensorField, coframe) -> TensorField:
     m = [[coframe[a].coeff((i,)) for i in range(n)] for a in range(n)]
     minv, _det = symbolic_inverse(m)
     # (m @ minv = 1) with m[a][i]: minv[i][a]
-    k = len(T.variance)
-    nonzero = list(T.nontrivial().items())
+    nonzero = T.nontrivial().items()
 
-    def convert(frame_idx):
-        terms = []
-        for coord_idx, comp in nonzero:
-            facts = [minv[coord_idx[r]][frame_idx[r]] for r in range(k)]
-            if any(f is ex.ZERO for f in facts):
-                continue
-            terms.append(ex.mul(*facts, comp))
-        return ex.add(*terms) if terms else ex.ZERO
+    def convert(*frame_idx):
+        return ex.add(*_products(
+            (*(minv[i][a] for i, a in zip(coord_idx, frame_idx)), comp)
+            for coord_idx, comp in nonzero))
 
-    def build(depth, prefix):
-        if depth == k:
-            return convert(prefix)
-        return tuple(build(depth + 1, prefix + (i,)) for i in range(n))
-
-    return TensorField(chart, T.variance, build(0, ()))
+    return TensorField(chart, T.variance, _table(n, len(T.variance), convert))
 
 
 # ---------------------------------------------------------------------------

@@ -1069,6 +1069,10 @@ def _is_negative_head(e: Expression) -> bool:
 
 
 def _frac_str(fr: Fraction):
+    if max(fr.numerator.bit_length(),
+           fr.denominator.bit_length()) > MAX_LITERAL_BITS:
+        raise OverflowError(f"a derived literal of more than "
+                            f"{MAX_LITERAL_BITS} bits is not printed")
     if fr.denominator == 1:
         return str(fr.numerator), _PREC_ATOM if fr >= 0 else _PREC_ADD
     return f"{fr.numerator}/{fr.denominator}", _PREC_MUL if fr >= 0 else _PREC_ADD

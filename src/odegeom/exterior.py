@@ -8,6 +8,7 @@ a b = (a (x) b + b (x) a) / 2, so [a]^2 means a (x) a.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import mpmath
@@ -187,18 +188,10 @@ def d(form: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(chart, form.degree + 1, out)
 
 
-def _merge_sign(a: tuple, b: tuple):
-    """Sign of sorting the concatenation of two increasing tuples, or None
-    on repeated indices."""
-    if set(a) & set(b):
-        return None, None
-    seq = a + b
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return tuple(sorted(seq)), (-1) ** inv
+def _perm_sign(seq) -> int:
+    """Sign of the permutation that sorts a sequence of distinct items."""
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -209,11 +202,11 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     out: dict = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
-            merged, sign = _merge_sign(ia, ib)
-            if merged is None:
+            if set(ia) & set(ib):
                 continue
+            merged = tuple(sorted(ia + ib))
             term = ex.mul(ca, cb)
-            if sign < 0:
+            if _perm_sign(ia + ib) < 0:
                 term = ex.neg(term)
             out[merged] = ex.add(out.get(merged, ex.ZERO), term)
     return DifferentialForm(a.chart, deg, out)
@@ -254,6 +247,16 @@ def lie_derivative_form(X: VectorField, form: DifferentialForm) -> DifferentialF
     return interior(X, d(form)) + exact_part
 
 
+def _symmetric(n, component):
+    """An n x n symmetric table: component(i, j) built for i <= j only, the
+    same node at (j, i)."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = component(i, j)
+    return tuple(map(tuple, rows))
+
+
 class SymmetricForm:
     """Symmetric bilinear form as a dense matrix of expressions; a metric
     carries the box its identities are sampled on."""
@@ -292,15 +295,8 @@ class SymmetricForm:
 
     def scaled(self, s) -> "SymmetricForm":
         s = ex.as_expr(s)
-        n = self.chart.dim
-        # preserve structural symmetry by scaling each independent slot once
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                v = ex.mul(s, self.rows[i][j])
-                out[i][j] = v
-                out[j][i] = v
-        return SymmetricForm(self.chart, out, self.box)
+        return SymmetricForm(self.chart, _symmetric(
+            self.dim, lambda i, j: ex.mul(s, self.rows[i][j])), self.box)
 
     def contract(self, X: VectorField) -> DifferentialForm:
         """1-form g(X, .)"""
@@ -329,16 +325,9 @@ def sym_product(a: DifferentialForm, b: DifferentialForm) -> SymmetricForm:
     _check_same_chart(a, b)
     if a.degree != 1 or b.degree != 1:
         raise ChartError("symmetric product needs 1-forms")
-    n = a.chart.dim
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ai, aj = a.coeff((i,)), a.coeff((j,))
-            bi, bj = b.coeff((i,)), b.coeff((j,))
-            v = ex.mul(ex.HALF, ex.add(ex.mul(ai, bj), ex.mul(aj, bi)))
-            out[i][j] = v
-            out[j][i] = v
-    return SymmetricForm(a.chart, out)
+    return SymmetricForm(a.chart, _symmetric(a.chart.dim, lambda i, j: ex.mul(
+        ex.HALF, ex.add(ex.mul(a.coeff((i,)), b.coeff((j,))),
+                        ex.mul(a.coeff((j,)), b.coeff((i,)))))))
 
 
 def sym_square(a: DifferentialForm) -> SymmetricForm:
@@ -353,23 +342,18 @@ def lie_derivative_symmetric(X: VectorField, g: SymmetricForm) -> SymmetricForm:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
     _check_same_chart(X, g)
     chart = g.chart
-    n = chart.dim
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            terms = [ex.mul(X.comps[k],
-                            ex.differentiate(g.rows[i][j], chart.coords[k]))
-                     for k in range(n)]
-            terms += [ex.mul(g.rows[k][j],
-                             ex.differentiate(X.comps[k], chart.coords[i]))
-                      for k in range(n)]
-            terms += [ex.mul(g.rows[i][k],
-                             ex.differentiate(X.comps[k], chart.coords[j]))
-                      for k in range(n)]
-            v = ex.add(*terms)
-            out[i][j] = v
-            out[j][i] = v
-    return SymmetricForm(chart, out)
+    n, x = chart.dim, chart.coords
+
+    def component(i, j):
+        return ex.add(
+            *[ex.mul(X.comps[k], ex.differentiate(g.rows[i][j], x[k]))
+              for k in range(n)],
+            *[ex.mul(g.rows[k][j], ex.differentiate(X.comps[k], x[i]))
+              for k in range(n)],
+            *[ex.mul(g.rows[i][k], ex.differentiate(X.comps[k], x[j]))
+              for k in range(n)])
+
+    return SymmetricForm(chart, _symmetric(n, component))
 
 
 def lie_derivative(X: VectorField, T):

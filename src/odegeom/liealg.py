@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exterior import _perm_sign
+
 
 class Q3:
     """a + b*sqrt(3) with exact rational a, b."""
@@ -401,12 +403,6 @@ def _add_three_form(acc, idx, coeff):
         return
     key = tuple(sorted(idx))
     acc[key] = acc.get(key, Q3()) + (coeff if _perm_sign(idx) > 0 else -coeff)
-
-
-def _perm_sign(seq) -> int:
-    """Sign of the permutation that sorts a sequence of distinct items."""
-    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
-    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,22 @@ def test_huge_derived_literal_is_a_usage_error(capsys):
     assert "bits" in err and "Traceback" not in err
 
 
+def test_derived_literal_too_long_to_print_is_a_usage_error(capsys):
+    # the formula parses; the report would print 2^8001, a literal of more
+    # than MAX_LITERAL_BITS bits
+    status, _, err = run_cli(["ode3", "classify", "--F", "(2^4000*q)^2"],
+                             capsys)
+    assert status == 2
+    assert "bits is not printed" in err
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+    # every literal that is printed reads back
+    largest = ex.num(Fraction(1, 2 ** ex.MAX_LITERAL_BITS - 1))
+    assert ex.parse(ex.to_str(largest)) is largest
+    for v in (2 ** ex.MAX_LITERAL_BITS, Fraction(1, -2 ** ex.MAX_LITERAL_BITS)):
+        with pytest.raises(OverflowError, match="not printed"):
+            ex.to_str(ex.num(v))
+
+
 def test_root_of_a_huge_literal_folds_in_integers(capsys):
     # 10^400 is past the range of a float: the root is found in integers
     status, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from odegeom.curvature import (
     weyl_connection_residual, weyl_square,
 )
 from odegeom.exterior import Chart, DifferentialForm, d_coord, one_form
-from odegeom.monge import example6_coframe, frame_metric
+from odegeom.monge import example6_coframe, example6_metric, frame_metric
 from odegeom.ode2 import fefferman_metric, second_order
 from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
 
@@ -644,3 +645,135 @@ def test_frame_components_match_reference_node_for_node():
         want = reference_frame_components(T, cf)
         assert got.keys() == want.keys()
         assert all(got[idx] is want[idx] for idx in want)
+
+
+# --- sparse sums and shared minors against the dense loops they replaced ------
+#
+# The dense loops multiplied literal-zero factors in and gave every cofactor
+# of the inverse a fresh memo; `mul` folds a zero factor to ZERO and `add`
+# drops it, so the sparse sums must give the very same nodes.
+
+def dense_det_minors(rows, cols, row0, memo):
+    key = (row0, cols)
+    if key not in memo:
+        if len(cols) == 1:
+            memo[key] = rows[row0][cols[0]]
+        else:
+            terms = []
+            for k, j in enumerate(cols):
+                rest = cols[:k] + cols[k + 1:]
+                term = ex.mul(rows[row0][j],
+                              dense_det_minors(rows, rest, row0 + 1, memo))
+                terms.append(ex.neg(term) if k % 2 else term)
+            memo[key] = ex.add(*terms)
+    return memo[key]
+
+
+def dense_inverse(rows):
+    n = len(rows)
+    det = dense_det_minors(rows, tuple(range(n)), 0, {})
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub_rows = [[rows[r][c] for c in range(n) if c != i]
+                        for r in range(n) if r != j]
+            cof = ex.ONE if n == 1 else dense_det_minors(
+                sub_rows, tuple(range(n - 1)), 0, {})
+            inv[i][j] = ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
+    return inv, det
+
+
+def dense_christoffel(pkg):
+    n, ginv = pkg.n, pkg.inverse
+    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for (i, j), inner in pkg.brackets.items():
+            gam[a][i][j] = gam[a][j][i] = ex.mul(ex.HALF, ex.add(
+                *[ex.mul(ginv[a][dd], inner[dd]) for dd in range(n)]))
+    return gam
+
+
+def dense_scalar(pkg):
+    n, ginv, ric = pkg.n, pkg.inverse, pkg.ricci
+    return ex.add(*[ex.mul(ginv[b][dd], ric[b][dd])
+                    for b in range(n) for dd in range(n)])
+
+
+def dense_covariant_derivative_02(pkg, t):
+    n, coords, gam = pkg.n, pkg.chart.coords, pkg.christoffel
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                terms = [ex.differentiate(t[i][j], coords[k])]
+                for l in range(n):
+                    terms.append(ex.neg(ex.mul(gam[l][k][i], t[l][j])))
+                    terms.append(ex.neg(ex.mul(gam[l][k][j], t[i][l])))
+                out[k][i][j] = ex.add(*terms)
+    return out
+
+
+def dense_weyl_square(pkg):
+    n, ginv, low = pkg.n, pkg.inverse, pkg.weyl_low
+    cur = low
+    for pos in range(4):
+        out = [[[[None] * n for _ in range(n)] for _ in range(n)]
+               for _ in range(n)]
+        for idx in itertools.product(range(n), repeat=4):
+            terms = []
+            for e in range(n):
+                src = list(idx)
+                src[pos] = e
+                terms.append(ex.mul(ginv[idx[pos]][e],
+                                    cur[src[0]][src[1]][src[2]][src[3]]))
+            a, b, c, dd = idx
+            out[a][b][c][dd] = ex.add(*terms)
+        cur = out
+    return ex.add(*[ex.mul(cur[a][b][c][dd], low[a][b][c][dd])
+                    for a, b, c, dd in itertools.product(range(n), repeat=4)])
+
+
+def assert_same_nodes(got, want):
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_nodes(g, w)
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fefferman_metric(second_order("p^4")),
+    nonflat_4metric,
+    frame_metric_cubic,
+    lambda: example6_metric(ex.parse("q^3/6")),
+], ids=["fefferman-p4", "nonflat-4metric", "frame-metric-q3",
+        "example6-q3"])
+def test_sparse_sums_match_dense_reference_node_for_node(make):
+    g = make()
+    pkg = curvature_package(g)
+    inv, det = dense_inverse(g.rows)
+    assert_same_nodes(pkg.inverse, inv)
+    assert pkg.det is det
+    assert_same_nodes(pkg.christoffel, dense_christoffel(pkg))
+    assert pkg.scalar is dense_scalar(pkg)
+    assert_same_nodes(pkg.covariant_derivative_02(pkg.schouten),
+                      dense_covariant_derivative_02(pkg, pkg.schouten))
+    assert weyl_square(g) is dense_weyl_square(pkg)
+
+
+def test_inverse_builds_no_minor_of_a_zero_entry():
+    a, b, c, dd, e, f, h, k, x, y, z, w = (
+        ex.sym(f"zm_{s}") for s in "abcdefhkxyzw")
+    rows = ((ex.ZERO, ex.ZERO, a, b), (ex.ZERO, ex.ZERO, c, dd),
+            (e, f, x, y), (h, k, z, w))
+    # only the zero entries of rows 0 and 1 multiply the minor on rows 2, 3
+    # and columns 2, 3, so its product x*w is never formed
+    key = ex._key_of(ex.MUL, None, (x, w))
+    inv, det = symbolic_inverse(rows)
+    assert key not in ex._intern
+    dense_inv, dense_det = dense_inverse(rows)
+    assert key in ex._intern
+    assert_same_nodes(inv, dense_inv)
+    assert det is dense_det
+    assert symbolic_det(rows) is det
