@@ -9,7 +9,8 @@ randomized evaluation (modulo a prime, or at floating sample points), not by
 rewriting.
 
 Node kinds:
-  num   exact Fraction (or float literal)
+  num   exact rational, an int when integral and a Fraction otherwise (or
+        a float literal)
   sym   named scalar (coordinate or parameter)
   fam   indexed symbol family f_k whose derivative in the family variable is
         f_{k+1} (w_k in t for arbitrary-function slots, Ups_k in q for
@@ -52,6 +53,8 @@ _FAMILY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)_([0-9]+)$")
 
 # denominators under this magnitude count as a domain violation
 DIV_FLOOR = 1e-120
+# the types of an exact num payload: int when integral, else Fraction
+RATIONAL = (int, Fraction)
 
 
 class ExprError(Exception):
@@ -159,21 +162,15 @@ def _node(kind, payload, args):
 
 
 def as_expr(v) -> Expression:
-    if isinstance(v, Expression):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return num(v)
-    if isinstance(v, float):
-        return num(v)
-    raise TypeError(f"cannot coerce {v!r} to Expression")
+    return v if isinstance(v, Expression) else num(v)
 
 
 def num(v) -> Expression:
-    if isinstance(v, bool):
-        raise TypeError("bool is not a number")
-    if isinstance(v, int):
-        v = Fraction(v)
-    if not isinstance(v, (Fraction, float)):
+    """The literal v; an integral Fraction is stored as its numerator."""
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            v = v.numerator
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"bad numeric payload {v!r}")
     return _node(NUM, v, ())
 
@@ -262,7 +259,7 @@ def div(a, b) -> Expression:
     if b.kind == NUM:
         if b.payload == 0:
             raise ZeroDivisionError("literal division by zero")
-        if isinstance(b.payload, Fraction):
+        if isinstance(b.payload, RATIONAL):
             return mul(num(Fraction(1) / b.payload), a)
         return mul(num(1.0 / b.payload), a)
     if a.is_zero_literal:
@@ -285,8 +282,8 @@ def _iroot(n: int, root: int) -> int:
         x = y
 
 
-def _exact_root(fr: Fraction, root: int):
-    """Integer `root`-th root of a Fraction, or None."""
+def _exact_root(fr, root: int):
+    """Integer `root`-th root of an int or Fraction, or None."""
     if fr < 0:
         return None
     rn = _iroot(fr.numerator, root)
@@ -296,27 +293,27 @@ def _exact_root(fr: Fraction, root: int):
     return Fraction(rn, rd)
 
 
-def _fold_power(b: Fraction, n: int) -> Expression:
-    """The literal b^n, refused with an OverflowError when it would need
-    more than MAX_LITERAL_BITS bits."""
+def _fold_power(b, n: int) -> Expression:
+    """The literal b^n of an int or Fraction b, refused with an OverflowError
+    when it would need more than MAX_LITERAL_BITS bits."""
     if b == 0 and n < 0:
         raise ZeroDivisionError("0 raised to a negative power")
     if b and abs(n) * math.log2(max(abs(b.numerator), b.denominator)) \
             > MAX_LITERAL_BITS:
         raise OverflowError(
             f"literal power larger than {MAX_LITERAL_BITS} bits")
-    return num(b ** n)
+    return num(Fraction(b) ** n)  # an int to a negative power is a float
 
 
 def pow_(base, exponent) -> Expression:
     base, exponent = as_expr(base), as_expr(exponent)
-    if exponent.kind == NUM and isinstance(exponent.payload, Fraction):
+    if exponent.kind == NUM and isinstance(exponent.payload, RATIONAL):
         e = exponent.payload
         if e == 0:
             return ONE
         if e == 1:
             return base
-        if base.kind == NUM and isinstance(base.payload, Fraction):
+        if base.kind == NUM and isinstance(base.payload, RATIONAL):
             b = base.payload
             if e.denominator == 1:
                 return _fold_power(b, e.numerator)
@@ -500,24 +497,26 @@ def contains_antiderivative(e: Expression) -> bool:
 # slots.  Each instruction is (f, dst, a, b) and runs as
 # slots[dst] = f(slots[a], slots[b], prec, rnd), with f an mpmath.libmp
 # function on raw mpf tuples at the context's precision and rounding; exact
-# evaluation swaps each f for its Fraction counterpart, and `Tape.modular`
-# for its counterpart modulo a prime.  An n-ary add or mul
-# folds left to right into binary steps, as mpf operators would.
+# evaluation swaps each f for its Fraction counterpart (an int or Fraction
+# leaf enters as a Fraction), and `Tape.modular` for its counterpart modulo
+# a prime.  An n-ary add or mul folds left to right into binary steps, as
+# mpf operators would.
 
 _DIV_FLOOR_MPF = from_float(DIV_FLOOR)
 
 
 def is_integer_literal(n: Expression) -> bool:
     """Whether n is an exact integer num node."""
-    return (n.kind == NUM and isinstance(n.payload, Fraction)
-            and n.payload.denominator == 1)
+    return n.kind == NUM and type(n.payload) is int
 
 
 def _mpf_leaf(v, prec, rnd):
-    """The raw value of mpmath.mpf(v) at (prec, rnd); a Fraction is its
-    numerator divided by its denominator."""
+    """The raw value of mpmath.mpf(v) at (prec, rnd); an int is rounded
+    once, a Fraction is its numerator divided by its denominator."""
     if type(v) is float:
         return mpf_pos(from_float(v), prec, rnd)
+    if type(v) is int:
+        return from_int(v, prec, rnd)
     if isinstance(v, Fraction):
         return mpf_div(mpf_pos(from_int(v.numerator), prec, rnd),
                        mpf_pos(from_int(v.denominator), prec, rnd), prec, rnd)
@@ -560,9 +559,9 @@ def _antiderivative(*_):
 
 
 def _exact_num(v):
-    if not isinstance(v, Fraction):
+    if not isinstance(v, RATIONAL):
         raise EvalError("float literal in exact evaluation")
-    return v
+    return Fraction(v)  # so that `_q_div` of two int literals stays exact
 
 
 def _q_div(a, b, prec, rnd):
@@ -729,7 +728,7 @@ class Tape:
 
         `positive`, when given, holds the slots of values the caller knows
         to be positive.  A power m/2 of a base b in one of them, or of a
-        positive Fraction constant, is s^m for a root s adjoined with
+        positive int or Fraction constant, is s^m for a root s adjoined with
         s^2 = b: the values that depend on such roots are elements of
         F_p[s_1..s_k]/(s_i^2 - b_i), k <= MAX_ROOTS, and the others stay
         residues.  Any other denominator on such a base, a base that holds
@@ -751,13 +750,13 @@ class Tape:
             need.add(b)
             if f is _mpf_pow:
                 e = consts.get(b)
-                if not isinstance(e, Fraction):
+                if not isinstance(e, RATIONAL):
                     return None
                 if a in syms:
                     root[syms[a]] = math.lcm(root.get(syms[a], 1),
                                              e.denominator)
                 elif positive is None or e.denominator != 2 or not (
-                        a in positive or isinstance(consts.get(a), Fraction)
+                        a in positive or isinstance(consts.get(a), RATIONAL)
                         and consts[a] > 0):
                     return None
             elif f not in _MODULAR and f is not _mpf_powi:  # exp, log, Int
@@ -1007,7 +1006,8 @@ class ModularTape:
         a value that carries adjoined roots the tuple of its coordinates,
         or 0 when every coordinate is.  Raises DomainError on a division by
         zero, a Fraction constant with P in its denominator and a ring
-        element of zero norm included."""
+        element of zero norm included.  An int or Fraction constant enters
+        as its numerator over its denominator."""
         slots = [None] * self.size
         for i, k in self.ints:
             slots[i] = k
@@ -1068,7 +1068,7 @@ def _is_negative_head(e: Expression) -> bool:
     return False
 
 
-def _frac_str(fr: Fraction):
+def _frac_str(fr):  # an int or a Fraction
     if max(fr.numerator.bit_length(),
            fr.denominator.bit_length()) > MAX_LITERAL_BITS:
         raise OverflowError(f"a derived literal of more than "
@@ -1106,7 +1106,7 @@ def _template(e: Expression, prec: dict):
         return ["(", a, ")"] if cond else [a]
 
     if k == NUM:
-        if isinstance(e.payload, Fraction):
+        if isinstance(e.payload, RATIONAL):
             txt, p = _frac_str(e.payload)
             return [txt], p
         return [repr(e.payload)], _PREC_ATOM if e.payload >= 0 else _PREC_ADD
@@ -1135,8 +1135,7 @@ def _template(e: Expression, prec: dict):
         return ["sqrt(", args[0], ")"], _PREC_ATOM
     if k == POW:
         b, x = args
-        exp_atom = (x.kind == NUM and isinstance(x.payload, Fraction)
-                    and x.payload.denominator == 1 and x.payload >= 0) \
+        exp_atom = is_integer_literal(x) and x.payload >= 0 \
             or x.kind in (SYM, FAM)
         return (wrapped(b, prec[b] < _PREC_ATOM) + ["^"]
                 + wrapped(x, not exp_atom)), _PREC_POW
@@ -1192,7 +1191,7 @@ def _bounded(e: Expression) -> Expression:
     MAX_LITERAL_BITS bits, or a sum or product led by one (where `add` and
     `mul` fold their numbers)."""
     c = e.args[0] if e.kind in (ADD, MUL) else e
-    if c.kind == NUM and isinstance(c.payload, Fraction) and max(
+    if c.kind == NUM and isinstance(c.payload, RATIONAL) and max(
             c.payload.numerator.bit_length(),
             c.payload.denominator.bit_length()) > MAX_LITERAL_BITS:
         raise OverflowError(f"literal larger than {MAX_LITERAL_BITS} bits")

@@ -1,10 +1,10 @@
 """Randomized zero-testing of expressions over sampling boxes.
 
-An expression built from + - * /, integer powers, Fraction constants,
-fractional powers of bare symbols and half-integer powers of positive
-compound or constant bases is first tested exactly: it is an exact zero
-when it vanishes modulo a random prime at two independent points, in
-every coordinate over the square roots it adjoins.  An
+An expression built from + - * /, integer powers, int or Fraction
+constants, fractional powers of bare symbols and half-integer powers of
+positive compound or constant bases is first tested exactly: it is an
+exact zero when it vanishes modulo a random prime at two independent
+points, in every coordinate over the square roots it adjoins.  An
 expression that does not is sampled: it is declared identically zero on the
 box when, at every sampled point, |value| <= tol * (1 + S) where S is the
 term-magnitude scale: the sum of the absolute values of the expression's
