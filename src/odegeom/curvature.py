@@ -16,11 +16,15 @@ conventions, fixed once for the whole package:
     Schouten S = (Ric - R g / (2(n-1))) / (n-2)
     Weyl_abcd  = R_abcd - (g_ac S_bd - g_ad S_bc + g_bd S_ac - g_bc S_ad)
     Cotton_ijk = grad_k S_ij - grad_j S_ik
+    C^abcd C_abcd = 4 tr((G W)^2) over the index pairs A = (a, b), a < b,
+              W_AB = Weyl_abcd, G^AB = g^ac g^bd - g^ad g^bc
 
 For the Levi-Civita connection R_abcd and R_bd are built by the second form
 of each, from the metric (Misner, Thorne and Wheeler, Gravitation, 1973),
 and R^a_bcd is not built; `connection_curvature` and `ricci_from_riemann`
-take the first form for the Weyl connection.
+take the first form for the Weyl connection.  A tensor with the symmetries
+of R_abcd (Singer and Thorpe, 1969: a symmetric map of bivectors) is built,
+contracted and converted to a frame on its independent components only.
 """
 
 from __future__ import annotations
@@ -59,19 +63,8 @@ class TensorField:
         return _at(self.comps, idx)
 
     def flatten(self) -> dict:
-        out = {}
-        n = self.chart.dim
-        k = len(self.variance)
-
-        def go(prefix, c, depth):
-            if depth == k:
-                out[prefix] = c
-                return
-            for i in range(n):
-                go(prefix + (i,), c[i], depth + 1)
-
-        go((), self.comps, 0)
-        return out
+        return {idx: _at(self.comps, idx) for idx in itertools.product(
+            range(self.chart.dim), repeat=len(self.variance))}
 
     def nontrivial(self) -> dict:
         return {idx: c for idx, c in self.flatten().items()
@@ -389,20 +382,23 @@ def cotton3(g: SymmetricForm) -> TensorField:
 
 
 def weyl_square(g: SymmetricForm) -> ex.Expression:
-    """Full contraction C^abcd C_abcd, with indices raised one at a time to
-    keep the expression DAG polynomial in size."""
+    """Full contraction C^abcd C_abcd = 4 tr((G W)^2) over the N = n(n-1)/2
+    index pairs a < b (G and W as in the module docstring)."""
     pkg = CurvaturePackage(g)
-    n = g.dim
-    ginv = pkg.inverse
-    low = pkg.weyl_low
+    ginv, low = pkg.inverse, pkg.weyl_low
+    pairs = [(a, b) for a in range(g.dim) for b in range(a + 1, g.dim)]
+    N = len(pairs)
 
-    up = low
-    for pos in range(4):  # raise the index at pos of the table t
-        up = _table(n, 4, lambda *idx, t=up, pos=pos: ex.add(*_products(
-            (ginv[idx[pos]][e], _at(t, idx[:pos] + (e,) + idx[pos + 1:]))
-            for e in range(n))))
-    return ex.add(*_products((_at(up, idx), _at(low, idx))
-                             for idx in itertools.product(range(n), repeat=4)))
+    def bivector(i, j):  # G^AB for A = pairs[i], B = pairs[j]
+        (a, b), (c, dd) = pairs[i], pairs[j]
+        return ex.add(*_products(((ginv[a][c], ginv[b][dd]), (
+            ex.MINUS_ONE, ginv[a][dd], ginv[b][c]))))
+
+    G = _symmetric(N, bivector)
+    gw = _table(N, 2, lambda i, j: ex.add(*_products(
+        (G[i][k], _at(low, pairs[k] + pairs[j])) for k in range(N))))
+    return ex.add(*_products((ex.num(4), gw[i][j], gw[j][i])
+                             for i in range(N) for j in range(N)))
 
 
 def einstein_residual(g: SymmetricForm) -> TensorField:
@@ -444,6 +440,8 @@ def frame_components(T: TensorField, coframe) -> TensorField:
 
     coframe is a list of 1-forms theta^a = M^a_i dx^i; the dual frame is
     X_a = (M^{-1})^i_a d_i and T_{a...} = sum (M^{-1})^{i}_{a} ... T_{i...}.
+    A 4-index tensor must have the symmetries of R_abcd; its frame components
+    share them, and only a < b, c < d, (a, b) <= (c, d) are converted.
     """
     chart = T.chart
     n = chart.dim
@@ -451,6 +449,10 @@ def frame_components(T: TensorField, coframe) -> TensorField:
         raise MetricError("frame conversion implemented for all-lower tensors")
     if len(coframe) != n:
         raise MetricError("coframe size must match chart dimension")
+    rank = len(T.variance)
+    if rank == 4 and _riemann_symmetric(n, T.component) != T.comps:
+        raise MetricError("frame conversion of a 4-index tensor needs the "
+                          "symmetries of the Riemann tensor")
     m = [[coframe[a].coeff((i,)) for i in range(n)] for a in range(n)]
     minv, _det = symbolic_inverse(m)
     # (m @ minv = 1) with m[a][i]: minv[i][a]
@@ -461,23 +463,20 @@ def frame_components(T: TensorField, coframe) -> TensorField:
             (*(minv[i][a] for i, a in zip(coord_idx, frame_idx)), comp)
             for coord_idx, comp in nonzero))
 
-    return TensorField(chart, T.variance, _table(n, len(T.variance), convert))
+    comps = _riemann_symmetric(n, convert) if rank == 4 \
+        else _table(n, rank, convert)
+    return TensorField(chart, T.variance, comps)
 
 
 # ---------------------------------------------------------------------------
 # numeric probes
 
 
-def evaluate_matrix(rows, point, dps):
-    with mpmath.workdps(dps):
-        values = iter(ex.Tape([c for row in rows for c in row]).values(point))
-        return np.array([[float(next(values)) for _ in row] for row in rows],
-                        dtype=float)
-
-
 def signature_at(g: SymmetricForm, point, dps: int = 30, zero_tol=1e-9):
     """Inertia (pos, neg, zero) of the metric matrix at a point."""
-    mat = evaluate_matrix(g.rows, point, dps)
+    with mpmath.workdps(dps):
+        values = ex.Tape([c for row in g.rows for c in row]).values(point)
+        mat = np.array([float(v) for v in values]).reshape(g.dim, g.dim)
     eigs = np.linalg.eigvalsh(mat)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     pos = int(np.sum(eigs > zero_tol * scale))
@@ -485,14 +484,15 @@ def signature_at(g: SymmetricForm, point, dps: int = 30, zero_tol=1e-9):
     return pos, neg, len(eigs) - pos - neg
 
 
-def tensor_zero_exprs(T: TensorField, prefix="") -> dict:
-    """Named components for zero-testing, one per distinct node: a literal
-    zero, a node already named or the negative of one is left out, since it
-    vanishes exactly when that node does."""
+def tensor_zero_exprs(T: TensorField, prefix="", skip=frozenset()) -> dict:
+    """Named components for zero-testing, one per distinct node outside the
+    index tuples in `skip`: a literal zero, a node already named or the
+    negative of one is left out, since it vanishes exactly when that node
+    does."""
     out = {}
     seen = set()
     for idx, c in T.flatten().items():
-        if c.is_zero_literal or c in seen:
+        if idx in skip or c.is_zero_literal or c in seen:
             continue
         seen.add(c)
         seen.add(ex.neg(c))

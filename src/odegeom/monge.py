@@ -18,7 +18,7 @@ import mpmath
 from . import expr as ex
 from .config import RunConfig
 from .curvature import (TensorField, conformal_rescale, einstein_residual,
-                        frame_components, weyl)
+                        frame_components, tensor_zero_exprs, weyl)
 from .exterior import (MONGE2, Equation, SymmetricForm, d_coord, equation,
                        sym_product, sym_square, total_derivative)
 from .ode3 import InvariantReport
@@ -705,11 +705,7 @@ def weyl_frame_pattern_check(F: ex.Expression, bx: DomainBox | None = None,
     frame = frame_components(W, list(cf["alpha"]))
     allowed = allowed_frame_pattern(scalars)
 
-    named_outside = {}
-    for idx, c in frame.flatten().items():
-        if idx in allowed or c.is_zero_literal:
-            continue
-        named_outside[f"out{''.join(map(str, idx))}"] = c
+    named_outside = tensor_zero_exprs(frame, "out", skip=allowed)
     checks = {}
     if named_outside:
         outside = combined_verdict(is_zero_many(named_outside, bx, cfg))

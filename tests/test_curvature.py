@@ -9,7 +9,7 @@ import pytest
 from odegeom import expr as ex
 from odegeom.config import RunConfig
 from odegeom.curvature import (
-    CurvaturePackage, TensorField, conformal_rescale, cotton3,
+    CurvaturePackage, MetricError, TensorField, conformal_rescale, cotton3,
     curvature_package, einstein_residual, frame_components, metric_from_rows,
     signature_at, symbolic_det, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,
@@ -630,21 +630,73 @@ def reference_frame_components(T, coframe):
     return {idx: convert(idx) for idx in T.flatten()}
 
 
+def assert_same_values(got, want, bx):
+    """got[k] is a literal zero exactly where want[k] is one; elsewhere the
+    two agree at three points of bx, evaluated at 40 digits, to a relative
+    error of 1e-30.  The error is taken relative to 1 + max |want[k]| at the
+    point, as the zero test adds 1 to its scale: a component that vanishes
+    but for rounding noise has no magnitude of its own to compare with."""
+    assert got.keys() == want.keys()
+    assert all(got[k].is_zero_literal == want[k].is_zero_literal
+               for k in want)
+    keys = [k for k in want if not want[k].is_zero_literal]
+    tape = ex.Tape([got[k] for k in keys] + [want[k] for k in keys])
+    rng = random.Random(13)
+    checked = 0
+    with mpmath.workdps(40):
+        for _ in range(40):
+            try:
+                vals = tape.values(bx.sample(rng))
+            except ex.EvalError:
+                continue
+            new, ref = vals[:len(keys)], vals[len(keys):]
+            bound = mpmath.mpf("1e-30") * (1 + max(map(abs, ref), default=0))
+            for k, a, b in zip(keys, new, ref):
+                assert abs(a - b) <= bound, k
+            checked += 1
+            if checked == 3:
+                return
+    pytest.fail("fewer than three points of the box evaluate")
+
+
 def test_frame_components_match_reference_node_for_node():
+    # a 4-index tensor converts its independent components only, so those
+    # are the reference's nodes and every other one is a negative of one or
+    # a literal zero; a 2-index tensor converts every component
     F = ex.parse("q^3/6")
-    W = weyl(frame_metric(F))
+    g = frame_metric(F)
+    W = weyl(g)
     coframe = list(example6_coframe(F)["alpha"])
-    cases = [(W, coframe)]
+    got = frame_components(W, coframe).flatten()
+    want = reference_frame_components(W, coframe)
+    independent = [idx for idx in want if idx[0] < idx[1] and
+                   idx[2] < idx[3] and idx[:2] <= idx[2:]]
+    assert len(independent) == 55
+    assert all(got[idx] is want[idx] for idx in independent)
+    assert_same_values(got, want, g.box)
     g = synthetic_nonflat_3metric()
     x, y, z = (ex.sym(c) for c in E3.coords)
-    cases.append((einstein_residual(g), [
+    T, cf = einstein_residual(g), [
         one_form(E3, (1, x, 0)), one_form(E3, (0, 1, 0)),
-        one_form(E3, (y, 0, ex.add(1, ex.pow_(z, 2))))]))
-    for T, cf in cases:
-        got = frame_components(T, cf).flatten()
-        want = reference_frame_components(T, cf)
-        assert got.keys() == want.keys()
-        assert all(got[idx] is want[idx] for idx in want)
+        one_form(E3, (y, 0, ex.add(1, ex.pow_(z, 2))))]
+    got = frame_components(T, cf).flatten()
+    want = reference_frame_components(T, cf)
+    assert got.keys() == want.keys()
+    assert all(got[idx] is want[idx] for idx in want)
+
+
+def test_frame_components_reject_a_4_tensor_without_riemann_symmetries():
+    W = weyl(nonflat_4metric())
+    coframe = [d_coord(E4, c) for c in E4.coords]
+    frame_components(W, coframe)
+    r = range(4)
+    # one component off its mirror images, and a nonzero diagonal entry
+    for idx in ((0, 1, 2, 3), (0, 0, 0, 0)):
+        flat = {**W.flatten(), idx: ex.sym("x")}
+        comps = tuple(tuple(tuple(tuple(flat[a, b, c, dd] for dd in r)
+                                  for c in r) for b in r) for a in r)
+        with pytest.raises(MetricError, match="symmetries"):
+            frame_components(TensorField(E4, "llll", comps), coframe)
 
 
 # --- sparse sums and shared minors against the dense loops they replaced ------
@@ -742,14 +794,14 @@ def assert_same_nodes(got, want):
         assert got is want
 
 
-@pytest.mark.parametrize("make", [
-    lambda: fefferman_metric(second_order("p^4")),
-    nonflat_4metric,
-    frame_metric_cubic,
-    lambda: example6_metric(ex.parse("q^3/6")),
+@pytest.mark.parametrize("make, rational", [
+    (lambda: fefferman_metric(second_order("p^4")), True),
+    (nonflat_4metric, False),
+    (frame_metric_cubic, False),
+    (lambda: example6_metric(ex.parse("q^3/6")), True),
 ], ids=["fefferman-p4", "nonflat-4metric", "frame-metric-q3",
         "example6-q3"])
-def test_sparse_sums_match_dense_reference_node_for_node(make):
+def test_sparse_sums_match_dense_reference_node_for_node(make, rational):
     g = make()
     pkg = curvature_package(g)
     inv, det = dense_inverse(g.rows)
@@ -759,7 +811,13 @@ def test_sparse_sums_match_dense_reference_node_for_node(make):
     assert pkg.scalar is dense_scalar(pkg)
     assert_same_nodes(pkg.covariant_derivative_02(pkg.schouten),
                       dense_covariant_derivative_02(pkg, pkg.schouten))
-    assert weyl_square(g) is dense_weyl_square(pkg)
+    # C^abcd C_abcd is a trace over index pairs, not the dense raises: the
+    # same value, and on a rational metric the same function exactly
+    square, dense = weyl_square(g), dense_weyl_square(pkg)
+    assert_same_values({"C2": square}, {"C2": dense}, g.box)
+    if rational:
+        v = is_zero(ex.add(square, ex.neg(dense)), g.box, CFG)
+        assert v.is_zero and v.method in ("exact", "structural")
 
 
 def test_inverse_builds_no_minor_of_a_zero_entry():

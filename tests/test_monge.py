@@ -322,6 +322,34 @@ def test_weyl_frame_pattern_cubic():
     assert abs(val - 2.24) < 1e-12
 
 
+def test_weyl_frame_pattern_tests_each_outside_node_once(monkeypatch):
+    from odegeom import monge
+    tested = []
+
+    def spy(named, bx, cfg):
+        tested.append(named)
+        return is_zero_many(named, bx, cfg)
+
+    monkeypatch.setattr(monge, "is_zero_many", spy)
+    F = ex.parse("q^3/6")
+    rep = monge.weyl_frame_pattern_check(F, cfg=RunConfig(samples=8))
+    # 5 nodes, distinct up to sign, stand for every nonzero entry outside
+    # the a5 slots, and each is zero-tested once
+    [outside] = tested
+    assert len(outside) == 5
+    nodes = set(outside.values())
+    assert len(nodes | {ex.neg(c) for c in nodes}) == 10
+    frame = frame_components(weyl(frame_metric(F)),
+                             list(example6_coframe(F)["alpha"]))
+    allowed = allowed_frame_pattern()
+    assert all(c.is_zero_literal or c in nodes or ex.neg(c) in nodes
+               for idx, c in frame.flatten().items() if idx not in allowed)
+    assert rep.verdict == "pattern-confirmed"
+    pt = {"x": 0.1, "y": 0.2, "p": 0.3, "q": 1.0, "z": 0.4}
+    val = abs(float(ex.eval_numeric(rep.values["survivor"], pt)))
+    assert round(val, 12) == 2.24
+
+
 def test_weyl_frame_pattern_hilbert_all_zero():
     F = ex.parse("q^2")
     g = frame_metric(F)
