@@ -12,7 +12,9 @@ every pair has a seed of its own (seed, seed + 1, ...).  The output file keeps t
 benchmarked into it so far: per run its seed, side, correctness and
 metrics, and per metric the median and quartiles of each side, the number
 of pairs the working tree won, the distance between the medians and the
-parent's interquartile range.
+parent's interquartile range.  When a run fails, the pairs done so far are
+written, with the failing command and its exit status under that
+workload's "failure", and the script exits 1; nothing is retried.
 """
 
 from __future__ import annotations
@@ -28,14 +30,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited nonzero or printed nothing."""
+
+    def __init__(self, cmd: list, returncode: int, stderr: str):
+        super().__init__(f"{' '.join(cmd)} failed ({returncode}):\n{stderr}")
+        self.cmd, self.returncode, self.stderr = cmd, returncode, stderr
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{' '.join(cmd)} in {checkout} failed "
-                         f"({proc.returncode}):\n{proc.stderr}")
+        raise RunFailed(cmd, proc.returncode, proc.stderr)
     out = json.loads(lines[-1])
     env = next((json.loads(line[len("# env "):]) for line in lines
                 if line.startswith("# env ")), None)
@@ -49,6 +58,8 @@ def summarize(runs: list, better: dict) -> dict:
     for r in runs:
         pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
     pairs = [p for p in pairs.values() if len(p) == 2]
+    if not pairs:
+        return {}
     out = {}
     for name, direction in better.items():
         sides = {s: [p[s][name] for p in pairs] for s in ("parent", "change")}
@@ -87,21 +98,30 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         sides = {"parent": Path(tmp), "change": ROOT}
-        runs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                r = run(sides[side], args.workload, seed, seconds)
-                runs.append({"pair": i, "seed": seed, "side": side, **r})
-                print(f"{args.workload} pair {i} seed {seed} {side}: "
-                      f"wall_s {r['metrics']['wall_s']:.4f} "
-                      f"correct {r['correct']}", file=sys.stderr)
+        runs, failure = [], None
+        try:
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = ("parent", "change") if i % 2 == 0 \
+                    else ("change", "parent")
+                for side in order:
+                    r = run(sides[side], args.workload, seed, seconds)
+                    runs.append({"pair": i, "seed": seed, "side": side, **r})
+                    print(f"{args.workload} pair {i} seed {seed} {side}: "
+                          f"wall_s {r['metrics']['wall_s']:.4f} "
+                          f"correct {r['correct']}", file=sys.stderr)
+        except RunFailed as err:
+            print(err, file=sys.stderr)
+            failure = {"pair": i, "seed": seed, "side": side,
+                       "command": err.cmd, "exit": err.returncode,
+                       "stderr": err.stderr}
 
     report[args.workload] = {"seconds": seconds, "runs": runs,
                              "summary": summarize(runs, better)}
+    if failure:
+        report[args.workload]["failure"] = failure
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return 1 if failure else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ from importlib import resources
 
 from . import expr as ex
 from .config import RunConfig
-from .curvature import signature_at, tensor_zero_exprs, weyl, weyl_square
+from .curvature import (signature_at, signatures, tensor_zero_exprs, weyl,
+                        weyl_square)
 from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
 from .zerotest import (HEADROOM_RATIO, BoxError, DomainBox, combined_verdict,
                        equation_box, is_zero, is_zero_many)
@@ -117,8 +118,8 @@ def _run_ode2(entry: CatalogEntry, cfg: RunConfig) -> dict:
     }
     g = ode2.fefferman_metric(ode)
     rng = random.Random(cfg.seed)
-    sigs = {signature_at(g, bx.sample(rng), cfg.dps)[:2]
-            for _ in range(max(5, cfg.samples // 2))}
+    points = [bx.sample(rng) for _ in range(max(5, cfg.samples // 2))]
+    sigs = {sig[:2] for sig in signatures(g, points, cfg.dps)}
     out["signature"] = sorted(sigs.pop()) if len(sigs) == 1 else "mixed"
     for name in ("w1", "w2"):
         if name in entry.expect:

@@ -30,12 +30,12 @@ contracted and converted to a frame on its independent components only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import mpmath
-import numpy as np
 
 from . import expr as ex
 from .exterior import Chart, DifferentialForm, SymmetricForm, _symmetric
@@ -472,16 +472,53 @@ def frame_components(T: TensorField, coframe) -> TensorField:
 # numeric probes
 
 
+def _eigenvalues(a):
+    """Eigenvalues of the symmetric float matrix `a` (a list of rows, which
+    is overwritten) by cyclic Jacobi rotations (Golub and Van Loan, Matrix
+    Computations, 8.5): each rotation zeroes one off-diagonal entry, until
+    the off-diagonal part is negligible against the whole."""
+    n = len(a)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(100):
+        off = sum(a[p][q] ** 2 for p, q in pairs)
+        if off <= 1e-36 * sum(x * x for row in a for x in row):
+            break
+        for p, q in pairs:
+            if a[p][q] == 0.0:
+                continue
+            tau = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            for row in a:  # a J, then J^T (a J)
+                x, y = row[p], row[q]
+                row[p], row[q] = c * x - s * y, s * x + c * y
+            a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                          [s * x + c * y for x, y in zip(a[p], a[q])])
+    return [a[i][i] for i in range(n)]
+
+
+def signatures(g: SymmetricForm, points, dps: int = 30, zero_tol=1e-9):
+    """Inertia (pos, neg, zero) of the metric matrix at each point, from one
+    tape; an eigenvalue is zero when |lambda| <= zero_tol * max(1, the
+    largest |lambda|)."""
+    n = g.dim
+    tape = ex.Tape([c for row in g.rows for c in row])
+    out = []
+    with mpmath.workdps(dps):
+        for point in points:
+            values = [float(v) for v in tape.values(point)]
+            eigs = _eigenvalues([values[i * n:(i + 1) * n] for i in range(n)])
+            tol = zero_tol * max(1.0, max(map(abs, eigs)))
+            pos = sum(e > tol for e in eigs)
+            neg = sum(e < -tol for e in eigs)
+            out.append((pos, neg, n - pos - neg))
+    return out
+
+
 def signature_at(g: SymmetricForm, point, dps: int = 30, zero_tol=1e-9):
     """Inertia (pos, neg, zero) of the metric matrix at a point."""
-    with mpmath.workdps(dps):
-        values = ex.Tape([c for row in g.rows for c in row]).values(point)
-        mat = np.array([float(v) for v in values]).reshape(g.dim, g.dim)
-    eigs = np.linalg.eigvalsh(mat)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    pos = int(np.sum(eigs > zero_tol * scale))
-    neg = int(np.sum(eigs < -zero_tol * scale))
-    return pos, neg, len(eigs) - pos - neg
+    return signatures(g, [point], dps, zero_tol)[0]
 
 
 def tensor_zero_exprs(T: TensorField, prefix="", skip=frozenset()) -> dict:

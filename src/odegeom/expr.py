@@ -25,6 +25,7 @@ Node kinds:
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from fractions import Fraction
@@ -601,6 +602,20 @@ def _tape_args(n: Expression):
     return n.args
 
 
+def _needed(code, slots):
+    """The instructions of `code`, in order, that the values of `slots`
+    depend on, and every slot those instructions read or write."""
+    need = set(slots)
+    out = []
+    for ins in reversed(code):
+        if ins[1] in need:
+            need.add(ins[2])
+            need.add(ins[3])
+            out.append(ins)
+    out.reverse()
+    return out, need
+
+
 class Tape:
     """Straight-line program for groups of root expressions.
 
@@ -715,6 +730,16 @@ class Tape:
         make = mpmath.mp.make_mpf
         return [make(v) for v in next(self.run(bindings))]
 
+    def only(self, group, keep) -> "Tape":
+        """This tape with the roots of `group` cut to those at the indices
+        `keep`, running only the instructions of that group they need;
+        every slot that runs keeps its value."""
+        t = copy.copy(self)
+        t.outs, t.code = list(self.outs), list(self.code)
+        t.outs[group] = [self.outs[group][i] for i in keep]
+        t.code[group] = _needed(self.code[group], t.outs[group])[0]
+        return t
+
     def modular(self, group, positive=None):
         """The instructions that the roots of `group` need, translated to
         arithmetic modulo a prime (a `ModularTape`), or None when one of
@@ -739,15 +764,11 @@ class Tape:
         rational functions; `degrees` holds the numerator bound of each
         root.
         """
-        code = [ins for seg in self.code for ins in seg]
+        code, need = _needed([ins for seg in self.code for ins in seg],
+                             self.outs[group])
         consts, syms = dict(self.consts), dict(self.syms)
-        need = set(self.outs[group])
         root = {}  # symbol -> r
-        for f, d, a, b in reversed(code):
-            if d not in need:
-                continue
-            need.add(a)
-            need.add(b)
+        for f, d, a, b in code:
             if f is _mpf_pow:
                 e = consts.get(b)
                 if not isinstance(e, RATIONAL):
@@ -775,8 +796,6 @@ class Tape:
         m.code = []
         size, t_slot = self.size, {}
         for f, d, a, b in code:
-            if d not in need:
-                continue
             if f is _mpf_pow and a in syms:  # q^e with q = t^r is t^(e r)
                 name = syms[a]
                 if name not in t_slot:
@@ -878,11 +897,19 @@ def _r_adjoin(b, i, P, bprod):
     return tuple([int(S == bit) for S in range(len(bprod))])
 
 
+# _r_add and _r_mul spell out one and two roots, the common cases
+
+
 def _r_add(a, b, P, _):
     if type(a) is int:
         a, b = b, a
     if type(b) is int:
         return ((a[0] + b) % P,) + a[1:]
+    if len(a) == 2:
+        return (a[0] + b[0]) % P, (a[1] + b[1]) % P
+    if len(a) == 4:
+        return ((a[0] + b[0]) % P, (a[1] + b[1]) % P, (a[2] + b[2]) % P,
+                (a[3] + b[3]) % P)
     return tuple([(x + y) % P for x, y in zip(a, b)])
 
 
@@ -891,6 +918,18 @@ def _r_mul(a, b, P, bprod):
         a, b = b, a
     if type(b) is int:
         return tuple([x * b % P for x in a])
+    if len(a) == 2:
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 + a1 * b1 * bprod[1]) % P, (a0 * b1 + a1 * b0) % P
+    if len(a) == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        _, s1, s2, s12 = bprod
+        return ((a0 * b0 + a1 * b1 * s1 + a2 * b2 * s2 + a3 * b3 * s12) % P,
+                (a0 * b1 + a1 * b0 + (a2 * b3 + a3 * b2) * s2) % P,
+                (a0 * b2 + a2 * b0 + (a1 * b3 + a3 * b1) * s1) % P,
+                (a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1) % P)
     out = [0] * len(a)
     for S, x in enumerate(a):
         if x:
@@ -931,7 +970,8 @@ def _r_powi(b, k, P, bprod):
 
 
 def _deg_add(x, y):  # n1/d1 + n2/d2 = (n1 d2 + n2 d1)/(d1 d2)
-    return max(x[0] + y[1], y[0] + x[1]), x[1] + y[1]
+    n1, n2 = x[0] + y[1], y[0] + x[1]
+    return n1 if n1 > n2 else n2, x[1] + y[1]
 
 
 def _deg_mul(x, y):
@@ -966,9 +1006,11 @@ def _ring_deg_mul(x, y, betas):
     b_i for roots s_i both factors carry; over the denominators of those
     b_i, every term carries b_i's numerator or its denominator."""
     n, d = _deg_mul(x, y)
-    for i, (bn, bd) in enumerate(betas):
-        if x[2] & y[2] & (1 << i):
-            n, d = n + max(bn, bd), d + bd
+    shared = x[2] & y[2]
+    if shared:
+        for i, (bn, bd) in enumerate(betas):
+            if shared & (1 << i):
+                n, d = n + max(bn, bd), d + bd
     return n, d, x[2] | y[2]
 
 
@@ -1000,14 +1042,20 @@ class ModularTape:
     __slots__ = ("size", "consts", "syms", "ints", "code", "outs", "degrees",
                  "roots")
 
-    def run(self, P, point) -> list:
-        """The values of the roots modulo the prime P, each symbol q bound
-        to t^r for the t in [0, P) that `point` gives it: residues, and for
-        a value that carries adjoined roots the tuple of its coordinates,
-        or 0 when every coordinate is.  Raises DomainError on a division by
-        zero, a Fraction constant with P in its denominator and a ring
-        element of zero norm included.  An int or Fraction constant enters
-        as its numerator over its denominator."""
+    def run(self, P, point, roots=None) -> list:
+        """The values of the roots modulo the prime P, or of those at the
+        indices `roots` alone, running only the instructions they need.
+        Each symbol q is bound to t^r for the t in [0, P) that `point` gives
+        it.  A value is a residue, and for a value that carries adjoined
+        roots the tuple of its coordinates, or 0 when every coordinate is.
+        Raises DomainError on a division by zero, a Fraction constant with
+        P in its denominator and a ring element of zero norm included.  An
+        int or Fraction constant enters as its numerator over its
+        denominator."""
+        code, outs = self.code, self.outs
+        if roots is not None:
+            outs = [outs[i] for i in roots]
+            code = _needed(code, outs)[0]
         slots = [None] * self.size
         for i, k in self.ints:
             slots[i] = k
@@ -1016,9 +1064,9 @@ class ModularTape:
         for i, name, r in self.syms:
             slots[i] = pow(point[name], r, P)
         bprod = [1] * (1 << self.roots) if self.roots else None
-        for f, d, a, b in self.code:
+        for f, d, a, b in code:
             slots[d] = f(slots[a], slots[b], P, bprod)
-        out = [slots[i] for i in self.outs]
+        out = [slots[i] for i in outs]
         if self.roots:
             return [v if type(v) is int or any(v) else 0 for v in out]
         return out
@@ -1089,8 +1137,7 @@ def _printed_args(e: Expression):
     if e.kind == MUL and args[0].kind == NUM and args[0].payload == -1 \
             and len(args) > 1:
         return args[1:]
-    if e.kind == POW and args[1].kind == NUM \
-            and args[1].payload == Fraction(1, 2):
+    if e.kind == POW and args[1] is HALF:
         return args[:1]
     return args
 
@@ -1135,8 +1182,8 @@ def _template(e: Expression, prec: dict):
         return ["sqrt(", args[0], ")"], _PREC_ATOM
     if k == POW:
         b, x = args
-        exp_atom = is_integer_literal(x) and x.payload >= 0 \
-            or x.kind in (SYM, FAM)
+        exp_atom = x.kind == NUM and type(x.payload) is not Fraction \
+            and x.payload >= 0 or x.kind in (SYM, FAM)
         return (wrapped(b, prec[b] < _PREC_ATOM) + ["^"]
                 + wrapped(x, not exp_atom)), _PREC_POW
     if k == FUNC:

@@ -467,15 +467,19 @@ def conformal_transport_factor(X: VectorField, g: SymmetricForm,
     lg = lie_derivative_symmetric(X, g)
 
     center = {name: (lo + hi) / 2 for name, (lo, hi) in box.intervals.items()}
+    keys = [(i, j) for i in range(n) for j in range(i, n)]
     with mpmath.workdps(cfg.dps):
-        cache: dict = {}
+        # one tape, a group per entry; an entry that cannot be evaluated has
+        # magnitude 0, and the entries after it go on a tape of their own
         mags = {}
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    mags[(i, j)] = abs(ex.evaluate(g.rows[i][j], center, cache))
-                except ex.EvalError:
-                    mags[(i, j)] = mpmath.mpf(0)
+        while len(mags) < len(keys):
+            rest = keys[len(mags):]
+            groups = ex.Tape(*([g.rows[i][j]] for i, j in rest)).run(center)
+            try:
+                for k, (v,) in zip(rest, groups):
+                    mags[k] = abs(mpmath.mp.make_mpf(v))
+            except ex.EvalError:
+                mags[keys[len(mags)]] = mpmath.mpf(0)
         scale = max(mags.values())
         if scale == 0:
             raise ChartError("all components of the form vanish at the box center")

@@ -16,6 +16,7 @@ seed-deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -280,14 +281,16 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
     """Of the first `count` roots of the tape's root group, those that
     vanish modulo the call's prime at two independent points, with their
     degree bounds, by index; a root that carries adjoined square roots
-    vanishes when every ring coordinate does.  None (or an empty dict)
-    sends the whole call to the sampled path: the roots hold an operation
-    the modular tape cannot take or a symbol the box does not sample, a
-    symbol under a fractional power may be negative on the box, a compound
-    or constant base under a half-integer power is neither a positive
-    guard nor a positive constant, the degree bound passes DEGREE_CAP, a
-    second point hits a zero divisor, or no root vanishes at the first
-    point."""
+    vanishes when every ring coordinate does.  The second point runs only
+    the instructions of the roots that vanished at the first, so a
+    division by zero there counts only on their way (one that only a
+    nonzero root needs, with chance about D/p, no longer does).  None sends
+    the whole call to the sampled path: the roots hold an operation the
+    modular tape cannot take or a symbol the box does not sample, a symbol
+    under a fractional power may be negative on the box, a compound or
+    constant base under a half-integer power is neither a positive guard
+    nor a positive constant, the degree bound passes DEGREE_CAP, a second
+    point hits a zero divisor, or no root vanishes at both points."""
     # the guard group comes first, positive guards first: a base that is a
     # positive guard, by node identity, has that guard's slot
     mod = tape.modular(1, set(tape.outs[0][:len(box.positive_guards)]))
@@ -305,19 +308,21 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
         return None
     P = _prime(seed)
     points = _points(names, P, seed)
-    runs, divisions_by_zero = [], 0
-    while len(runs) < 2:
+    zeros, runs, divisions_by_zero = range(count), 0, 0
+    while runs < 2:
         try:
-            runs.append(mod.run(P, next(points))[:count])
+            values = mod.run(P, next(points),
+                             zeros if len(zeros) < count else None)
         except ex.DomainError:
             divisions_by_zero += 1
             if divisions_by_zero > 1:
                 return None
             continue
-        if 0 not in runs[0]:
+        zeros = [i for i, v in zip(zeros, values) if v == 0]
+        if not zeros:
             return None
-    return {i: mod.degrees[i] for i in range(count)
-            if runs[0][i] == 0 and runs[1][i] == 0}
+        runs += 1
+    return {i: mod.degrees[i] for i in zeros}
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +378,8 @@ def _draw(tape: ex.Tape, box: DomainBox, cfg: RunConfig, accept=None):
 
 def _sampled(named: dict, box: DomainBox, cfg: RunConfig, compiled=None) -> dict:
     """The sampled zero test of every expression, over one shared set of
-    points; `compiled` is the `_tape` of `named` when the caller has it."""
+    points; `compiled` is a `_tape` whose root group holds `named` and
+    their terms when the caller has it."""
     names = list(named)
     tape, terms = compiled or _tape(named, box)
     worst = {n: (from_int(-1), None, None, None) for n in names}
@@ -431,10 +437,10 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
 
     The exact test runs first.  An expression that vanishes modulo the
     call's prime at two independent points is an exact zero.  The other
-    expressions are sampled on a tape compiled for them alone, or on the
-    call's tape when no expression is an exact zero; when every expression
-    is an exact zero, the sampled test's points are still drawn with only
-    the guards evaluated.  Either pass gives the exact zeros their
+    expressions are sampled on the call's tape, cut to the guards, those
+    expressions and their terms (`Tape.only`); when every expression is an
+    exact zero, the sampled test's points are still drawn with only the
+    guards evaluated.  Either pass gives the exact zeros their
     `attempts` and `rejected`, and a box it cannot use raises BoxError.  At
     a sample point a failing guard skips the rest of the tape; it and
     points where any sampled expression raises a domain error are
@@ -450,19 +456,23 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
     counted.
     """
     cfg = cfg or RunConfig()
-    compiled = _tape(named, box)
-    exact = _exact_zeros(compiled[0], len(named), box, cfg.seed)
+    tape, terms = _tape(named, box)
+    exact = _exact_zeros(tape, len(named), box, cfg.seed)
     if not exact:
-        return _sampled(named, box, cfg, compiled)
+        return _sampled(named, box, cfg, (tape, terms))
     names = list(named)
-    rest = {n: named[n] for i, n in enumerate(names) if i not in exact}
-    if rest:
-        rest = _sampled(rest, box, cfg)
+    left = [i for i in range(len(names)) if i not in exact]
+    if left:
+        # the root group holds the expressions, then the terms of each
+        ends = list(itertools.accumulate(map(len, terms), initial=len(names)))
+        keep = left + [k for i in left for k in range(ends[i], ends[i + 1])]
+        rest = _sampled({names[i]: named[names[i]] for i in left}, box, cfg,
+                        (tape.only(1, keep), [terms[i] for i in left]))
         some = next(iter(rest.values()))
         attempts, rejected = some.attempts, some.rejected
     else:
         with mpmath.workdps(cfg.dps):
-            attempts, rejected = _draw(ex.Tape(box.guards()), box, cfg)
+            attempts, rejected = _draw(tape, box, cfg)
     P = _prime(cfg.seed)
     out = {}
     for i, n in enumerate(names):

@@ -9,9 +9,9 @@ import pytest
 from odegeom import expr as ex
 from odegeom.config import RunConfig
 from odegeom.curvature import (
-    CurvaturePackage, MetricError, TensorField, conformal_rescale, cotton3,
+    CurvaturePackage, _eigenvalues, MetricError, TensorField, conformal_rescale, cotton3,
     curvature_package, einstein_residual, frame_components, metric_from_rows,
-    signature_at, symbolic_det, symbolic_inverse, tensor_zero_exprs, weyl,
+    signature_at, signatures, symbolic_det, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,
 )
 from odegeom.exterior import Chart, DifferentialForm, d_coord, one_form
@@ -382,6 +382,52 @@ def test_signature_at():
     g = metric_from_rows(E3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
                          unit_box(E3.coords))
     assert signature_at(g, {n: 0.1 for n in E3.coords}) == (1, 2, 0)
+
+
+def test_jacobi_eigenvalues_match_numpy():
+    rng = random.Random(14)
+    for trial in range(600):
+        n = 3 + trial % 3
+        m = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):  # about a third of the entries zero
+                if rng.random() > 0.3:
+                    m[i][j] = m[j][i] = rng.uniform(-1.0, 1.0)
+        if trial % 2:  # rows and columns scaled by 1e-4 .. 1e4
+            d = [10.0 ** rng.uniform(-4, 4) for _ in range(n)]
+            m = [[d[i] * m[i][j] * d[j] for j in range(n)] for i in range(n)]
+        want = np.linalg.eigvalsh(np.array(m))
+        got = sorted(_eigenvalues([row[:] for row in m]))
+        scale = max(abs(want)) or 1.0
+        assert max(abs(want - got)) <= 1e-12 * scale, (m, got, want)
+    assert _eigenvalues([[0.0] * 4 for _ in range(4)]) == [0.0] * 4
+    assert sorted(_eigenvalues([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                [0.0, 0.0, -1.0]])) == [-1.0, 2.0, 2.0]
+
+
+def test_signatures_share_one_tape_point_by_point():
+    g = fefferman_metric(second_order(ex.parse("p^2", allowed={"x", "y", "p"})))
+    rng = random.Random(3)
+    points = [g.box.sample(rng) for _ in range(6)]
+    sigs = signatures(g, points)
+    assert sigs == [signature_at(g, pt) for pt in points]
+    assert set(sigs) == {(2, 2, 0)}
+    flat = metric_from_rows(E3, [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+                            unit_box(E3.coords))
+    assert signatures(flat, [{"x": 0, "y": 0, "z": 0}]) == [(1, 1, 1)]
+
+
+def test_importing_the_package_imports_no_numpy():
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    code = ("import sys, odegeom, odegeom.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_dimension_guards():

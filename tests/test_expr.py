@@ -122,6 +122,14 @@ def test_round_trip(text):
     assert ex.parse(ex.to_str(e)) is e
 
 
+def test_float_half_exponent_is_not_printed_as_sqrt():
+    # only the exact 1/2 prints as sqrt: 0.5 == Fraction(1, 2) would let a
+    # float exponent through
+    assert ex.to_str(ex.pow_(q, ex.num(0.5))) == "q^0.5"
+    assert ex.to_str(ex.pow_(q, ex.num(Fraction(1, 2)))) == "sqrt(q)"
+    assert ex.to_str(ex.pow_(q, ex.num(-0.5))) == "q^(-0.5)"
+
+
 @st.composite
 def small_exprs(draw, depth=0):
     if depth > 3 or draw(st.booleans()):

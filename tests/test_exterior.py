@@ -222,6 +222,18 @@ def test_transport_result_records_pivot():
     assert res.to_json()["pivot"] == [0, 0]
 
 
+def test_transport_pivot_passes_entries_undefined_at_the_centre():
+    # 1/x cannot be evaluated at the centre x = 0 of the box: those entries
+    # have magnitude 0, and the entries after them are still measured
+    x = ex.sym("x")
+    dx, dy, dz = (d_coord(J2_3RD, n) for n in ("x", "y", "q"))
+    g = (sym_square(dx).scaled(ex.div(1, x)) + sym_square(dy).scaled(
+        ex.add(2, ex.sym("y"))) + sym_square(dz).scaled(ex.div(1, x)))
+    X = vector_field(J2_3RD, (x, 0, 0, 0))
+    res = conformal_transport_factor(X, g, unit_box(J2_3RD.coords), CFG)
+    assert res.pivot == (1, 1) and not res.success
+
+
 @pytest.mark.parametrize("tag,contact", [
     ("3rd-order", ["dy - p*dx", "dp - q*dx", "dq - F*dx"]),
     ("2nd-order", ["dy - p*dx", "dp - F*dx"]),

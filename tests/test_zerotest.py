@@ -205,6 +205,34 @@ def test_modular_tape_agrees_with_exact_evaluation():
         ex.Tape([ex.parse("1/(x - y)")]).modular(0).run(P, {"x": 2, "y": 2})
 
 
+def test_modular_run_of_some_roots_runs_only_their_instructions():
+    P = zerotest._prime(0)
+    roots = [ex.parse("x*y^2 - 3"), ex.parse("1/(x - y)"), ex.parse("y^3")]
+    mod = ex.Tape(roots).modular(0)
+    full = mod.run(P, {"x": 2, "y": 5})
+    assert mod.run(P, {"x": 2, "y": 5}, [2, 0]) == [full[2], full[0]]
+    # the division by zero is on the way of root 1 alone
+    with pytest.raises(ex.DomainError):
+        mod.run(P, {"x": 2, "y": 2})
+    assert mod.run(P, {"x": 2, "y": 2}, [0, 2]) == [5, 8]
+
+
+def test_sampling_the_rest_of_a_call_cuts_the_call_tape():
+    # one expression is an exact zero, the other is sampled on the call's
+    # tape cut to it and its terms, with the verdict of a call of its own
+    zero = ex.parse("(x + y)^2 - x^2 - 2*x*y - y^2")
+    other = ex.parse("x*y + 1")
+    bx = DomainBox({"x": (-1.0, 1.0), "y": (-1.0, 1.0)})
+    both = is_zero_many({"zero": zero, "other": other}, bx)
+    alone = is_zero_many({"other": other}, bx)["other"]
+    assert both["zero"].method == "exact" and both["other"] == alone
+    tape = zerotest._tape({"zero": zero, "other": other}, bx)[0]
+    keep = [1, 2 + len(zero.args), 3 + len(zero.args)]  # other, its 2 terms
+    cut = tape.only(1, keep)
+    assert cut.outs[1] == [tape.outs[1][i] for i in keep]
+    assert len(cut.code[1]) < len(tape.code[1])
+
+
 @pytest.mark.parametrize("text, degree", [
     ("x/y + y/x", 2), ("(x + y)^3/(x - y)^2", 3), ("x^(-2)*y", 1),
     ("q^(1/2)/q^(2/3) + 1", 4), ("7/3", 0)])
