@@ -7,14 +7,20 @@ Exports REV with `git archive` into a temporary directory (as bench.py
 does) and runs `python -m odegeom.cli verify paper --json --seed N`, for
 N = 0, 1, 2, in that export and in this working tree, each on its own
 `src`.  Timings (every `seconds` and `elapsed_seconds` key) are dropped and
-the rest of the two reports, with the exit status, must be equal.  Exits 0
-when they are for every seed, and 1 naming the first seed and JSON path
-where they differ.
+the rest of the two reports, with the exit status, must be equal.
+
+The catalog holds few formulas of each family, so the script then runs the
+checks of every formula of the first pass of the stream-distinct workload
+(perfbench/stream.py, seed 777) in both trees, as perfbench/worker.py calls
+them: per formula, every check's verdict fields, or the class of the error
+raised, must be equal.  Exits 0 when everything is, and 1 naming the first
+seed or formula and JSON path where the two trees differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,6 +31,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 TIMINGS = frozenset({"seconds", "elapsed_seconds"})
+STREAM_SEED = 777
+
+# run in a checkout on its own src: reads the stream's operations as JSON on
+# stdin and prints one record per operation, its checks' verdicts or the
+# class of the error the checks raised
+STREAM_CHECKS = """
+import json, sys
+from odegeom import expr as ex, monge, ode2, ode3
+from odegeom.config import RunConfig
+from odegeom.exterior import J2_3RD
+from odegeom.zerotest import DomainBox, is_zero
+
+def checks(op, bx, cfg):
+    if op["family"] == "ode3":
+        F = ex.parse(op["text"], allowed=set(J2_3RD.coords))
+        return ode3.classify3(ode3.third_order(F, bx), cfg).checks
+    if op["family"] == "ode2":
+        Q = ex.parse(op["text"], allowed={"x", "y", "p"})
+        return ode2.fefferman_flatness_check(ode2.second_order(Q, bx),
+                                             cfg).checks
+    F = ex.parse(op["text"], allowed={"q"})
+    return {"a5": is_zero(monge.example6_a5(F), bx, cfg)}
+
+out = []
+for op in json.load(sys.stdin):
+    bx = DomainBox({n: tuple(r) for n, r in op["box"].items()})
+    try:
+        got = checks(op, bx, RunConfig(seed=op["seed"]))
+        rec = {"checks": {k: v.to_json() for k, v in got.items()}}
+    except Exception as exc:
+        rec = {"error": type(exc).__name__}
+    out.append({"text": op["text"], **rec})
+print(json.dumps(out))
+"""
 
 
 def report(checkout: Path, seed: int):
@@ -50,6 +90,41 @@ def without_timings(v):
     if isinstance(v, list):
         return [without_timings(x) for x in v]
     return v
+
+
+def stream_operations() -> list:
+    """The operations of the stream's first pass under STREAM_SEED, with
+    the sampling box of each."""
+    spec = importlib.util.spec_from_file_location(
+        "stream", ROOT / "perfbench" / "stream.py")
+    stream = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stream)
+    return [{"family": op["family"], "text": op["text"], "seed": op["seed"],
+             "box": stream.box(op["family"], op["k"])}
+            for op in stream.generate(STREAM_SEED, passes=1)[0]]
+
+
+def stream_records(checkout: Path, ops: list) -> list:
+    """One record per operation: its text and its checks' verdicts, or the
+    class of the error raised, as `checkout` computes them."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", STREAM_CHECKS], cwd=checkout,
+                          env=env, input=json.dumps(ops), capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the stream checks failed in {checkout} "
+                         f"({proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def stream_difference(a: list, b: list):
+    """The first formula whose record differs between the record lists a
+    and b, with the JSON path in its record, or None."""
+    for x, y in zip(a, b):
+        diff = first_difference(x, y)
+        if diff:
+            return f"{x['text']} at {diff}"
+    return None if len(a) == len(b) else "the number of formulas"
 
 
 def first_difference(a, b, path="$"):
@@ -90,6 +165,15 @@ def main(argv=None) -> int:
                       f"at {diff}")
                 return 1
             print(f"seed {seed}: same report")
+        ops = stream_operations()
+        diff = stream_difference(stream_records(Path(tmp), ops),
+                                 stream_records(ROOT, ops))
+        if diff:
+            print(f"stream seed {STREAM_SEED}, first pass: {args.rev} and "
+                  f"the working tree differ for {diff}")
+            return 1
+        print(f"stream seed {STREAM_SEED}, first pass: same verdicts for "
+              f"{len(ops)} formulas")
     return 0
 
 

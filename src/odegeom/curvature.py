@@ -133,9 +133,9 @@ def _minor(rows, rs, cs, memo):
             for k, j in enumerate(cs):
                 if rows[rs[0]][j] is ex.ZERO:
                     continue
-                term = ex.mul(rows[rs[0]][j],
-                              _minor(rows, rs[1:], cs[:k] + cs[k + 1:], memo))
-                terms.append(ex.neg(term) if k % 2 else term)
+                sign = (ex.MINUS_ONE,) if k % 2 else ()
+                terms.append(ex.mul(*sign, rows[rs[0]][j], _minor(
+                    rows, rs[1:], cs[:k] + cs[k + 1:], memo)))
             out = ex.add(*terms)
         memo[key] = out
     return out
@@ -198,21 +198,20 @@ def connection_curvature(chart: Chart, gamma):
 def _riemann_symmetric(n, build):
     """Full table of a tensor with the symmetries of the lowered Riemann
     tensor (antisymmetric in ab and in cd, symmetric under ab <-> cd) from
-    build(a, b, c, d), called for a < b, c < d and (a, b) <= (c, d) only."""
+    build(a, b, c, d), called for a < b, c < d and (a, b) <= (c, d) only;
+    each result and its `neg` fill their eight places, all others are ZERO."""
+    t = _table(n, 3, lambda *_: [ex.ZERO] * n)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    comp = {}
-    for i, ab in enumerate(pairs):
-        for cd in pairs[i:]:
-            r = build(*ab, *cd)
-            comp[ab + cd] = comp[cd + ab] = (r, ex.neg(r))
-
-    def entry(a, b, c, dd):
-        if a == b or c == dd:
-            return ex.ZERO
-        return comp[min(a, b), max(a, b), min(c, dd), max(c, dd)][
-            (a > b) != (c > dd)]
-
-    return _table(n, 4, entry)
+    for i, (a, b) in enumerate(pairs):
+        for c, dd in pairs[i:]:
+            r = build(a, b, c, dd)
+            if r is ex.ZERO:
+                continue
+            m = ex.neg(r)
+            for (p, q), (u, v) in (((a, b), (c, dd)), ((c, dd), (a, b))):
+                t[p][q][u][v] = t[q][p][v][u] = r
+                t[q][p][u][v] = t[p][q][v][u] = m
+    return tuple(tuple(tuple(map(tuple, tb)) for tb in ta) for ta in t)
 
 
 def ricci_from_riemann(riem, n):
@@ -277,15 +276,15 @@ class CurvaturePackage:
         def d2(u, v, i, j):  # d_u d_v g_ij
             return ex.differentiate(dg[v][i][j], coords[u])
 
-        def quad(i, j, a, c):  # the terms of sum_f [ij, f] Gamma^f_ac
-            inner = br[min(i, j), max(i, j)]
-            return _products((inner[f], gam[f][a][c]) for f in range(n))
+        def quad(i, j, a, c, *sign):  # the terms of sum_f [ij, f] Gamma^f_ac
+            ij = br[min(i, j), max(i, j)]
+            return _products((*sign, ij[f], gam[f][a][c]) for f in range(n))
 
         def component(a, b, c, dd):
             return ex.mul(ex.HALF, ex.add(
                 d2(b, c, a, dd), d2(a, dd, b, c),
                 ex.neg(d2(b, dd, a, c)), ex.neg(d2(a, c, b, dd)),
-                *quad(b, c, a, dd), *map(ex.neg, quad(b, dd, a, c))))
+                *quad(b, c, a, dd), *quad(b, dd, a, c, ex.MINUS_ONE)))
 
         return _riemann_symmetric(n, component)
 
@@ -312,7 +311,7 @@ class CurvaturePackage:
         r_over = ex.div(self.scalar, ex.num(2 * (n - 1)))
         return _symmetric(n, lambda i, j: ex.mul(
             ex.num(Fraction(1, n - 2)),
-            ex.add(ric[i][j], ex.neg(ex.mul(r_over, g[i][j])))))
+            ex.add(ric[i][j], ex.mul(ex.MINUS_ONE, r_over, g[i][j]))))
 
     @cached_property
     def weyl_low(self):
@@ -325,10 +324,9 @@ class CurvaturePackage:
         low = self.riemann_low
 
         def component(a, b, c, dd):
-            corr = ex.add(ex.mul(g[a][c], s[b][dd]),
-                          ex.neg(ex.mul(g[a][dd], s[b][c])),
-                          ex.mul(g[b][dd], s[a][c]),
-                          ex.neg(ex.mul(g[b][c], s[a][dd])))
+            corr = ex.add(*_products((
+                (g[a][c], s[b][dd]), (ex.MINUS_ONE, g[a][dd], s[b][c]),
+                (g[b][dd], s[a][c]), (ex.MINUS_ONE, g[b][c], s[a][dd]))))
             return ex.add(low[a][b][c][dd], ex.neg(corr))
 
         return _riemann_symmetric(n, component)
@@ -339,8 +337,9 @@ class CurvaturePackage:
         gam = self.christoffel
         return _table(n, 3, lambda k, i, j: ex.add(
             ex.differentiate(t[i][j], coords[k]),
-            *map(ex.neg, _products(f for l in range(n) for f in (
-                (gam[l][k][i], t[l][j]), (gam[l][k][j], t[i][l]))))))
+            *_products(f for l in range(n) for f in (
+                (ex.MINUS_ONE, gam[l][k][i], t[l][j]),
+                (ex.MINUS_ONE, gam[l][k][j], t[i][l])))))
 
     @cached_property
     def cotton(self):
@@ -362,7 +361,7 @@ def _trace_free(g: SymmetricForm, ric, scalar) -> TensorField:
     n, rows = g.dim, g.rows
     r_over = ex.div(scalar, ex.num(n))
     return TensorField(g.chart, "ll", _table(n, 2, lambda i, j: ex.add(
-        ric[i][j], ex.neg(ex.mul(r_over, rows[i][j])))))
+        ric[i][j], ex.mul(ex.MINUS_ONE, r_over, rows[i][j]))))
 
 
 def curvature_package(g: SymmetricForm) -> CurvaturePackage:
@@ -423,7 +422,7 @@ def weyl_connection_residual(g: SymmetricForm, nu: DifferentialForm) -> TensorFi
     gamma = _table(n, 3, lambda k, i, j: ex.add(lc[k][i][j], ex.mul(
         ex.HALF, ex.add(nu_low[j] if k == i else ex.ZERO,
                         nu_low[i] if k == j else ex.ZERO,
-                        ex.neg(ex.mul(g.rows[i][j], nu_up[k]))))))
+                        ex.mul(ex.MINUS_ONE, g.rows[i][j], nu_up[k])))))
     ric = ricci_from_riemann(connection_curvature(g.chart, gamma), n)
     ric_sym = _table(n, 2, lambda i, j: ex.mul(ex.HALF,
                                                ex.add(ric[i][j], ric[j][i])))
@@ -528,8 +527,9 @@ def tensor_zero_exprs(T: TensorField, prefix="", skip=frozenset()) -> dict:
     does."""
     out = {}
     seen = set()
-    for idx, c in T.flatten().items():
-        if idx in skip or c.is_zero_literal or c in seen:
+    for idx in itertools.product(range(T.chart.dim), repeat=len(T.variance)):
+        c = ex.ZERO if idx in skip else _at(T.comps, idx)
+        if c.is_zero_literal or c in seen:
             continue
         seen.add(c)
         seen.add(ex.neg(c))

@@ -51,7 +51,7 @@ def ode2_invariants(ode: Equation) -> dict:
     Qyy = ex.differentiate(Qy, "y")
     w1 = ex.add(D.apply(D.apply(Qpp)),
                 ex.mul(-4, D.apply(Qpy)),
-                ex.neg(ex.mul(D.apply(Qpp), Qp)),
+                ex.mul(ex.MINUS_ONE, D.apply(Qpp), Qp),
                 ex.mul(4, Qp, Qpy),
                 ex.mul(-3, Qpp, Qy),
                 ex.mul(6, Qyy))
@@ -61,16 +61,14 @@ def ode2_invariants(ode: Equation) -> dict:
 
 def fefferman_flatness_check(ode: Equation,
                              cfg: RunConfig | None = None) -> InvariantReport:
-    """Weyl(g) == 0 iff w1 == 0 and w2 == 0; reports all three verdicts."""
+    """Weyl(g) == 0 iff w1 == 0 and w2 == 0; reports all three verdicts,
+    from one zero test of w1, w2 and the named Weyl components."""
     cfg = cfg or RunConfig()
     inv = ode2_invariants(ode)
-    checks = is_zero_many(inv, ode.box, cfg)
-    W = weyl(fefferman_metric(ode))
-    named = tensor_zero_exprs(W, "W")
-    if named:
-        weyl_verdict = combined_verdict(is_zero_many(named, ode.box, cfg))
-    else:
-        weyl_verdict = structural_zero(cfg)
+    named = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")
+    checks = is_zero_many({**inv, **named}, ode.box, cfg)
+    weyl_verdict = combined_verdict({k: checks[k] for k in named}) \
+        if named else structural_zero(cfg)
     w_zero = checks["w1"].is_zero and checks["w2"].is_zero
     consistent = weyl_verdict.is_zero == w_zero
     report = InvariantReport(

@@ -58,21 +58,21 @@ def ode3_invariants(ode: Equation) -> Ode3Invariants:
     Fqq, Fqp, Fqy = dq(Fq), dp(Fq), dy(Fq)
 
     K = ex.add(ex.mul(ex.num(1) / 6, D.apply(Fq)),
-               ex.neg(ex.mul(ex.num(1) / 9, ex.pow_(Fq, 2))),
-               ex.neg(ex.mul(ex.HALF, Fp)))
-    A = ex.add(Fy, D.apply(K), ex.neg(ex.mul(ex.num(2) / 3, Fq, K)))
+               ex.mul(ex.MINUS_ONE, ex.num(1) / 9, ex.pow_(Fq, 2)),
+               ex.mul(ex.MINUS_ONE, ex.HALF, Fp))
+    A = ex.add(Fy, D.apply(K), ex.mul(ex.MINUS_ONE, ex.num(2) / 3, Fq, K))
     G = ex.add(D.apply(D.apply(Fqq)), ex.neg(D.apply(Fqp)), Fqy)
 
-    L = ex.add(ex.neg(ex.mul(ex.num(1) / 3, Fqy)),
+    L = ex.add(ex.mul(ex.MINUS_ONE, ex.num(1) / 3, Fqy),
                ex.mul(ex.num(1) / 3, Fqq, K),
                ex.neg(dp(K)),
-               ex.neg(ex.mul(ex.num(1) / 3, Fq, dq(K))))
+               ex.mul(ex.MINUS_ONE, ex.num(1) / 3, Fq, dq(K)))
     N = ex.add(ex.mul(ex.num(1) / 3, Fqq, L),
-               ex.neg(ex.mul(ex.num(2) / 3, Fq, dq(L))),
-               ex.neg(ex.mul(2, dp(L))),
+               ex.mul(ex.MINUS_ONE, ex.num(2) / 3, Fq, dq(L)),
+               ex.mul(ex.MINUS_ONE, 2, dp(L)),
                ex.mul(K, dq(dq(K))),
                ex.neg(dy(dq(K))),
-               ex.neg(ex.mul(ex.HALF, ex.pow_(dq(K), 2))))
+               ex.mul(ex.MINUS_ONE, ex.HALF, ex.pow_(dq(K), 2)))
 
     C1 = dq(dq(Fqq))
     C2 = dq(dq(dq(K)))

@@ -9,7 +9,8 @@ import pytest
 from odegeom import expr as ex
 from odegeom.config import RunConfig
 from odegeom.curvature import (
-    CurvaturePackage, _eigenvalues, MetricError, TensorField, conformal_rescale, cotton3,
+    CurvaturePackage, _at, _eigenvalues, _riemann_symmetric, MetricError, TensorField,
+    conformal_rescale, cotton3,
     curvature_package, einstein_residual, frame_components, metric_from_rows,
     signature_at, signatures, symbolic_det, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,
@@ -881,3 +882,78 @@ def test_inverse_builds_no_minor_of_a_zero_entry():
     assert_same_nodes(inv, dense_inv)
     assert det is dense_det
     assert symbolic_det(rows) is det
+
+
+# --- the direct fill of Riemann-symmetric tables against the closure it
+# replaced -------------------------------------------------------------------
+
+def reference_riemann_symmetric(n, build):
+    """The old build: each independent result and its `neg` in a dict, and
+    each of the n^4 entries read through min/max and a lookup."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    comp = {}
+    for i, ab in enumerate(pairs):
+        for cd in pairs[i:]:
+            r = build(*ab, *cd)
+            comp[ab + cd] = comp[cd + ab] = (r, ex.neg(r))
+
+    def entry(a, b, c, dd):
+        if a == b or c == dd:
+            return ex.ZERO
+        return comp[min(a, b), max(a, b), min(c, dd), max(c, dd)][
+            (a > b) != (c > dd)]
+
+    r = range(n)
+    return tuple(tuple(tuple(tuple(entry(a, b, c, dd) for dd in r)
+                             for c in r) for b in r) for a in r)
+
+
+def mixed_build(a, b, c, dd):
+    """Literal zeros (int and float), products, negatives and sums."""
+    x, y = ex.sym("rs_x"), ex.sym("rs_y")
+    return (ex.ZERO, ex.num(0.0), ex.mul(a + 1, x, ex.pow_(y, c + dd)),
+            ex.neg(ex.pow_(x, b)), ex.add(x, ex.mul(dd - c, y)),
+            ex.ONE)[(a + 2 * b + 3 * c + 5 * dd) % 6]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_riemann_symmetric_matches_closure_reference_node_for_node(n):
+    calls = []
+
+    def build(*idx):
+        calls.append(idx)
+        return mixed_build(*idx)
+
+    got = _riemann_symmetric(n, build)
+    npairs = n * (n - 1) // 2
+    assert len(calls) == npairs * (npairs + 1) // 2
+    assert_same_nodes(got, reference_riemann_symmetric(n, mixed_build))
+    assert all(type(t) is tuple for ta in got for tb in ta for t in (ta, tb))
+    assert all(type(t) is tuple for ta in got for tb in ta for t in tb)
+    assert _riemann_symmetric(n, lambda *_: ex.ZERO) == \
+        reference_riemann_symmetric(n, lambda *_: ex.ZERO)
+
+
+def with_entry(comps, n, idx, value):
+    flat = {i: _at(comps, i) for i in itertools.product(range(n), repeat=4)}
+    flat[idx] = value
+    r = range(n)
+    return tuple(tuple(tuple(tuple(flat[a, b, c, dd] for dd in r)
+                             for c in r) for b in r) for a in r)
+
+
+@pytest.mark.parametrize("chart", [E3, E4], ids=["dim3", "dim4"])
+def test_frame_components_refuse_each_broken_symmetry(chart):
+    n = chart.dim
+    coframe = [d_coord(chart, c) for c in chart.coords]
+    comps = _riemann_symmetric(n, mixed_build)
+    frame_components(TensorField(chart, "llll", comps), coframe)
+    x = ex.sym(chart.coords[0])
+    for idx, value in (
+            ((0, 2, 0, 1), ex.add(comps[0][1][0][2], x)),  # pair swap
+            ((1, 0, 0, 1), comps[0][1][0][1]),  # antisymmetry in ab
+            ((0, 1, 2, 1), comps[0][1][1][2]),  # antisymmetry in cd
+            ((0, 0, 1, 2), x)):  # a = b
+        broken = TensorField(chart, "llll", with_entry(comps, n, idx, value))
+        with pytest.raises(MetricError, match="symmetries"):
+            frame_components(broken, coframe)

@@ -1,15 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from odegeom import expr as ex
+from odegeom import ode2 as ode2_module
 from odegeom.cli import build_box
 from odegeom.config import RunConfig
 from odegeom.curvature import (curvature_package, signature_at,
                                tensor_zero_exprs, weyl)
 from odegeom.ode2 import (Equation, fefferman_flatness_check,
                           fefferman_metric, ode2_invariants, second_order)
-from odegeom.zerotest import DomainBox, is_zero, is_zero_many, unit_box
+from odegeom.zerotest import (DomainBox, combined_verdict, is_zero,
+                              is_zero_many, structural_zero, unit_box)
 
 CFG = RunConfig(samples=10)
 
@@ -195,3 +198,57 @@ def test_default_intervals_shared_by_cli_and_constructor():
     assert build_box(Q, coords, None).intervals["x"] == (-1.0, 1.0)
     # an explicit interval stays as it is
     assert build_box(Q, coords, ["p:0.1:3"]).intervals["p"] == (0.1, 3.0)
+
+
+# The check decides w1, w2 and the named Weyl components in one zero test.
+# The reference is the two tests it replaced: w1 and w2, then the Weyl
+# components; the family y'' = c p^k is flat iff k is 0, 1, 2 or 3.  A
+# sampled test evaluates its expressions no more once each has a clear
+# witness, and in the one test that waits for the Weyl components too: a
+# nonzero verdict may then take its worst point from a later point than the
+# reference did, never an earlier one (at seed 11, k = 4, c = 7/3, w1's worst
+# ratio is 6.0e-3 instead of 2.1e-6).  Every other field is the reference's.
+
+WORST_POINT = ("max_ratio", "scale", "witness_point", "witness_value")
+
+
+def two_call_flatness(ode, cfg):
+    inv = ode2_invariants(ode)
+    checks = is_zero_many(inv, ode.box, cfg)
+    named = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")
+    weyl_verdict = combined_verdict(is_zero_many(named, ode.box, cfg)) \
+        if named else structural_zero(cfg)
+    return {"w1": checks["w1"], "w2": checks["w2"], "weyl": weyl_verdict}
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("c", ["7/3", "-5/4"])
+@pytest.mark.parametrize("k", ["0", "1", "2", "3", "4", "1/2", "5/2", "-1"])
+def test_flatness_is_one_zero_test_with_the_two_call_verdicts(
+        monkeypatch, k, c, seed):
+    intervals = {n: (-1.0, 1.0) for n in ("x", "y", "p", "phi")}
+    if Fraction(k).denominator != 1:
+        intervals["p"] = (0.5, 2.0)
+    ode = second_order(f"({c})*p^({k})", DomainBox(intervals))
+    cfg = RunConfig(seed=seed)
+    calls = []
+
+    def counted(named, *args, **kwargs):
+        calls.append(list(named))
+        return is_zero_many(named, *args, **kwargs)
+
+    monkeypatch.setattr(ode2_module, "is_zero_many", counted)
+    rep = fefferman_flatness_check(ode, cfg)
+    assert len(calls) == 1 and calls[0][:2] == ["w1", "w2"]
+    want = {n: v.to_json() for n, v in two_call_flatness(ode, cfg).items()}
+    got = {n: v.to_json() for n, v in rep.checks.items()}
+    assert got.keys() == want.keys()
+    for n, v in want.items():
+        if got[n]["max_ratio"] != v["max_ratio"]:
+            assert v["method"] == "sampled" and not v["is_zero"]
+            assert got[n]["max_ratio"] > v["max_ratio"]
+            got[n].update((f, v[f]) for f in WORST_POINT)
+        assert got[n] == v, n
+    flat = Fraction(k) in (0, 1, 2, 3)
+    assert rep.verdict == ("conformally-flat" if flat else "curved")
+    assert rep.values["equivalence_holds"]
