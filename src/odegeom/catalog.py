@@ -18,8 +18,9 @@ from .config import RunConfig
 from .curvature import (signature_at, signatures, tensor_zero_exprs, weyl,
                         weyl_square)
 from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
-from .zerotest import (HEADROOM_RATIO, BoxError, DomainBox, combined_verdict,
-                       equation_box, is_zero, is_zero_many)
+from .zerotest import (HEADROOM_RATIO, BoxError, DomainBox, ZeroTestVerdict,
+                       combined_verdict, equation_box, is_zero, is_zero_many,
+                       structural_zero)
 from . import liealg, monge, ode2, ode3
 
 
@@ -53,6 +54,10 @@ def load_catalog() -> list:
     return entries
 
 
+# the fields of a zero-test verdict that a catalog check backed by it carries
+EVIDENCE = ("method", "max_ratio", "error_bound", "attempts", "rejected")
+
+
 def _box_from(data: dict, names) -> DomainBox:
     """The entry's sampling intervals over `names`, (-1, 1) where it lists
     none; the guards are added by `equation_box`."""
@@ -74,16 +79,14 @@ def _run_ode3(entry: CatalogEntry, cfg: RunConfig) -> dict:
     rep = ode3.classify3(ode, cfg)
     out = {
         "classification": rep.verdict,
-        "wuenschmann": rep.checks["A"].is_zero,
-        "cartan": rep.checks["G"].is_zero,
-        "_ratios": {"wuenschmann": rep.checks["A"].max_ratio,
-                    "cartan": rep.checks["G"].max_ratio},
+        "wuenschmann": rep.checks["A"],
+        "cartan": rep.checks["G"],
     }
     if "conformally_flat_solution_space" in rep.values:
-        out["conformally_flat_solution_space"] = \
-            rep.values["conformally_flat_solution_space"]
-    out["transport"] = ode3.transport_check(ode, cfg).success
-    out["nu_closed"] = ode3.nu_closedness_check(ode, cfg).is_zero
+        out["conformally_flat_solution_space"] = combined_verdict(
+            {k: rep.checks[k] for k in ("C1", "C2", "C3", "C4", "C5")})
+    out["transport"] = ode3.transport_check(ode, cfg).worst
+    out["nu_closed"] = ode3.nu_closedness_check(ode, cfg)
     if "wuenschmann_witness" in entry.expect:
         witness_expr = ex.parse(entry.expect["wuenschmann_witness"])
         v = is_zero(ode3.ode3_invariants(ode).A, ode.box, cfg)
@@ -99,10 +102,10 @@ def _run_dkp(entry: CatalogEntry, cfg: RunConfig) -> dict:
     u = ex.parse(entry.data["u"], allowed={"x", "y", "t"})
     bx = equation_box(u, DKP.coords, _box_from(entry.data, DKP.coords))
     res = ode3.dkp_residual(u, bx, cfg)
-    out = {"residual_zero": res.verdict.is_zero}
+    out = {"residual_zero": res.verdict}
     if "X" in entry.data:
         X = ex.parse(entry.data["X"], allowed={"x", "y", "t", "v"})
-        out["x_membership"] = ode3.dkp_x_membership(u, X, bx, cfg).is_zero
+        out["x_membership"] = ode3.dkp_x_membership(u, X, bx, cfg)
     return out
 
 
@@ -111,11 +114,8 @@ def _run_ode2(entry: CatalogEntry, cfg: RunConfig) -> dict:
     ode = ode2.second_order(Q, _box_from(entry.data, J1EXT.coords))
     bx = ode.box
     rep = ode2.fefferman_flatness_check(ode, cfg)
-    out = {
-        "w1_zero": rep.checks["w1"].is_zero,
-        "w2_zero": rep.checks["w2"].is_zero,
-        "weyl_zero": rep.checks["weyl"].is_zero,
-    }
+    out = {"w1_zero": rep.checks["w1"], "w2_zero": rep.checks["w2"],
+           "weyl_zero": rep.checks["weyl"]}
     g = ode2.fefferman_metric(ode)
     rng = random.Random(cfg.seed)
     points = [bx.sample(rng) for _ in range(max(5, cfg.samples // 2))]
@@ -125,8 +125,7 @@ def _run_ode2(entry: CatalogEntry, cfg: RunConfig) -> dict:
         if name in entry.expect:
             target = ex.parse(entry.expect[name])
             inv = ode2.ode2_invariants(ode)[name]
-            ok = is_zero(ex.add(inv, ex.neg(target)), bx, cfg).is_zero
-            out[name] = entry.expect[name] if ok else "mismatch"
+            out[name] = is_zero(ex.add(inv, ex.neg(target)), bx, cfg)
     return out
 
 
@@ -149,7 +148,7 @@ def _run_solution(entry: CatalogEntry, cfg: RunConfig, order: int) -> dict:
         eq = monge.monge_first(entry.data["formula"])
     else:
         eq = monge.monge_second(entry.data["formula"])
-    out = {"verifies": monge.verify_parametrized_solution(eq, sol, bx, cfg).is_zero}
+    out = {"verifies": monge.verify_parametrized_solution(eq, sol, bx, cfg)}
     if entry.expect.get("mutations_fail") is not None:
         fails = []
         for label, mutated in monge.mutated_solutions(sol):
@@ -163,14 +162,10 @@ def _run_g32(entry: CatalogEntry, cfg: RunConfig) -> dict:
     m = monge.monge_second(entry.data["formula"], monge.example6_box())
     g = monge.g32_metric(m, cfg)
     named = tensor_zero_exprs(weyl(g))
-    if named:
-        weyl_zero = combined_verdict(is_zero_many(named, g.box, cfg)).is_zero
-    else:
-        weyl_zero = True
-    out = {"weyl_zero": weyl_zero}
+    out = {"weyl_zero": combined_verdict(is_zero_many(named, g.box, cfg))
+           if named else structural_zero(cfg)}
     F = ex.parse(entry.data["formula"], allowed={"q"})
-    out["a5_zero"] = is_zero(monge.example6_a5(F), monge.example6_box(),
-                             cfg).is_zero
+    out["a5_zero"] = is_zero(monge.example6_a5(F), monge.example6_box(), cfg)
     rng = random.Random(cfg.seed)
     sig = signature_at(g, g.box.sample(rng), cfg.dps)
     out["signature"] = sorted(sig[:2], reverse=True)
@@ -184,15 +179,14 @@ def _run_example6(entry: CatalogEntry, cfg: RunConfig) -> dict:
     out: dict = {}
     if "a5" in entry.expect:
         target = ex.parse(entry.expect["a5"])
-        diff = ex.add(monge.example6_a5(F), ex.neg(target))
-        out["a5"] = entry.expect["a5"] if is_zero(diff, bx, cfg).is_zero \
-            else "mismatch"
+        out["a5"] = is_zero(ex.add(monge.example6_a5(F), ex.neg(target)),
+                            bx, cfg)
     if "weyl_square_zero" in entry.expect:
         g = monge.example6_metric(F, bx)
-        out["weyl_square_zero"] = is_zero(weyl_square(g), bx, cfg).is_zero
+        out["weyl_square_zero"] = is_zero(weyl_square(g), bx, cfg)
     if "einstein_scale_zero" in entry.expect:
-        _, verdict = monge.einstein_scale_residual(F, bx, cfg)
-        out["einstein_scale_zero"] = verdict.is_zero
+        out["einstein_scale_zero"] = \
+            monge.einstein_scale_residual(F, bx, cfg)[1]
     if "transcription_consistent" in entry.expect:
         out["transcription_consistent"] = \
             monge.transcription_check(F, bx, cfg).consistent
@@ -242,7 +236,12 @@ _RUNNERS = {
 def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
     """The entry's checks against its expectations.  A runner that raises
     (an unusable box, a failed evaluation, inconsistent dKP residuals) fails
-    the entry with `error` and every check with failure_kind "error"."""
+    the entry with `error` and every check with failure_kind "error".
+
+    A runner reports a zero-test check as its verdict: the check gets the
+    verdict's `is_zero`, or for an expected expression (a string) that
+    expression when the difference is zero and "mismatch" when it is not,
+    and carries the verdict's evidence fields."""
     t0 = time.perf_counter()
     error = None
     try:
@@ -250,7 +249,6 @@ def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
     except (BoxError, ex.EvalError, ode3.DkpConsistencyError) as err:
         got, error = {}, f"{type(err).__name__}: {err}"
     elapsed = time.perf_counter() - t0
-    diagnostics = got.pop("_ratios", {})
     checks = {}
     ok = error is None
     for key, want in entry.expect.items():
@@ -258,7 +256,12 @@ def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
             checks[key] = {"expected": want, "got": None, "pass": False,
                            "failure_kind": "error"}
             continue
-        have = got.get(key, "<missing>")
+        have = verdict = got.get(key, "<missing>")
+        if isinstance(verdict, ZeroTestVerdict):
+            have = verdict.is_zero if not isinstance(want, str) else \
+                want if verdict.is_zero else "mismatch"
+        else:
+            verdict = None
         if isinstance(want, list):
             match = list(have) == list(want) if have != "<missing>" else False
         elif isinstance(want, float):
@@ -266,14 +269,14 @@ def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
         else:
             match = have == want
         checks[key] = {"expected": want, "got": have, "pass": match}
-        if key in diagnostics:
-            checks[key]["max_ratio"] = diagnostics[key]
+        if verdict is not None:
+            checks[key].update({f: getattr(verdict, f) for f in EVIDENCE})
         if not match:
             # a zero test that misses only by tolerance headroom (a tiny but
             # nonzero ratio, taken over every sampled point) is a numerical
             # failure, not a logical one
-            ratio = diagnostics.get(key)
-            if want is True and ratio is not None and ratio < HEADROOM_RATIO:
+            if want is True and verdict is not None \
+                    and verdict.max_ratio < HEADROOM_RATIO:
                 checks[key]["failure_kind"] = "numerical-headroom"
             else:
                 checks[key]["failure_kind"] = "logical"

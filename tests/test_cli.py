@@ -100,6 +100,18 @@ def test_verify_paper_subset_schema(capsys):
                         .joinpath("report_schema.json").read_text())
     jsonschema.validate(report, schema)
     assert report["summary"]["failed"] == 0
+    # a check that one verdict backs carries its evidence; a class label
+    # and a witness string carry none
+    checks = report["entries"][0]["checks"]
+    evidence = ("method", "max_ratio", "error_bound", "attempts", "rejected")
+    assert [checks["wuenschmann"][f] for f in evidence[:1] + evidence[3:]] \
+        == ["sampled", 20, 0]
+    assert checks["wuenschmann"]["max_ratio"] > 1e-3
+    assert checks["cartan"]["method"] == "exact"
+    assert checks["cartan"]["error_bound"] < 1e-20
+    for key in ("classification", "wuenschmann_witness"):
+        assert not set(evidence) & set(checks[key])
+    assert not set(evidence) & set(report["entries"][1]["checks"]["branch"])
 
 
 def test_exit_code_follows_report_content(capsys, monkeypatch):
