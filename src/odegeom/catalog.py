@@ -76,20 +76,20 @@ def _run_ode3(entry: CatalogEntry, cfg: RunConfig) -> dict:
     bx = _box_from(entry.data, J2_3RD.coords).with_symbols(
         **{k: (min(v), max(v)) for k, v in params.items()})
     ode = ode3.third_order(F, bx, params)
-    rep = ode3.classify3(ode, cfg)
+    rep, transport, nu = ode3.ode3_checks(ode, cfg)
     out = {
         "classification": rep.verdict,
         "wuenschmann": rep.checks["A"],
         "cartan": rep.checks["G"],
+        "transport": transport.worst,
+        "nu_closed": nu,
     }
     if "conformally_flat_solution_space" in rep.values:
         out["conformally_flat_solution_space"] = combined_verdict(
             {k: rep.checks[k] for k in ("C1", "C2", "C3", "C4", "C5")})
-    out["transport"] = ode3.transport_check(ode, cfg).worst
-    out["nu_closed"] = ode3.nu_closedness_check(ode, cfg)
     if "wuenschmann_witness" in entry.expect:
         witness_expr = ex.parse(entry.expect["wuenschmann_witness"])
-        v = is_zero(ode3.ode3_invariants(ode).A, ode.box, cfg)
+        v = rep.checks["A"]
         wexp = float(ex.eval_numeric(witness_expr, v.witness_point))
         ok = abs(v.witness_value - wexp) <= 1e-9 * (1 + abs(wexp))
         out["wuenschmann_witness"] = \

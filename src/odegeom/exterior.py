@@ -451,10 +451,11 @@ class TransportResult:
         }
 
 
-def conformal_transport_factor(X: VectorField, g: SymmetricForm,
-                               box: DomainBox, cfg: RunConfig | None = None
-                               ) -> TransportResult:
-    """Find lambda with L_X g = lambda g, or report the failing residual.
+def transport_residuals(X: VectorField, g: SymmetricForm, box: DomainBox,
+                        cfg: RunConfig | None = None):
+    """The residuals L_X g - lambda g by slot name ("xy" for the slot of x
+    and y), and the function that reads their verdicts as a
+    `TransportResult`.
 
     The candidate lambda is the ratio at a pivot slot: the first component
     whose magnitude at the box center exceeds 1e-6 of the largest component
@@ -486,18 +487,23 @@ def conformal_transport_factor(X: VectorField, g: SymmetricForm,
         pivot = next(k for k in sorted(mags) if mags[k] > 1e-6 * scale)
 
     lam = ex.div(lg.rows[pivot[0]][pivot[1]], g.rows[pivot[0]][pivot[1]])
-    residuals = {}
     names = chart.coords
-    for i in range(n):
-        for j in range(i, n):
-            r = ex.add(lg.rows[i][j], ex.neg(ex.mul(lam, g.rows[i][j])))
-            residuals[f"{names[i]}{names[j]}"] = r
-    verdicts = is_zero_many(residuals, box, cfg)
-    worst = combined_verdict(verdicts)
-    return TransportResult(
-        success=worst.is_zero,
-        factor=lam if worst.is_zero else None,
-        pivot=pivot,
-        verdicts=verdicts,
-        worst=worst,
-    )
+    residuals = {f"{names[i]}{names[j]}":
+                 ex.add(lg.rows[i][j], ex.neg(ex.mul(lam, g.rows[i][j])))
+                 for i, j in keys}
+
+    def read(verdicts):
+        worst = combined_verdict(verdicts)
+        return TransportResult(success=worst.is_zero,
+                               factor=lam if worst.is_zero else None,
+                               pivot=pivot, verdicts=verdicts, worst=worst)
+    return residuals, read
+
+
+def conformal_transport_factor(X: VectorField, g: SymmetricForm,
+                               box: DomainBox, cfg: RunConfig | None = None
+                               ) -> TransportResult:
+    """Find lambda with L_X g = lambda g, or report the failing residual:
+    the `transport_residuals`, zero-tested in one call."""
+    residuals, read = transport_residuals(X, g, box, cfg)
+    return read(is_zero_many(residuals, box, cfg))

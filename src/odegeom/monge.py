@@ -131,10 +131,15 @@ def verify_parametrized_solution(eq, sol: ParametrizedSolution,
     bx = DomainBox({**unit_box(names).intervals, **bx.intervals},
                    bx.positive_guards, bx.nonzero_guards)
     bx = equation_box(residual, (), bx).with_nonzero_guard(xt, 1e-2)
-    not_degenerate = is_zero(xt, bx, cfg)
-    if not_degenerate.is_zero:
+    # one call; the residual is keyed as `is_zero` keys a lone expression,
+    # so its verdict is labelled alike
+    named = {"dx/dt": xt}
+    if not residual.is_zero_literal:
+        named["expr"] = residual
+    got = {} if xt.is_zero_literal else is_zero_many(named, bx, cfg)
+    if not got or got["dx/dt"].is_zero:
         raise ValueError("dx/dt vanishes identically on the sample box")
-    return is_zero(residual, bx, cfg)
+    return got.get("expr") or structural_zero(cfg)
 
 
 def coefficient_mutations(e: ex.Expression):

@@ -16,10 +16,10 @@ from .config import RunConfig
 from .exterior import (
     DKP, J2_3RD, DifferentialForm, Equation, SymmetricForm, TransportResult,
     conformal_transport_factor, d, d_coord, equation, lie_derivative,
-    sym_product, sym_square, total_derivative, wedge_all,
+    sym_product, sym_square, total_derivative, transport_residuals, wedge_all,
 )
 from .zerotest import (
-    DomainBox, ZeroTestVerdict, combined_verdict, is_zero, is_zero_many,
+    DomainBox, ZeroTestVerdict, combined_verdict, is_zero_many,
     structural_zero,
 )
 
@@ -126,21 +126,34 @@ def nu_tilde(ode: Equation) -> DifferentialForm:
             + omega4.scaled(ex.mul(two_thirds, Fq))).scaled(ex.MINUS_ONE)
 
 
+def _one_call(parts, box: DomainBox, cfg: RunConfig) -> list:
+    """Zero-test the roots of every (named, read) part in one `is_zero_many`
+    call, none when there are no roots, and give each part's read of the
+    verdicts of its own roots.  The parts' names must be distinct."""
+    named = {k: e for roots, _ in parts for k, e in roots.items()}
+    got = is_zero_many(named, box, cfg) if named else {}
+    return [read({k: got[k] for k in roots}) for roots, read in parts]
+
+
 def transport_check(ode: Equation, cfg: RunConfig | None = None) -> TransportResult:
     D = total_derivative("3rd-order", ode.F)
     return conformal_transport_factor(D, metric_tilde(ode), ode.box, cfg)
 
 
+def _nu_coefficients(ode: Equation, cfg: RunConfig):
+    """The coefficients of d(L_D nu) by name, and the function that reads
+    their verdicts as one."""
+    D = total_derivative("3rd-order", ode.F)
+    dl = d(lie_derivative(D, nu_tilde(ode)))
+    named = {f"c{idx}": c for idx, c in dl.coeffs.items()}
+    return named, lambda verdicts: \
+        combined_verdict(verdicts) if verdicts else structural_zero(cfg)
+
+
 def nu_closedness_check(ode: Equation, cfg: RunConfig | None = None):
     """d(L_D nu) == 0 exactly when the Cartan scalar condition holds."""
     cfg = cfg or RunConfig()
-    D = total_derivative("3rd-order", ode.F)
-    lnu = lie_derivative(D, nu_tilde(ode))
-    dl = d(lnu)
-    named = {f"c{idx}": c for idx, c in dl.coeffs.items()}
-    if not named:
-        return structural_zero(cfg)
-    return combined_verdict(is_zero_many(named, ode.box, cfg))
+    return _one_call([_nu_coefficients(ode, cfg)], ode.box, cfg)[0]
 
 
 GENERIC = "generic"
@@ -166,30 +179,47 @@ class InvariantReport:
         }
 
 
+def _classification(ode: Equation, cfg: RunConfig):
+    """A and G by name, and the function that reads their verdicts as the
+    classification; it zero-tests the Cotton components when A == 0."""
+    inv = ode3_invariants(ode)
+    roots = {"A": inv.A, "G": inv.G}
+
+    def read(checks):
+        a_zero = checks["A"].is_zero
+        verdict = GENERIC if not a_zero else \
+            EINSTEIN_WEYL if checks["G"].is_zero else WUENSCHMANN
+        report = InvariantReport(verdict, dict(checks), dict(roots))
+        if a_zero:
+            cots = is_zero_many(inv.cotton_components(), ode.box, cfg)
+            report.checks.update(cots)
+            report.values["conformally_flat_solution_space"] = \
+                all(v.is_zero for v in cots.values())
+        return report
+    return roots, read
+
+
 def classify3(ode: Equation, cfg: RunConfig | None = None) -> InvariantReport:
     """generic (A != 0), wuenschmann (A == 0, G != 0), or einstein-weyl
     (A == 0 and G == 0); in the non-generic cases also reports whether all
     five conformal-obstruction components vanish."""
     cfg = cfg or RunConfig()
-    inv = ode3_invariants(ode)
-    checks = is_zero_many({"A": inv.A, "G": inv.G}, ode.box, cfg)
-    a_zero = checks["A"].is_zero
-    g_zero = checks["G"].is_zero
-    if not a_zero:
-        verdict = GENERIC
-    elif g_zero:
-        verdict = EINSTEIN_WEYL
-    else:
-        verdict = WUENSCHMANN
-    report = InvariantReport(verdict, checks=dict(checks))
-    report.values["A"] = inv.A
-    report.values["G"] = inv.G
-    if a_zero:
-        cots = is_zero_many(inv.cotton_components(), ode.box, cfg)
-        report.checks.update(cots)
-        all_c = all(v.is_zero for v in cots.values())
-        report.values["conformally_flat_solution_space"] = all_c
-    return report
+    return _one_call([_classification(ode, cfg)], ode.box, cfg)[0]
+
+
+def ode3_checks(ode: Equation, cfg: RunConfig | None = None) -> tuple:
+    """`classify3`, `transport_check` and `nu_closedness_check` at once:
+    A, G, the transport residuals and the coefficients of d(L_D nu) in one
+    `is_zero_many` call, and the Cotton components in a second one when
+    A == 0.  Each verdict is that of the separate checks, except that a
+    nonzero sampled verdict may take its worst point (`max_ratio`,
+    witness) from a later point."""
+    cfg = cfg or RunConfig()
+    D = total_derivative("3rd-order", ode.F)
+    parts = [_classification(ode, cfg),
+             transport_residuals(D, metric_tilde(ode), ode.box, cfg),
+             _nu_coefficients(ode, cfg)]
+    return tuple(_one_call(parts, ode.box, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +294,18 @@ def dkp_residual(u: ex.Expression, box: DomainBox | None = None,
         consistency = {f"first{idx}": c for idx, c in f1.coeffs.items()}
         consistency["second_plus_scalar"] = ex.add(
             f2.coeff((0, 1, 2, 3)), s)
+        # one call, the consistency residuals first; the scalar is keyed as
+        # `is_zero` keys a lone expression, so its verdict is labelled alike
         named = {k: v for k, v in consistency.items() if not v.is_zero_literal}
-        if named:
-            sub = is_zero_many(named, box, cfg)
-            bad = sorted(k for k, v in sub.items() if not v.is_zero)
-            if bad:
-                raise DkpConsistencyError(
-                    "Frobenius residuals inconsistent with the scalar "
-                    f"residual: {', '.join(bad)}")
-        verdict = is_zero(s, box, cfg)
+        if not s.is_zero_literal:
+            named["expr"] = s
+        got = is_zero_many(named, box, cfg) if named else {}
+        bad = sorted(k for k in consistency if k in got and not got[k].is_zero)
+        if bad:
+            raise DkpConsistencyError(
+                "Frobenius residuals inconsistent with the scalar "
+                f"residual: {', '.join(bad)}")
+        verdict = got.get("expr") or structural_zero(cfg)
     return DkpResidualResult(s, f1, f2, verdict)
 
 

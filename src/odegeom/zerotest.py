@@ -226,7 +226,7 @@ def structural_zero(cfg: RunConfig) -> ZeroTestVerdict:
 
 # the prime is drawn from [2^60, 2^61)
 PRIME_BITS = 61
-# a call with a larger degree bound is sampled: its (D/p)^2 could pass 2^-40
+# a root with a larger degree bound is sampled: its (D/p)^2 could pass 2^-40
 DEGREE_CAP = 2 ** 40
 # Miller-Rabin with these seven bases (Sinclair 2011) is deterministic below
 # 2^64; the odd primes below 200 sieve out most candidates first
@@ -284,17 +284,18 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
     vanishes when every ring coordinate does.  The second point runs only
     the instructions of the roots that vanished at the first, so a
     division by zero there counts only on their way (one that only a
-    nonzero root needs, with chance about D/p, no longer does).  None sends
-    the whole call to the sampled path: the roots hold an operation the
-    modular tape cannot take or a symbol the box does not sample, a symbol
-    under a fractional power may be negative on the box, a compound or
-    constant base under a half-integer power is neither a positive guard
-    nor a positive constant, the degree bound passes DEGREE_CAP, a second
-    point hits a zero divisor, or no root vanishes at both points."""
+    nonzero root needs, with chance about D/p, no longer does).  A root
+    whose degree bound passes DEGREE_CAP is no candidate, and is left to
+    the sampled path.  None sends the whole call to the sampled path: the
+    roots hold an operation the modular tape cannot take or a symbol the
+    box does not sample, a symbol under a fractional power may be negative
+    on the box, a compound or constant base under a half-integer power is
+    neither a positive guard nor a positive constant, a second point hits a
+    zero divisor, or no candidate vanishes at both points."""
     # the guard group comes first, positive guards first: a base that is a
     # positive guard, by node identity, has that guard's slot
     mod = tape.modular(1, set(tape.outs[0][:len(box.positive_guards)]))
-    if mod is None or max(mod.degrees[:count], default=0) > DEGREE_CAP:
+    if mod is None:
         return None
     names = sorted({n for _, n, _ in mod.syms})
     if not box.intervals.keys() >= set(names):
@@ -308,7 +309,8 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
         return None
     P = _prime(seed)
     points = _points(names, P, seed)
-    zeros, runs, divisions_by_zero = range(count), 0, 0
+    zeros = [i for i in range(count) if mod.degrees[i] <= DEGREE_CAP]
+    runs, divisions_by_zero = 0, 0
     while runs < 2:
         try:
             values = mod.run(P, next(points),

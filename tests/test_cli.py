@@ -359,11 +359,11 @@ class _Captured(Exception):
     pass
 
 
-# per class: catalog kind, CLI arguments, the pipeline both of them call,
-# and a formula with one positive and one nonzero guard
+# per class: catalog kind, CLI arguments, the pipelines they call (the
+# CLI's first), and a formula with one positive and one nonzero guard
 GUARDED = {
-    "3rd-order": ("ode3", ["ode3", "classify", "--F"], (ode3, "classify3"),
-                  "q^(3/2)/y"),
+    "3rd-order": ("ode3", ["ode3", "classify", "--F"],
+                  (ode3, "classify3", "ode3_checks"), "q^(3/2)/y"),
     "2nd-order": ("ode2", ["ode2", "flatness", "--Q"],
                   (ode2, "fefferman_flatness_check"), "p^(3/2)/y"),
     "monge1": ("monge1", ["monge", "classify1", "--F"],
@@ -375,7 +375,7 @@ GUARDED = {
 
 @pytest.mark.parametrize("kind", sorted(GUARDED))
 def test_equation_boxes_hold_each_guard_once(kind, monkeypatch):
-    catalog_kind, args, (module, pipeline), formula = GUARDED[kind]
+    catalog_kind, args, (module, *pipelines), formula = GUARDED[kind]
     want = auto_guards(ex.parse(formula))
     assert all(len(g) == 1 for g in want)
     captured = []
@@ -384,7 +384,8 @@ def test_equation_boxes_hold_each_guard_once(kind, monkeypatch):
         captured.append(eq.box)
         raise _Captured
 
-    monkeypatch.setattr(module, pipeline, capture)
+    for pipeline in pipelines:
+        monkeypatch.setattr(module, pipeline, capture)
     with pytest.raises(_Captured):
         main(args + [formula])
     entry = CatalogEntry("guards", catalog_kind,
@@ -412,10 +413,10 @@ def test_catalog_parameter_is_sampled_on_its_interval(monkeypatch):
     assert result["checks"]["wuenschmann"]["got"] is False
     assert result["pass"]
     boxes = []
-    classify3 = ode3.classify3
-    monkeypatch.setattr(ode3, "classify3",
+    checks = ode3.ode3_checks
+    monkeypatch.setattr(ode3, "ode3_checks",
                         lambda ode, cfg: boxes.append(ode.box)
-                        or classify3(ode, cfg))
+                        or checks(ode, cfg))
     result = run_entry(_alpha_family([1.0], True), RunConfig())
     assert result["checks"]["wuenschmann"]["got"] is True
     assert [bx.intervals["alpha"] for bx in boxes] == [(1.0, 1.0)]

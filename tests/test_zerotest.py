@@ -108,6 +108,24 @@ def test_degree_cap():
         assert (v.is_zero, v.method) == (True, method)
 
 
+def test_degree_cap_is_per_root():
+    # a root over the cap is sampled on its own; its neighbours in the same
+    # call stay exact, with the verdicts a call of their own gives them
+    q = ex.sym("q")
+    bx = DomainBox({"q": (0.5, 1.0)})
+    power = ex.pow_(q, zerotest.DEGREE_CAP + 1)
+    small = ex.parse("(q + 1)^2 - q^2 - 2*q - 1")
+    named = {"big": ex.add(power, ex.neg(power)), "small": small,
+             "nonzero": ex.parse("q^3 - 1/8")}
+    got = is_zero_many(named, bx)
+    assert {k: (v.is_zero, v.method) for k, v in got.items()} == {
+        "big": (True, "sampled"), "small": (True, "exact"),
+        "nonzero": (False, "sampled")}
+    alone = is_zero(small, bx)
+    assert (alone.method, alone.error_bound) == \
+        (got["small"].method, got["small"].error_bound)
+
+
 def test_guards_that_reject_every_point_raise():
     e = ex.parse("q^(3/2) - q*q^(1/2)")
     assert is_zero(e, auto_box(e, Q_BOX)).method == "exact"
