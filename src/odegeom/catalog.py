@@ -54,10 +54,6 @@ def load_catalog() -> list:
     return entries
 
 
-# the fields of a zero-test verdict that a catalog check backed by it carries
-EVIDENCE = ("method", "max_ratio", "error_bound", "attempts", "rejected")
-
-
 def _box_from(data: dict, names) -> DomainBox:
     """The entry's sampling intervals over `names`, (-1, 1) where it lists
     none; the guards are added by `equation_box`."""
@@ -233,6 +229,10 @@ _RUNNERS = {
 }
 
 
+# the fields of a zero-test verdict that a catalog check backed by it carries
+EVIDENCE = ("method", "max_ratio", "error_bound", "attempts", "rejected")
+
+
 def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
     """The entry's checks against its expectations.  A runner that raises
     (an unusable box, a failed evaluation, inconsistent dKP residuals) fails
@@ -256,12 +256,11 @@ def run_entry(entry: CatalogEntry, cfg: RunConfig) -> dict:
             checks[key] = {"expected": want, "got": None, "pass": False,
                            "failure_kind": "error"}
             continue
-        have = verdict = got.get(key, "<missing>")
-        if isinstance(verdict, ZeroTestVerdict):
+        have = got.get(key, "<missing>")
+        verdict = have if isinstance(have, ZeroTestVerdict) else None
+        if verdict is not None:
             have = verdict.is_zero if not isinstance(want, str) else \
                 want if verdict.is_zero else "mismatch"
-        else:
-            verdict = None
         if isinstance(want, list):
             match = list(have) == list(want) if have != "<missing>" else False
         elif isinstance(want, float):

@@ -5,7 +5,7 @@ parametrized solution."""
 
 import pytest
 
-from odegeom import catalog, curvature, exterior, monge, ode2, ode3, zerotest
+from odegeom import catalog, exterior, monge, ode2, ode3, zerotest
 from odegeom import expr as ex
 from odegeom.catalog import load_catalog, run_entry
 from odegeom.config import RunConfig
@@ -114,7 +114,7 @@ def test_parametrized_solution_equals_two_calls(seed, monkeypatch):
 
 
 # every module that binds is_zero_many by name
-BINDERS = (zerotest, exterior, ode3, ode2, monge, catalog, curvature)
+BINDERS = (zerotest, exterior, ode3, ode2, monge, catalog)
 
 
 @pytest.fixture
@@ -126,8 +126,7 @@ def count_calls(monkeypatch):
         return is_zero_many(named, box, cfg)
 
     for module in BINDERS:
-        if hasattr(module, "is_zero_many"):
-            monkeypatch.setattr(module, "is_zero_many", counted)
+        monkeypatch.setattr(module, "is_zero_many", counted)
     return calls
 
 
