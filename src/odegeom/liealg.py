@@ -3,13 +3,15 @@ matrix connections: structure constants, Jacobi, Killing inertia, commutator
 closure, invariant bilinear forms, and the stabilized 3-form in dimension 7.
 
 All arithmetic is exact over Q(sqrt 3) (the 7x7 connection carries sqrt-3
-entries).  Floating point appears only as a cross-check on inertia
-computations, which are themselves done by exact congruence.
+entries), on Python ints: a `Q3` is (a + b sqrt 3)/d in lowest terms.
+Floating point appears only as a cross-check on inertia computations, which
+are themselves done by exact congruence.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,35 +19,45 @@ from .exterior import _perm_sign
 
 
 class Q3:
-    """a + b*sqrt(3) with exact rational a, b."""
+    """(a + b*sqrt(3))/d with ints a, b, d, d > 0 and gcd(a, b, d) = 1, so
+    equal numbers have equal fields.  Takes int or Fraction a, b (or, from
+    the arithmetic, int a, b over an int d, reduced here by one gcd)."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, a=0, b=0):
-        # arithmetic results already are Fractions: skip the copy
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+    def __init__(self, a=0, b=0, d=1):
+        if type(a) is not int or type(b) is not int:
+            a, b = Fraction(a), Fraction(b)
+            a, b, d = (a.numerator * b.denominator, b.numerator * a.denominator,
+                       a.denominator * b.denominator)
+        if d != 1:
+            g = math.gcd(a, b, d) if d > 0 else -math.gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        self.a, self.b, self.d = a, b, d
 
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"({self.a} + {self.b}*sqrt3)"
+        a, b = Fraction(self.a, self.d), Fraction(self.b, self.d)
+        return f"({a} + {b}*sqrt3)" if b else str(a)
 
     def __eq__(self, other):
         other = q3(other)
-        return self.a == other.a and self.b == other.b
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        other = q3(other)
-        return Q3(self.a + other.a, self.b + other.b)
+        o = other if type(other) is Q3 else Q3(other)
+        d, e = self.d, o.d
+        if d == e:
+            return Q3(self.a + o.a, self.b + o.b, d)
+        return Q3(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Q3(-self.a, -self.b)
+        return Q3(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-q3(other))
@@ -54,17 +66,18 @@ class Q3:
         return q3(other) + (-self)
 
     def __mul__(self, other):
-        other = q3(other)
-        return Q3(self.a * other.a + 3 * self.b * other.b,
-                  self.a * other.b + self.b * other.a)
+        o = other if type(other) is Q3 else Q3(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return Q3(a * c + 3 * b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        den = self.a * self.a - 3 * self.b * self.b
+        a, b, d = self.a, self.b, self.d
+        den = a * a - 3 * b * b
         if den == 0:  # only at zero, sqrt 3 being irrational
             raise ZeroDivisionError("inverse of zero")
-        return Q3(self.a / den, -self.b / den)
+        return Q3(d * a, -d * b, den)
 
     def __truediv__(self, other):
         return self * q3(other).inverse()
@@ -74,29 +87,22 @@ class Q3:
 
     @property
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def sign(self):
-        """Exact sign of a + b*sqrt(3)."""
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
-            return -1
-        # opposite signs: compare a^2 with 3 b^2 on the dominant part
-        if self.a > 0:  # b < 0
-            return 1 if self.a * self.a > 3 * self.b * self.b else -1
-        return -1 if self.a * self.a > 3 * self.b * self.b else 1
+        """Exact sign: that of b when a and b have opposite signs and
+        3 b^2 > a^2, or when a is 0; else that of a."""
+        a, b = self.a, self.b
+        if not a or a * b < 0 and 3 * b * b > a * a:
+            a = b
+        return (a > 0) - (a < 0)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * 3 ** 0.5
+        return self.a / self.d + self.b / self.d * 3 ** 0.5
 
 
 def q3(v) -> Q3:
-    if isinstance(v, Q3):
-        return v
-    return Q3(v)
+    return v if isinstance(v, Q3) else Q3(v)
 
 
 SQRT3 = Q3(0, 1)
@@ -108,8 +114,6 @@ INV_SQRT3 = Q3(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
 #
 # A sparse vector is a dict {column: nonzero Q3}; a sparse matrix is a dict
 # {row: sparse vector} without empty rows.
-
-_ZERO = Q3()  # shared, never mutated: padding for dense rows
 
 
 def _sparse_matrix(A):
@@ -183,12 +187,15 @@ def rref(M):
     return R + [[Q3() for _ in range(cols)] for _ in M[len(R):]], pivots
 
 
-def nullspace(M):
-    """Basis of the right nullspace (list of Q3 vectors)."""
-    if not M:
-        return []
-    cols = len(M[0])
-    basis = _rref_rows(_sparse_matrix(M).values(), cols)
+def nullspace(M, cols=None):
+    """Basis of the right nullspace (list of Q3 vectors) of dense rows M, or
+    of sparse rows {column: nonzero Q3} over `cols` columns (consumed)."""
+    if cols is None:
+        if not M:
+            return []
+        cols = len(M[0])
+        M = _sparse_matrix(M).values()
+    basis = _rref_rows(M, cols)
     out = []
     for fc in (c for c in range(cols) if c not in basis):
         v = [Q3() for _ in range(cols)]
@@ -573,15 +580,14 @@ def invariant_bilinear_form(basis: MatrixBasis) -> dict:
         cols = _sparse_matrix(zip(*X))  # {c: {k: X_kc}}
         for r in range(m):
             for c in range(m):
-                row = [_ZERO] * len(unknowns)
+                row = {}
                 # (X^T B + B X)_{rc} = sum_k X_{kr} B_{kc} + B_{rk} X_{kc}
                 for t, col in ((c, cols.get(r, {})), (r, cols.get(c, {}))):
                     for k, x in col.items():
                         key = index[(k, t) if k <= t else (t, k)]
-                        row[key] = row[key] + x
-                if any(not v.is_zero for v in row):
-                    rows.append(row)
-    sols = nullspace(rows)
+                        row[key] = row[key] + x if key in row else x
+                rows.append({k: v for k, v in row.items() if not v.is_zero})
+    sols = nullspace(rows, len(unknowns))
     out = {"dimension": len(sols), "forms": []}
     for v in sols:
         B = [[Q3() for _ in range(m)] for _ in range(m)]
@@ -609,7 +615,7 @@ def invariant_three_form(basis: MatrixBasis) -> dict:
     for X in basis.matrices:
         cols = _sparse_matrix(zip(*X))  # {c: {l: X_lc}}
         for triple in triples:
-            row = [_ZERO] * len(triples)
+            row = {}
             for pos, slot in enumerate(triple):
                 # phi(.., X e_slot, ..) with X e_slot = sum_l X_{l slot} e_l
                 for l, x in cols.get(slot, {}).items():
@@ -617,10 +623,10 @@ def invariant_three_form(basis: MatrixBasis) -> dict:
                     if len(set(tgt)) < 3:
                         continue
                     key = index[tuple(sorted(tgt))]
-                    row[key] = row[key] + (x if _perm_sign(tgt) > 0 else -x)
-            if any(not v.is_zero for v in row):
-                rows.append(row)
-    sols = nullspace(rows)
+                    x = x if _perm_sign(tgt) > 0 else -x
+                    row[key] = row[key] + x if key in row else x
+            rows.append({k: v for k, v in row.items() if not v.is_zero})
+    sols = nullspace(rows, len(triples))
     result = {"dimension": len(sols), "forms": sols, "induced": None}
     if len(sols) == 1:
         B = induced_bilinear_from_three_form(sols[0])

@@ -209,9 +209,9 @@ class ZeroTestVerdict:
         }
 
 
-def structural_zero(cfg: RunConfig) -> ZeroTestVerdict:
+def structural_zero(cfg: RunConfig, label: str = "") -> ZeroTestVerdict:
     """The verdict on an expression that is a literal zero: nothing sampled."""
-    return ZeroTestVerdict(True, 0, cfg.seed, cfg.tol, 0.0, 0.0,
+    return ZeroTestVerdict(True, 0, cfg.seed, cfg.tol, 0.0, 0.0, label=label,
                            method="structural")
 
 
@@ -432,7 +432,9 @@ def _sampled(named: dict, box: DomainBox, cfg: RunConfig, compiled=None) -> dict
 def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> dict:
     """Zero-test several expressions over one box.
 
-    One tape is compiled for the call: the box guards first, then every
+    An expression that is a literal zero is a structural zero: it is left
+    out of the tape, and a call of nothing else draws no points.  One tape
+    is compiled for the others: the box guards first, then every
     expression and every top-level additive term of each (the terms give
     the scale).  Expressions typically share large sub-DAGs (tensor
     components), so each node is evaluated once per point.
@@ -458,6 +460,13 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
     counted.
     """
     cfg = cfg or RunConfig()
+    live = {n: e for n, e in named.items() if not e.is_zero_literal}
+    out = _tested(live, box, cfg) if live else {}
+    return {n: out[n] if n in out else structural_zero(cfg, n) for n in named}
+
+
+def _tested(named: dict, box: DomainBox, cfg: RunConfig) -> dict:
+    """`is_zero_many` of expressions none of which is a literal zero."""
     tape, terms = _tape(named, box)
     exact = _exact_zeros(tape, len(named), box, cfg.seed)
     if not exact:

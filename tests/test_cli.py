@@ -93,7 +93,7 @@ def test_verify_paper_subset_schema(capsys):
     from importlib import resources
     status, out, _ = run_cli(
         ["verify", "paper", "--only", "ode3-square", "--only", "monge1-y",
-         "--json"], capsys)
+         "--only", "ode3-flat", "--json"], capsys)
     assert status == 0
     report = json.loads(out)
     schema = json.loads(resources.files("odegeom.data")
@@ -102,16 +102,21 @@ def test_verify_paper_subset_schema(capsys):
     assert report["summary"]["failed"] == 0
     # a check that one verdict backs carries its evidence; a class label
     # and a witness string carry none
-    checks = report["entries"][0]["checks"]
+    by_id = {e["id"]: e["checks"] for e in report["entries"]}
+    checks = by_id["ode3-square"]
     evidence = ("method", "max_ratio", "error_bound", "attempts", "rejected")
     assert [checks["wuenschmann"][f] for f in evidence[:1] + evidence[3:]] \
         == ["sampled", 20, 0]
     assert checks["wuenschmann"]["max_ratio"] > 1e-3
-    assert checks["cartan"]["method"] == "exact"
-    assert checks["cartan"]["error_bound"] < 1e-20
+    # the Cartan components of F = r^2 are literal zeros: nothing is drawn
+    assert [checks["cartan"][f] for f in evidence] \
+        == ["structural", 0.0, None, 0, 0]
+    transport = by_id["ode3-flat"]["transport"]
+    assert transport["method"] == "exact"
+    assert transport["error_bound"] < 1e-20
     for key in ("classification", "wuenschmann_witness"):
         assert not set(evidence) & set(checks[key])
-    assert not set(evidence) & set(report["entries"][1]["checks"]["branch"])
+    assert not set(evidence) & set(by_id["monge1-y"]["branch"])
 
 
 def test_exit_code_follows_report_content(capsys, monkeypatch):

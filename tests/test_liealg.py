@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odegeom.liealg import (
     Q3, SQRT3, MatrixBasis, StructureConstantTable,
@@ -30,6 +32,143 @@ def test_q3_exact_sign():
     assert Q3(-2, 1).sign() == -1     # sqrt3 - 2 < 0
     assert Q3(-1, 1).sign() == 1      # sqrt3 - 1 > 0
     assert Q3(0, 0).sign() == 0
+
+
+class PairQ3:
+    """Reference a + b*sqrt(3) as a pair of Fractions, the representation
+    Q3 had before it kept integers over one denominator."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return PairQ3(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return PairQ3(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return PairQ3(self.a * o.a + 3 * self.b * o.b,
+                      self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        den = self.a * self.a - 3 * self.b * self.b
+        return PairQ3(self.a / den, -self.b / den)
+
+    def sign(self):
+        # over a common denominator: b sqrt 3 lies strictly between
+        # isqrt(3 b^2) and isqrt(3 b^2) + 1 when b != 0
+        d = self.a.denominator * self.b.denominator
+        a, b = int(self.a * d), int(self.b * d)
+        if b < 0:
+            a, b = -a, -b
+            return -PairQ3(a, b).sign()
+        if b == 0:
+            return (a > 0) - (a < 0)
+        return 1 if a + math.isqrt(3 * b * b) >= 0 else -1
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * 3 ** 0.5
+
+    def of(self, q):
+        """Whether Q3 q holds this number, in lowest terms over d > 0."""
+        return in_lowest_terms([q]) and fields(q) == (self.a, self.b)
+
+
+def fields(q):
+    """The Fraction pair a Q3 stands for."""
+    return Fraction(q.a, q.d), Fraction(q.b, q.d)
+
+
+def in_lowest_terms(values):
+    return all(type(q) is Q3 and q.d > 0 and math.gcd(q.a, q.b, q.d) == 1
+               for q in values)
+
+
+big_ints = st.integers(-10 ** 40, 10 ** 40)
+fractions = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(max_denominator=12).filter(lambda f: abs(f) < 50),
+    st.builds(Fraction, big_ints, st.integers(1, 10 ** 30)))
+pairs = st.tuples(fractions, fractions)
+
+
+@given(pairs, pairs)
+@settings(max_examples=200, deadline=None)
+def test_q3_matches_fraction_pair_reference(x, y):
+    qx, qy, rx, ry = Q3(*x), Q3(*y), PairQ3(*x), PairQ3(*y)
+    assert rx.of(qx) and rx.of(Q3(*fields(qx)))
+    assert (rx + ry).of(qx + qy) and (rx - ry).of(qx - qy)
+    assert (rx * ry).of(qx * qy)
+    assert (PairQ3(y[0], 0) - rx).of(y[0] - qx) and (rx + ry).of(y[0] + qx + Q3(0, y[1]))
+    assert qx.sign() == rx.sign() and float(qx) == float(rx)
+    if qy.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            qy.inverse()
+    else:
+        assert (ry.inverse()).of(qy.inverse())
+        assert (rx * ry.inverse()).of(qx / qy)
+        # equal values built differently: equal fields and hashes
+        back = qx * qy / qy
+        assert back == qx and hash(back) == hash(qx)
+    zero = qx * Q3(0) + (qy - qy)
+    assert zero == Q3(0) and hash(zero) == hash(Q3(0)) and zero.is_zero
+
+
+@given(big_ints, big_ints, st.integers(1, 10 ** 20))
+@settings(max_examples=200, deadline=None)
+def test_q3_sign_of_opposite_large_parts(a, b, d):
+    a, b = abs(a) + 1, -(abs(b) + 1)
+    for x in (Q3(Fraction(a, d), b), Q3(-a, Fraction(-b, d))):
+        ref = PairQ3(*fields(x))
+        assert x.sign() == ref.sign() and (-x).sign() == -ref.sign()
+
+
+def test_q3_sign_near_sqrt3():
+    # a^2 - 3 b^2 = n for n = 1 and n = -2 (multiplying by 2 + sqrt 3 keeps
+    # n): a - b sqrt 3 has the sign of n and a size no float difference
+    # resolves
+    for (a, b), n in (((2, 1), 1), ((1, 1), -2)):
+        for _ in range(60):
+            a, b = 2 * a + 3 * b, a + 2 * b
+        assert a * a - 3 * b * b == n
+        assert float(a) - float(b) * 3 ** 0.5 == 0
+        assert Q3(a, -b).sign() == n // abs(n) == -Q3(-a, b).sign()
+        assert Q3(Fraction(a, 7), Fraction(-b, 7)).sign() == n // abs(n)
+    assert Q3(a + 1, -b).sign() == 1
+
+
+def test_q3_equal_values_built_differently():
+    half = Q3(Fraction(2, 4))
+    assert half == Q3(Fraction(1, 2)) == Q3(1) / 2
+    assert hash(half) == hash(Q3(Fraction(1, 2))) == hash(Q3(1) / 2)
+    assert (half.a, half.b, half.d) == (1, 0, 2)
+    cancelled = Q3(Fraction(1, 3), 1) * Q3(0, Fraction(2, 3)) - Q3(2, Fraction(2, 9))
+    assert cancelled == Q3(0) and hash(cancelled) == hash(Q3())
+    assert (cancelled.a, cancelled.b, cancelled.d) == (0, 0, 1)
+    assert Q3(Fraction(-6, 4), Fraction(3, 2)) == Q3(Fraction(-3, 2), Fraction(3, 2))
+
+
+def test_exact_layer_returns_lowest_terms():
+    rng = random.Random(17)
+    for rows, cols, rank in ((6, 9, 4), (9, 6, 3), (5, 5, 5)):
+        M = [[q / 3 + SQRT3 / 4 * q for q in row]
+             for row in rank_deficient(rng, rows, cols, rank)]
+        R, _ = rref(M)
+        basis = nullspace(M)
+        assert in_lowest_terms(v for row in R for v in row)
+        assert in_lowest_terms(v for vec in basis for v in vec)
+        sparse = [{c: v for c, v in enumerate(row) if not v.is_zero}
+                  for row in M]
+        assert nullspace([r for r in sparse if r], cols) == basis
+    for name in ("syspoint", "sycart-syspp"):
+        K = killing_form(flat_structure_constants(name))
+        assert in_lowest_terms(v for row in K for v in row)
+    for name in ("conpoint", "caln", "ccg2"):
+        basis = matrix_rep(name)
+        assert in_lowest_terms(v for M in basis.matrices for row in M for v in row)
+        K = killing_form(commutator_closure_check(basis)["constants"])
+        assert in_lowest_terms(v for row in K for v in row)
 
 
 def test_symmetric_inertia_basic():

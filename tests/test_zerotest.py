@@ -174,6 +174,32 @@ def test_mixed_call_samples_only_the_rest():
         (alone.attempts, alone.rejected)
 
 
+def test_literal_zero_roots_are_structural(monkeypatch):
+    # y''' = 0: A, G and the five Cartan components are literal zeros, and
+    # no point is drawn for them
+    def no_points(*args):
+        raise AssertionError("a point was drawn")
+
+    with monkeypatch.context() as m:
+        m.setattr(zerotest.DomainBox, "sample", no_points)
+        checks = ode3.classify3(ode3.third_order("0")).checks
+    assert set(checks) == {"A", "G", "C1", "C2", "C3", "C4", "C5"}
+    for name, v in checks.items():
+        assert (v.is_zero, v.method, v.samples, v.attempts, v.rejected,
+                v.error_bound, v.label) == \
+            (True, "structural", 0, 0, 0, None, name)
+    # beside other roots: left out of the tape, the key order kept
+    named = {"lit": ex.ZERO, "zero": ex.parse("q^(3/2) - q*q^(1/2)"),
+             "one": ex.parse("q + 1")}
+    bx = auto_box(named["zero"], Q_BOX)
+    cfg = RunConfig(seed=4)
+    got = is_zero_many(named, bx, cfg)
+    assert list(got) == ["lit", "zero", "one"]
+    assert got["lit"] == zerotest.structural_zero(cfg, "lit")
+    rest = is_zero_many({n: named[n] for n in ("zero", "one")}, bx, cfg)
+    assert got["zero"] == rest["zero"] and got["one"] == rest["one"]
+
+
 def test_error_bound_in_json_and_combined_verdict():
     exact = ZeroTestVerdict(True, 2, 0, 1e-9, 0.0, 0.0, method="exact",
                             error_bound=1e-36)
