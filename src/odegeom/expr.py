@@ -2,7 +2,11 @@
 
 Expressions are hash-consed: structurally equal trees are the same Python
 object, so structural equality is identity, and the differentiation cache
-and the evaluation tape (`Tape`) key on node identity.  Construction applies light normalization only
+and the evaluation tape (`Tape`) key on node identity.  `_intern` holds one
+table per node kind; a sum, product, quotient or power is keyed by its own
+argument tuple (nodes hash by identity), so a key copies nothing the node
+holds.  `_dcache` holds one table {node: derivative} per variable.  Both
+live as long as the process.  Construction applies light normalization only
 (constant folding, 0/1 identities, flattening of sums and products); there is
 no factorization or canonical simplification.  Identity claims are settled by
 randomized evaluation (modulo a prime, or at floating sample points), not by
@@ -100,7 +104,14 @@ class Expression:
         return to_str(self)
 
     def __repr__(self):
-        return to_str(self)
+        # to_str refuses a literal too long to print; a repr, as of a
+        # container holding this node, names its length instead
+        try:
+            return to_str(self)
+        except OverflowError:
+            bits = max(_bits(n.payload) for n in walk(self)
+                       if n.kind == NUM and type(n.payload) is not float)
+            return f"<expression with a literal of {bits} bits>"
 
     # arithmetic sugar
     def __add__(self, other):
@@ -142,23 +153,45 @@ class Expression:
         return self.kind == NUM and self.payload == 1
 
 
-_intern: dict = {}
+class _Tables(dict):
+    """A dict of tables, {name: {key: value}}, whose len() counts the
+    entries of all its tables."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return sum(map(len, self.values()))
+
+
+# one intern table per node kind
+_intern = _Tables({k: {} for k in (NUM, SYM, FAM, ADD, MUL, DIV, POW, FUNC,
+                                   INT)})
+# kinds whose key is the node's own argument tuple
+_KEYED_BY_ARGS = frozenset((ADD, MUL, DIV, POW))
 
 
 def _key_of(kind, payload, args):
+    """The key of a node in its kind's table `_intern[kind]`: `args` itself
+    for add, mul, div and pow; a num's payload, tagged when it is a Fraction
+    or a float; (payload, args) otherwise."""
+    if kind in _KEYED_BY_ARGS:
+        return args
+    if kind != NUM:
+        return payload, args
     if isinstance(payload, Fraction):
-        payload = ("Q", payload.numerator, payload.denominator)
-    elif isinstance(payload, float):
-        payload = ("f", repr(payload))
-    return (kind, payload, tuple(map(id, args)))
+        return "Q", payload.numerator, payload.denominator
+    if isinstance(payload, float):
+        return "f", repr(payload)
+    return payload
 
 
 def _node(kind, payload, args):
+    args = tuple(args)
+    table = _intern[kind]
     key = _key_of(kind, payload, args)
-    node = _intern.get(key)
+    node = table.get(key)
     if node is None:
-        node = Expression(kind, payload, tuple(args))
-        _intern[key] = node
+        node = table[key] = Expression(kind, payload, args)
     return node
 
 
@@ -387,33 +420,38 @@ def walk(root: Expression, done: set | None = None, children=None):
 # ---------------------------------------------------------------------------
 # differentiation
 
-_dcache: dict = {}
+# one table per variable, {node: derivative}
+_dcache = _Tables()
 
 
 def differentiate(e: Expression, var: str) -> Expression:
-    d = _dcache.get((e, var))
+    table = _dcache.get(var)
+    if table is None:
+        table = _dcache[var] = {}
+    d = table.get(e)
     if d is not None:
         return d
 
     def enter(n):  # the arguments whose derivatives d(n) needs and lacks
         if n.kind == INT and n.payload == var:
             return ()
-        return [a for a in n.args if (a, var) not in _dcache]
+        return [a for a in n.args if a not in table]
 
     for n in walk(e, children=enter):
-        _dcache[n, var] = _derivative(n, var)
-    return _dcache[e, var]
+        table[n] = _derivative(n, var, table)
+    return table[e]
 
 
-def _derivative(e: Expression, var: str) -> Expression:
-    """d e/d var from the cached derivatives of e's arguments."""
+def _derivative(e: Expression, var: str, table: dict) -> Expression:
+    """d e/d var from the derivatives of e's arguments in `table`, the
+    derivative table of var."""
     k, args = e.kind, e.args
     if k == ADD:
-        return add(*[_dcache[a, var] for a in args])
+        return add(*[table[a] for a in args])
     if k == MUL:
         terms = []
         for i, a in enumerate(args):
-            da = _dcache[a, var]
+            da = table[a]
             if not da.is_zero_literal:
                 terms.append(mul(*args[:i], da, *args[i + 1:]))
         return add(*terms)
@@ -427,16 +465,16 @@ def _derivative(e: Expression, var: str) -> Expression:
     if k == INT:
         if e.payload == var:
             return args[0]
-        return antideriv(_dcache[args[0], var], e.payload)
+        return antideriv(table[args[0]], e.payload)
     if k == DIV:
         a, b = args
-        da, db = _dcache[a, var], _dcache[b, var]
+        da, db = table[a], table[b]
         if db.is_zero_literal:
             return div(da, b)
         return div(add(mul(da, b), neg(mul(a, db))), pow_(b, 2))
     if k == POW:
         b, x = args
-        db, dx = _dcache[b, var], _dcache[x, var]
+        db, dx = table[b], table[x]
         if dx.is_zero_literal:
             return mul(x, pow_(b, add(x, MINUS_ONE)), db)
         if db.is_zero_literal:
@@ -445,9 +483,9 @@ def _derivative(e: Expression, var: str) -> Expression:
     if k == FUNC:
         (a,) = args
         if e.payload == "exp":
-            return mul(e, _dcache[a, var])
+            return mul(e, table[a])
         if e.payload == "log":
-            return div(_dcache[a, var], a)
+            return div(table[a], a)
     raise ExprError(f"no derivative rule for {k} {e.payload}")  # pragma: no cover
 
 
@@ -1116,9 +1154,14 @@ def _is_negative_head(e: Expression) -> bool:
     return False
 
 
+def _bits(fr) -> int:
+    """The bits of the larger of the numerator and denominator of fr, an int
+    or a Fraction."""
+    return max(fr.numerator.bit_length(), fr.denominator.bit_length())
+
+
 def _frac_str(fr):  # an int or a Fraction
-    if max(fr.numerator.bit_length(),
-           fr.denominator.bit_length()) > MAX_LITERAL_BITS:
+    if _bits(fr) > MAX_LITERAL_BITS:
         raise OverflowError(f"a derived literal of more than "
                             f"{MAX_LITERAL_BITS} bits is not printed")
     if fr.denominator == 1:
@@ -1238,9 +1281,8 @@ def _bounded(e: Expression) -> Expression:
     MAX_LITERAL_BITS bits, or a sum or product led by one (where `add` and
     `mul` fold their numbers)."""
     c = e.args[0] if e.kind in (ADD, MUL) else e
-    if c.kind == NUM and isinstance(c.payload, RATIONAL) and max(
-            c.payload.numerator.bit_length(),
-            c.payload.denominator.bit_length()) > MAX_LITERAL_BITS:
+    if c.kind == NUM and isinstance(c.payload, RATIONAL) \
+            and _bits(c.payload) > MAX_LITERAL_BITS:
         raise OverflowError(f"literal larger than {MAX_LITERAL_BITS} bits")
     return e
 

@@ -68,6 +68,49 @@ def test_integral_literals_are_int_payloads():
     assert type(ex.evaluate_exact(ex.num(3), {})) is Fraction
 
 
+def test_hash_consing_keeps_kinds_and_payloads_apart():
+    # add, mul, div and pow share the argument-tuple key, each in the table
+    # of its own kind; a num's key tags Fractions and floats
+    a, b = ex.sym("hc_a"), ex.sym("hc_b")
+    assert ex.num(2) is not ex.num(2.0)
+    assert ex.num(Fraction(4, 2)) is ex.num(2)
+    assert ex.add(a, b) is not ex.mul(a, b)
+    assert ex.div(a, b) is not ex.pow_(a, b)
+    assert ex.exp(a) is not ex.log(a)
+    assert ex.antideriv(a, "x") is not ex.antideriv(a, "y")
+    # nodes hash and compare by identity, so a tuple of nodes is a key
+    assert ex.Expression.__eq__ is object.__eq__
+    assert ex.Expression.__hash__ is object.__hash__
+
+
+def test_intern_and_derivative_tables_count_entries():
+    a, b = ex.sym("hc_c"), ex.sym("hc_d")
+    before = len(ex._intern)
+    s = ex.add(a, b)
+    assert len(ex._intern) == before + 1
+    assert ex.add(a, b) is s and ex.parse("hc_c + hc_d") is s
+    assert len(ex._intern) == before + 1
+    before = len(ex._dcache)
+    ex.differentiate(s, "hc_c")  # s, a and b in one variable
+    assert len(ex._dcache) == before + 3
+    ex.differentiate(s, "hc_d")
+    assert len(ex._dcache) == before + 6
+    ex.differentiate(s, "hc_c")
+    assert len(ex._dcache) == before + 6
+
+
+def test_repr_names_a_literal_too_long_to_print():
+    big = ex.num(2 ** 4000) * ex.num(2 ** 4000)
+    assert repr(big) == "<expression with a literal of 8001 bits>"
+    assert repr([big * q]) == "[<expression with a literal of 8001 bits>]"
+    assert repr(ex.num(Fraction(3, 7)) * q) == "3/7*q"
+    # the text itself is still refused, which the CLI reports as exit 2
+    with pytest.raises(OverflowError):
+        str(big)
+    with pytest.raises(OverflowError):
+        ex.to_str(big * q)
+
+
 def test_family_symbols_parse_and_shift():
     w2 = ex.parse("w_2^2")
     d = ex.differentiate(w2, "t")
@@ -861,3 +904,38 @@ def test_deep_expressions_need_no_recursion_limit():
     proc = subprocess.run([sys.executable, "-c", _DEEP_CHAIN], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_RETAINED_PER_NODE = """
+import gc, tracemalloc
+from odegeom import expr as ex
+from odegeom.curvature import weyl
+from odegeom.ode2 import fefferman_metric, second_order
+def build(c):
+    weyl(fefferman_metric(second_order(f"({c})*p^(5/2)")))
+build("3/7")
+gc.collect()
+tracemalloc.start()
+nodes, heap = len(ex._intern), tracemalloc.get_traced_memory()[0]
+for c in ("11/13", "17/19", "23/29", "31/37"):
+    build(c)
+gc.collect()
+heap = tracemalloc.get_traced_memory()[0] - heap
+print(heap / (len(ex._intern) - nodes))
+"""
+
+
+def test_interned_nodes_retain_no_key_copies():
+    # the heap that four Fefferman Weyl builds leave behind, the intern and
+    # derivative tables with their nodes, per new node: about 200 bytes when
+    # a node's key is its own argument tuple, about 440 with a key that
+    # copies the arguments' ids per node
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _RETAINED_PER_NODE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) < 260
