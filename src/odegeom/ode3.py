@@ -10,6 +10,7 @@ third-order ODE from a solution u(x, y, t) of the dKP equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
 from .config import RunConfig
@@ -31,20 +32,53 @@ def third_order(text_or_expr, box: DomainBox | None = None,
 
 @dataclass
 class Ode3Invariants:
+    """The invariants of y''' = F: K, the Wuenschmann invariant A and the
+    Cartan invariant G, built at once.  L, N and the Cotton components
+    C1-C5, the conformal obstruction of the class A = 0, are built together
+    on first use of any of them (the cached `_cotton`)."""
+    F: ex.Expression
     K: ex.Expression
     A: ex.Expression
     G: ex.Expression
-    L: ex.Expression
-    N: ex.Expression
-    C1: ex.Expression
-    C2: ex.Expression
-    C3: ex.Expression
-    C4: ex.Expression
-    C5: ex.Expression
+
+    @cached_property
+    def _cotton(self) -> dict:
+        F, K = self.F, self.K
+        dq = lambda e: ex.differentiate(e, "q")
+        dp = lambda e: ex.differentiate(e, "p")
+        dy = lambda e: ex.differentiate(e, "y")
+        Fq = dq(F)
+        Fqq, Fqy = dq(Fq), dy(Fq)
+
+        L = ex.add(ex.mul(ex.MINUS_ONE, ex.num(1) / 3, Fqy),
+                   ex.mul(ex.num(1) / 3, Fqq, K),
+                   ex.neg(dp(K)),
+                   ex.mul(ex.MINUS_ONE, ex.num(1) / 3, Fq, dq(K)))
+        N = ex.add(ex.mul(ex.num(1) / 3, Fqq, L),
+                   ex.mul(ex.MINUS_ONE, ex.num(2) / 3, Fq, dq(L)),
+                   ex.mul(ex.MINUS_ONE, 2, dp(L)),
+                   ex.mul(K, dq(dq(K))),
+                   ex.neg(dy(dq(K))),
+                   ex.mul(ex.MINUS_ONE, ex.HALF, ex.pow_(dq(K), 2)))
+        return {"L": L, "N": N, "C1": dq(dq(Fqq)), "C2": dq(dq(dq(K))),
+                "C3": dq(dq(L)), "C4": dq(N),
+                "C5": ex.add(ex.mul(-3, dq(dq(K)), L),
+                             ex.mul(3, dq(K), dq(L)),
+                             ex.mul(-3, K, dq(dq(L))),
+                             ex.mul(3, dy(dq(L))),
+                             ex.mul(3, dp(N)),
+                             ex.mul(Fq, dq(N)))}
+
+    L = property(lambda self: self._cotton["L"])
+    N = property(lambda self: self._cotton["N"])
+    C1 = property(lambda self: self._cotton["C1"])
+    C2 = property(lambda self: self._cotton["C2"])
+    C3 = property(lambda self: self._cotton["C3"])
+    C4 = property(lambda self: self._cotton["C4"])
+    C5 = property(lambda self: self._cotton["C5"])
 
     def cotton_components(self):
-        return {"C1": self.C1, "C2": self.C2, "C3": self.C3,
-                "C4": self.C4, "C5": self.C5}
+        return {k: self._cotton[k] for k in ("C1", "C2", "C3", "C4", "C5")}
 
 
 def ode3_invariants(ode: Equation) -> Ode3Invariants:
@@ -62,29 +96,7 @@ def ode3_invariants(ode: Equation) -> Ode3Invariants:
                ex.mul(ex.MINUS_ONE, ex.HALF, Fp))
     A = ex.add(Fy, D.apply(K), ex.mul(ex.MINUS_ONE, ex.num(2) / 3, Fq, K))
     G = ex.add(D.apply(D.apply(Fqq)), ex.neg(D.apply(Fqp)), Fqy)
-
-    L = ex.add(ex.mul(ex.MINUS_ONE, ex.num(1) / 3, Fqy),
-               ex.mul(ex.num(1) / 3, Fqq, K),
-               ex.neg(dp(K)),
-               ex.mul(ex.MINUS_ONE, ex.num(1) / 3, Fq, dq(K)))
-    N = ex.add(ex.mul(ex.num(1) / 3, Fqq, L),
-               ex.mul(ex.MINUS_ONE, ex.num(2) / 3, Fq, dq(L)),
-               ex.mul(ex.MINUS_ONE, 2, dp(L)),
-               ex.mul(K, dq(dq(K))),
-               ex.neg(dy(dq(K))),
-               ex.mul(ex.MINUS_ONE, ex.HALF, ex.pow_(dq(K), 2)))
-
-    C1 = dq(dq(Fqq))
-    C2 = dq(dq(dq(K)))
-    C3 = dq(dq(L))
-    C4 = dq(N)
-    C5 = ex.add(ex.mul(-3, dq(dq(K)), L),
-                ex.mul(3, dq(K), dq(L)),
-                ex.mul(-3, K, dq(dq(L))),
-                ex.mul(3, dy(dq(L))),
-                ex.mul(3, dp(N)),
-                ex.mul(Fq, dq(N)))
-    return Ode3Invariants(K, A, G, L, N, C1, C2, C3, C4, C5)
+    return Ode3Invariants(F, K, A, G)
 
 
 def metric_tilde(ode: Equation) -> SymmetricForm:

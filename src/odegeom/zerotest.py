@@ -171,9 +171,10 @@ class ZeroTestVerdict:
     evaluated.  `error_bound` bounds the chance, over the seeds, that a
     nonzero expression passes the exact test given that the seed's prime
     divides no coefficient of its numerator.  `attempts` counts the
-    floating points drawn and `rejected` those that failed a guard or an
-    evaluation.  `max_ratio` and the witness of a sampled verdict are those
-    of its worst point evaluated: every point, unless the call's every
+    floating points attempted, drawn or counted when no guard could reject
+    them, and `rejected` those that failed a guard or an evaluation.
+    `max_ratio` and the witness of a sampled verdict are those of its
+    worst point evaluated: every point, unless the call's every
     expression had a ratio above max(tol, HEADROOM_RATIO), after which the
     expressions are evaluated no more; a ratio below HEADROOM_RATIO is
     therefore the worst of every point."""
@@ -346,15 +347,37 @@ def _tape(named: dict, box: DomainBox):
     return ex.Tape(box.guards(), exprs + [t for ts in terms for t in ts]), terms
 
 
+def _rejects_none(tape: ex.Tape, box: DomainBox) -> bool:
+    """Whether no point can fail the tape's guard group at the current
+    mpmath precision: the box samples every symbol of the tape, so none is
+    unbound, and every guard is a bare symbol whose interval is finite and
+    starts above the guard's margin.  `rng.uniform(lo, hi)` adds a
+    nonnegative float to lo, so it never returns below lo, and at 53 bits
+    or more the float binds exactly."""
+    if mpmath.mp.prec < 53 or \
+            not box.intervals.keys() >= {n for _, n in tape.syms}:
+        return False
+    for g, margin in box.positive_guards + box.nonzero_guards:
+        if g.kind not in (ex.SYM, ex.FAM):
+            return False
+        lo, hi = box.intervals[ex.name_of(g)]
+        if not (float(lo) > margin and math.isfinite(hi)):
+            return False
+    return True
+
+
 def _draw(tape: ex.Tape, box: DomainBox, cfg: RunConfig, accept=None):
     """Draw the sampled test's points at the current mpmath precision until
     `cfg.samples` are accepted, calling accept(point, values of the tape's
     root group) at each until it returns True; after that, and without
-    `accept`, only the guard group runs.  Returns the number of points
-    attempted and the number rejected."""
+    `accept`, only the guard group runs, and when no point can fail it
+    (`_rejects_none`, decided once per call) the remaining points are
+    counted as accepted without being drawn, through the same exit checks.
+    Returns the number of points attempted and the number rejected."""
     rng = random.Random(cfg.seed)
     accepted = attempts = failures = 0
     max_attempts = max(4 * cfg.samples, cfg.samples + 20)
+    counted = _rejects_none(tape, box)
     while accepted < cfg.samples:
         if attempts >= max_attempts or (
                 failures > attempts / 2 and attempts >= cfg.samples):
@@ -362,6 +385,9 @@ def _draw(tape: ex.Tape, box: DomainBox, cfg: RunConfig, accept=None):
                 f"sampling box unusable: {failures}/{attempts} attempted "
                 f"points failed")
         attempts += 1
+        if counted and not accept:
+            accepted += 1
+            continue
         pt = box.sample(rng)
         groups = tape.run(pt)
         try:
@@ -444,7 +470,8 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
     expressions are sampled on the call's tape, cut to the guards, those
     expressions and their terms (`Tape.only`); when every expression is an
     exact zero, the sampled test's points are still drawn with only the
-    guards evaluated.  Either pass gives the exact zeros their
+    guards evaluated, or counted without being drawn when no guard can
+    reject one (`_rejects_none`).  Either pass gives the exact zeros their
     `attempts` and `rejected`, and a box it cannot use raises BoxError.  At
     a sample point a failing guard skips the rest of the tape; it and
     points where any sampled expression raises a domain error are
@@ -453,8 +480,9 @@ def is_zero_many(named: dict, box: DomainBox, cfg: RunConfig | None = None) -> d
 
     A point whose ratio passes tol proves an expression nonzero.  Once
     every sampled expression has a ratio above max(tol, HEADROOM_RATIO),
-    the remaining points run only the guards, until `cfg.samples` are
-    accepted as before: no verdict changes, but a nonzero verdict's
+    the remaining points run only the guards, or are counted when no guard
+    can reject one, until `cfg.samples` are accepted as before: no
+    verdict, `attempts` or `rejected` changes, but a nonzero verdict's
     `max_ratio` and witness come from the points evaluated, and a domain
     error that an expression would have raised after its witness is not
     counted.

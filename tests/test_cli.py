@@ -47,6 +47,41 @@ def test_formula_strings_reparse(capsys):
     assert ex.parse(ex.to_str(w1)) is w1
 
 
+# `odegeom ode3 invariants --F "q^2" --json`: the Cotton fields are built
+# on first use, and print as when every field was built at once
+QSQ_INVARIANTS = {
+    "K": "1/3*q^2 - 1/9*(2*q)^2",
+    "A": "q^2*(2/3*q - 8/9*q) - 4/3*q*(1/3*q^2 - 1/9*(2*q)^2)",
+    "G": "0",
+    "L": "2/3*(1/3*q^2 - 1/9*(2*q)^2) - 2/3*q*(2/3*q - 8/9*q)",
+    "N": "2/3*(2/3*(1/3*q^2 - 1/9*(2*q)^2) - 2/3*q*(2/3*q - 8/9*q)) - 4/3*q*"
+         "(2/3*(2/3*q - 8/9*q) - 2/3*(2/3*q - 8/9*q) + 4/27*q) - 2/9*"
+         "(1/3*q^2 - 1/9*(2*q)^2) - 1/2*(2/3*q - 8/9*q)^2",
+    "C1": "0",
+    "C2": "0",
+    "C3": "4/27",
+    "C4": "2/3*(2/3*(2/3*q - 8/9*q) - 2/3*(2/3*q - 8/9*q) + 4/27*q) - 4/3*"
+          "(2/3*(2/3*q - 8/9*q) - 2/3*(2/3*q - 8/9*q) + 4/27*q) - 16/81*q - "
+          "2/9*(2/3*q - 8/9*q) + 2/9*(2/3*q - 8/9*q)",
+    "C5": "2/3*(2/3*(1/3*q^2 - 1/9*(2*q)^2) - 2/3*q*(2/3*q - 8/9*q)) + 3*"
+          "(2/3*q - 8/9*q)*(2/3*(2/3*q - 8/9*q) - 2/3*(2/3*q - 8/9*q) + "
+          "4/27*q) - 4/9*(1/3*q^2 - 1/9*(2*q)^2) + 2*q*(2/3*(2/3*(2/3*q - "
+          "8/9*q) - 2/3*(2/3*q - 8/9*q) + 4/27*q) - 4/3*(2/3*(2/3*q - "
+          "8/9*q) - 2/3*(2/3*q - 8/9*q) + 4/27*q) - 16/81*q - 2/9*(2/3*q - "
+          "8/9*q) + 2/9*(2/3*q - 8/9*q))",
+}
+
+
+def test_ode3_invariants_of_a_generic_equation(capsys):
+    status, out, _ = run_cli(["ode3", "invariants", "--F", "q^2", "--json"],
+                             capsys)
+    assert status == 0
+    data = json.loads(out)
+    assert data["formula"] == "q^2"
+    assert data["invariants"] == QSQ_INVARIANTS
+    assert list(data["invariants"]) == list(QSQ_INVARIANTS)
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(["ode3", "classify", "--F", "q^("], capsys)[0] == 2
     assert run_cli(["ode3", "classify", "--F", "zz + q"], capsys)[0] == 2

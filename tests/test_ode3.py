@@ -70,6 +70,32 @@ def test_c1_is_fourth_q_derivative_structurally():
         assert inv.C1 is ex.diff_n(ode.F, "q", 4)
 
 
+def test_cotton_fields_are_built_only_when_a_vanishes(monkeypatch):
+    # the Cotton components are read only in the class A == 0, so a generic
+    # equation's checks never build L, N or C1-C5
+    built = []
+    real = ode3.ode3_invariants
+
+    def record(ode):
+        built.append(real(ode))
+        return built[-1]
+
+    monkeypatch.setattr(ode3, "ode3_invariants", record)
+    assert classify3(QSQ, CFG).verdict == GENERIC
+    ode3.ode3_checks(QSQ, CFG)
+    assert len(built) == 3
+    assert all("_cotton" not in vars(inv) for inv in built)
+    built.clear()
+    report = classify3(POW32, CFG)
+    assert report.verdict == EINSTEIN_WEYL and "C5" in report.checks
+    assert "_cotton" in vars(built[0])
+    # built together, once
+    inv = real(QSQ)
+    assert inv.cotton_components() == {n: getattr(inv, n) for n in
+                                       ("C1", "C2", "C3", "C4", "C5")}
+    assert inv.cotton_components()["C1"] is inv.C1 is ex.diff_n(QSQ.F, "q", 4)
+
+
 def test_flat_cotton_components_vanish_for_flat_f():
     report = classify3(FLAT, CFG)
     assert report.verdict == EINSTEIN_WEYL

@@ -504,9 +504,11 @@ def root_runs(monkeypatch):
 
 
 def full_test(monkeypatch, named, bx, cfg):
-    """The sampled test with every expression evaluated at every point."""
+    """The sampled test with every point drawn and every expression
+    evaluated at every point."""
     with monkeypatch.context() as m:
         m.setattr(zerotest, "HEADROOM_RATIO", math.inf)
+        m.setattr(zerotest, "_rejects_none", lambda tape, box: False)
         return is_zero_many(named, bx, cfg)
 
 
@@ -561,3 +563,84 @@ def test_sampled_zero_keeps_every_point_evaluated(root_runs, monkeypatch):
     assert {n: (v.is_zero, v.method) for n, v in got.items()} == \
         {"zero": (True, "sampled"), "one": (False, "sampled")}
     assert got == full_test(monkeypatch, named, bx, cfg)
+
+
+# ---------------------------------------------------------------------------
+# guard-only points that no guard can reject are counted, not drawn
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The points `DomainBox.sample` returned, in order."""
+    points = []
+    real = zerotest.DomainBox.sample
+
+    def sample(self, rng):
+        points.append(real(self, rng))
+        return points[-1]
+
+    monkeypatch.setattr(zerotest.DomainBox, "sample", sample)
+    return points
+
+
+def test_all_exact_call_over_implied_guards_draws_no_point(monkeypatch):
+    # with no box given, q under a root samples (0.5, 2.0), so its implied
+    # positive guard rejects no point
+    e = ex.parse("q^(3/2) - q*q^(1/2)")
+    bx, cfg = zerotest.equation_box(e, ()), RunConfig(seed=3)
+    assert bx.intervals == {"q": (0.5, 2.0)} and set(bx.guards()) == {ex.sym("q")}
+
+    def no_points(*args):
+        raise AssertionError("a point was drawn")
+
+    with monkeypatch.context() as m:
+        m.setattr(zerotest.DomainBox, "sample", no_points)
+        got = is_zero(e, bx, cfg)
+    assert (got.method, got.attempts, got.rejected) == ("exact", 20, 0)
+    assert got == full_test(monkeypatch, {"expr": e}, bx, cfg)["expr"]
+
+
+def test_nonzero_call_counts_the_points_after_its_witness(draws, monkeypatch):
+    e = ex.parse("q^(1/2) + q")
+    bx, cfg = auto_box(e, Q_BOX), RunConfig(seed=2)
+    got = is_zero(e, bx, cfg)
+    assert len(draws) == 1 and not got.is_zero
+    full = full_test(monkeypatch, {"expr": e}, bx, cfg)["expr"]
+    assert len(draws) == 1 + 20
+    assert (got.samples, got.attempts, got.rejected) == \
+        (full.samples, full.attempts, full.rejected) == (20, 20, 0)
+
+
+def test_counted_points_raise_the_box_error_of_the_drawn_loop(
+        draws, monkeypatch):
+    # no guard, but log(q) fails on q < 0: 13 points fail before the
+    # witness at the 14th, and the counted rest meets the majority rule at
+    # attempt 20, where the drawn loop meets it
+    e = ex.parse("log(q) + 5")
+    bx, cfg = zerotest.box(q=(-3.0, 1.0)), RunConfig(seed=7)
+    with pytest.raises(BoxError) as counted:
+        is_zero(e, bx, cfg)
+    assert len(draws) == 14
+    with monkeypatch.context() as m:
+        m.setattr(zerotest, "_rejects_none", lambda tape, box: False)
+        with pytest.raises(BoxError) as drawn:
+            is_zero(e, bx, cfg)
+    assert len(draws) == 14 + 20
+    assert str(counted.value) == str(drawn.value) == \
+        "sampling box unusable: 13/20 attempted points failed"
+
+
+@pytest.mark.parametrize("text, ranges, dps", [
+    # a nonzero guard on a negative interval
+    ("1/q + q", {"q": (-2.0, -0.5)}, 30),
+    # a compound positive guard, though it rejects no point here
+    ("sqrt(q + 1) + q", Q_BOX, 30),
+    # a bare guard, but a float need not bind exactly below 53 bits
+    ("q^(1/2) + q", Q_BOX, 10),
+])
+def test_guards_that_may_reject_keep_every_point_drawn(draws, text, ranges,
+                                                       dps):
+    e = ex.parse(text)
+    v = is_zero(e, auto_box(e, ranges), RunConfig(seed=1, dps=dps))
+    assert (v.is_zero, v.attempts, v.rejected, len(draws)) == \
+        (False, 20, 0, 20)
