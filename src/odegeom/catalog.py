@@ -19,8 +19,7 @@ from .curvature import (signature_at, signatures, tensor_zero_exprs, weyl,
                         weyl_square)
 from .exterior import DKP, J1EXT, J2_3RD, MONGE1, MONGE2
 from .zerotest import (HEADROOM_RATIO, BoxError, DomainBox, ZeroTestVerdict,
-                       combined_verdict, equation_box, is_zero, is_zero_many,
-                       structural_zero)
+                       combined_verdict, equation_box, is_zero, is_zero_many)
 from . import liealg, monge, ode2, ode3
 
 
@@ -82,7 +81,7 @@ def _run_ode3(entry: CatalogEntry, cfg: RunConfig) -> dict:
     }
     if "conformally_flat_solution_space" in rep.values:
         out["conformally_flat_solution_space"] = combined_verdict(
-            {k: rep.checks[k] for k in ("C1", "C2", "C3", "C4", "C5")})
+            {k: rep.checks[k] for k in ("C1", "C2", "C3", "C4", "C5")}, cfg)
     if "wuenschmann_witness" in entry.expect:
         witness_expr = ex.parse(entry.expect["wuenschmann_witness"])
         v = rep.checks["A"]
@@ -158,8 +157,7 @@ def _run_g32(entry: CatalogEntry, cfg: RunConfig) -> dict:
     m = monge.monge_second(entry.data["formula"], monge.example6_box())
     g = monge.g32_metric(m, cfg)
     named = tensor_zero_exprs(weyl(g))
-    out = {"weyl_zero": combined_verdict(is_zero_many(named, g.box, cfg))
-           if named else structural_zero(cfg)}
+    out = {"weyl_zero": combined_verdict(is_zero_many(named, g.box, cfg), cfg)}
     F = ex.parse(entry.data["formula"], allowed={"q"})
     out["a5_zero"] = is_zero(monge.example6_a5(F), monge.example6_box(), cfg)
     rng = random.Random(cfg.seed)

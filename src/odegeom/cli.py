@@ -64,6 +64,13 @@ def _parse_formula(text, allowed):
         raise CliError(f"malformed formula: {err}")
 
 
+def _components(g) -> dict:
+    """The entries of a symmetric form that are not literal zeros, as
+    formula strings by slot name."""
+    return {k: ex.to_str(v) for k, v in g.components().items()
+            if not v.is_zero_literal}
+
+
 def emit(report: dict, as_json: bool):
     if as_json:
         print(json.dumps(report, indent=2, default=str))
@@ -100,9 +107,7 @@ def cmd_ode3(args, cfg: RunConfig) -> tuple:
         rep = ode3.classify3(ode, cfg)
         return 0, {"formula": ex.to_str(F), **rep.to_json()}
     if args.action == "metric":
-        g = ode3.metric_tilde(ode)
-        comps = {k: ex.to_str(v) for k, v in g.components().items()
-                 if not v.is_zero_literal}
+        comps = _components(ode3.metric_tilde(ode))
         transport = ode3.transport_check(ode, cfg)
         return 0, {"formula": ex.to_str(F), "components": comps,
                    "kernel_field": "d_x + p d_y + q d_p + F d_q",
@@ -141,13 +146,9 @@ def cmd_ode2(args, cfg: RunConfig) -> tuple:
     ode = ode2.second_order(Q, build_box(Q, J1EXT.coords, args.box))
     if args.action == "metric":
         g = ode2.fefferman_metric(ode)
-        comps = {f"{g.chart.coords[i]}{g.chart.coords[j]}":
-                 ex.to_str(g.rows[i][j])
-                 for i in range(4) for j in range(i, 4)
-                 if not g.rows[i][j].is_zero_literal}
         sig = signature_at(g, ode.box.sample(random.Random(cfg.seed)),
                            cfg.dps)
-        return 0, {"formula": ex.to_str(Q), "components": comps,
+        return 0, {"formula": ex.to_str(Q), "components": _components(g),
                    "signature": list(sig)}
     if args.action == "invariants":
         inv = ode2.ode2_invariants(ode)
@@ -187,12 +188,8 @@ def cmd_monge(args, cfg: RunConfig) -> tuple:
     if args.action == "g32":
         F = _parse_formula(args.F, set(MONGE2.coords))
         m = monge.monge_second(F, build_box(F, MONGE2.coords, args.box))
-        g = monge.g32_metric(m, cfg)
-        comps = {f"{g.chart.coords[i]}{g.chart.coords[j]}":
-                 ex.to_str(g.rows[i][j])
-                 for i in range(5) for j in range(i, 5)
-                 if not g.rows[i][j].is_zero_literal}
-        return 0, {"formula": ex.to_str(F), "components": comps}
+        return 0, {"formula": ex.to_str(F),
+                   "components": _components(monge.g32_metric(m, cfg))}
     if args.action == "example6":
         F = _parse_formula(args.F, {"q"})
         sub = args.sub

@@ -39,17 +39,10 @@ import mpmath
 
 from . import expr as ex
 from .exterior import Chart, DifferentialForm, SymmetricForm, _symmetric
-from .zerotest import DomainBox
 
 
 class MetricError(Exception):
     pass
-
-
-def metric_from_rows(chart: Chart, rows, box: DomainBox) -> SymmetricForm:
-    """The metric whose entries are the upper triangle of `rows`."""
-    return SymmetricForm(chart, _symmetric(
-        chart.dim, lambda i, j: ex.as_expr(rows[i][j])), box)
 
 
 @dataclass(frozen=True)
@@ -69,23 +62,6 @@ class TensorField:
     def nontrivial(self) -> dict:
         return {idx: c for idx, c in self.flatten().items()
                 if not c.is_zero_literal}
-
-    def to_json(self, point=None, dps=30):
-        """Formula strings by default; numeric table when a point is given."""
-        if point is None:
-            comps = {"".join(map(str, idx)): ex.to_str(c)
-                     for idx, c in self.nontrivial().items()}
-        else:
-            comps = self.nontrivial()
-            with mpmath.workdps(dps):
-                values = ex.Tape(comps.values()).values(point)
-                comps = {"".join(map(str, idx)): float(v)
-                         for idx, v in zip(comps, values)}
-        return {
-            "chart": self.chart.name,
-            "variance": self.variance,
-            "components": comps,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +115,6 @@ def _minor(rows, rs, cs, memo):
             out = ex.add(*terms)
         memo[key] = out
     return out
-
-
-def symbolic_det(rows) -> ex.Expression:
-    full = tuple(range(len(rows)))
-    return _minor(rows, full, full, {})
 
 
 def symbolic_inverse(rows):

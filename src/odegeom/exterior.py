@@ -68,10 +68,6 @@ class VectorField:
                         for c, v in zip(self.comps, self.chart.coords)])
 
 
-def vector_field(chart: Chart, comps) -> VectorField:
-    return VectorField(chart, tuple(ex.as_expr(c) for c in comps))
-
-
 class DifferentialForm:
     """Degree-k exterior form; `coeffs` maps increasing index tuples to
     expressions, zero coefficients dropped."""
@@ -95,10 +91,6 @@ class DifferentialForm:
 
     def coeff(self, idx) -> ex.Expression:
         return self.coeffs.get(tuple(idx), ex.ZERO)
-
-    @property
-    def is_structural_zero(self):
-        return not self.coeffs
 
     def __add__(self, other):
         _check_same_chart(self, other)
@@ -152,11 +144,6 @@ def scalar_form(chart: Chart, f) -> DifferentialForm:
 
 def d_coord(chart: Chart, name: str) -> DifferentialForm:
     return DifferentialForm(chart, 1, {(chart.index(name),): ex.ONE})
-
-
-def one_form(chart: Chart, comps) -> DifferentialForm:
-    return DifferentialForm(chart, 1,
-                            {(i,): ex.as_expr(c) for i, c in enumerate(comps)})
 
 
 def _insert_index(i: int, idx: tuple):
@@ -280,9 +267,6 @@ class SymmetricForm:
     def dim(self):
         return self.chart.dim
 
-    def entry(self, i, j) -> ex.Expression:
-        return self.rows[i][j]
-
     def __add__(self, other):
         _check_same_chart(self, other)
         n = self.chart.dim
@@ -297,14 +281,6 @@ class SymmetricForm:
         s = ex.as_expr(s)
         return SymmetricForm(self.chart, _symmetric(
             self.dim, lambda i, j: ex.mul(s, self.rows[i][j])), self.box)
-
-    def contract(self, X: VectorField) -> DifferentialForm:
-        """1-form g(X, .)"""
-        _check_same_chart(self, X)
-        n = self.chart.dim
-        comps = [ex.add(*[ex.mul(X.comps[i], self.rows[i][j])
-                          for i in range(n)]) for j in range(n)]
-        return one_form(self.chart, comps)
 
     def components(self) -> dict:
         n = self.chart.dim
@@ -332,10 +308,6 @@ def sym_product(a: DifferentialForm, b: DifferentialForm) -> SymmetricForm:
 
 def sym_square(a: DifferentialForm) -> SymmetricForm:
     return sym_product(a, a)
-
-
-def sym_zero(chart: Chart) -> SymmetricForm:
-    return SymmetricForm(chart, [[ex.ZERO] * chart.dim] * chart.dim)
 
 
 def lie_derivative_symmetric(X: VectorField, g: SymmetricForm) -> SymmetricForm:
@@ -493,7 +465,7 @@ def transport_residuals(X: VectorField, g: SymmetricForm, box: DomainBox,
                  for i, j in keys}
 
     def read(verdicts):
-        worst = combined_verdict(verdicts)
+        worst = combined_verdict(verdicts, cfg)
         return TransportResult(success=worst.is_zero,
                                factor=lam if worst.is_zero else None,
                                pivot=pivot, verdicts=verdicts, worst=worst)

@@ -143,14 +143,6 @@ def _sparse_commutator(A, B):
     return out
 
 
-def commutator(A, B):
-    C = [[Q3() for _ in row] for row in A]
-    for (r, c), v in _sparse_commutator(_sparse_matrix(A),
-                                        _sparse_matrix(B)).items():
-        C[r][c] = v
-    return C
-
-
 def _reduce(basis, vec):
     """Clear every pivot of a reduced echelon basis from vec, in place."""
     for p in [p for p in vec if p in basis]:

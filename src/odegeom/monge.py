@@ -475,6 +475,10 @@ def example6_metric(F: ex.Expression, bx: DomainBox | None = None) -> SymmetricF
 # ---------------------------------------------------------------------------
 # transcription integrity: table vs frame construction
 
+# the relative residual, after the per-point conformal factor, below which
+# the table and the frame construction agree
+TRANSCRIPTION_RTOL = 1e-8
+
 
 @dataclass
 class TranscriptionReport:
@@ -494,8 +498,7 @@ class TranscriptionReport:
 
 
 def transcription_check(F: ex.Expression, bx: DomainBox | None = None,
-                        cfg: RunConfig | None = None,
-                        rtol: float = 1e-8) -> TranscriptionReport:
+                        cfg: RunConfig | None = None) -> TranscriptionReport:
     """Compare the coefficient table against the frame construction for a
     one-variable F, allowing a single per-point conformal factor.
 
@@ -537,7 +540,7 @@ def transcription_check(F: ex.Expression, bx: DomainBox | None = None,
                     if rel > worst[0]:
                         worst = (rel, pt, (i, j))
 
-    consistent = worst[0] <= rtol
+    consistent = worst[0] <= TRANSCRIPTION_RTOL
     monomial_values: dict = {}
     if not consistent:
         quantities = _g32_quantities(m.F)
@@ -598,46 +601,11 @@ def einstein_scale_residual(F: ex.Expression, bx: DomainBox | None = None,
         cleaned[idx] = c
     named = {f"E{''.join(map(str, idx))}": c for idx, c in cleaned.items()
              if not c.is_zero_literal}
-    verdict = combined_verdict(is_zero_many(named, bx, cfg)) if named else \
-        structural_zero(cfg)
+    verdict = combined_verdict(is_zero_many(named, bx, cfg), cfg)
     n = 5
     tens = TensorField(base.chart, "ll", tuple(
         tuple(cleaned[(i, j)] for j in range(n)) for i in range(n)))
     return tens, verdict
-
-
-# ---------------------------------------------------------------------------
-# quartic root invariant
-
-
-@dataclass(frozen=True)
-class PsiInvariants:
-    a1: ex.Expression
-    a2: ex.Expression
-    a3: ex.Expression
-    a4: ex.Expression
-    a5: ex.Expression
-
-    def quartic(self, zvar="s") -> ex.Expression:
-        s = ex.sym(zvar)
-        return ex.add(ex.mul(self.a1, ex.pow_(s, 4)),
-                      ex.mul(4, self.a2, ex.pow_(s, 3)),
-                      ex.mul(6, self.a3, ex.pow_(s, 2)),
-                      ex.mul(4, self.a4, s), self.a5)
-
-
-def psi_invariant(p: PsiInvariants) -> ex.Expression:
-    """I = 6 a3^2 - 8 a2 a4 + 2 a1 a5; proportional to the squared Weyl
-    curvature of the associated metric and zero exactly when the quartic has
-    a root of multiplicity at least three."""
-    return ex.add(ex.mul(6, ex.pow_(p.a3, 2)),
-                  ex.mul(-8, ex.mul(p.a2, p.a4)),
-                  ex.mul(2, ex.mul(p.a1, p.a5)))
-
-
-def example6_psi(F: ex.Expression) -> PsiInvariants:
-    z = ex.ZERO
-    return PsiInvariants(z, z, z, z, example6_a5(F))
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +679,8 @@ def weyl_frame_pattern_check(F: ex.Expression, bx: DomainBox | None = None,
     allowed = allowed_frame_pattern(scalars)
 
     named_outside = tensor_zero_exprs(frame, "out", skip=allowed)
-    checks = {}
-    if named_outside:
-        outside = combined_verdict(is_zero_many(named_outside, bx, cfg))
-    else:
-        outside = structural_zero(cfg)
-    checks["outside_pattern"] = outside
+    outside = combined_verdict(is_zero_many(named_outside, bx, cfg), cfg)
+    checks = {"outside_pattern": outside}
 
     # C_{2525} (0-based [1][4][1][4]) carries -a5 in the table convention
     survivor = frame.component(1, 4, 1, 4)

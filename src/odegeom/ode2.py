@@ -14,8 +14,7 @@ from .curvature import tensor_zero_exprs, weyl
 from .exterior import (J1EXT, Equation, SymmetricForm, d_coord, equation,
                        sym_product, total_derivative)
 from .ode3 import InvariantReport
-from .zerotest import (DomainBox, combined_verdict, is_zero_many,
-                       structural_zero)
+from .zerotest import DomainBox, combined_verdict, is_zero_many
 
 
 def second_order(text_or_expr, box: DomainBox | None = None,
@@ -67,8 +66,7 @@ def fefferman_flatness_check(ode: Equation,
     inv = ode2_invariants(ode)
     named = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")
     checks = is_zero_many({**inv, **named}, ode.box, cfg)
-    weyl_verdict = combined_verdict({k: checks[k] for k in named}) \
-        if named else structural_zero(cfg)
+    weyl_verdict = combined_verdict({k: checks[k] for k in named}, cfg)
     w_zero = checks["w1"].is_zero and checks["w2"].is_zero
     consistent = weyl_verdict.is_zero == w_zero
     report = InvariantReport(

@@ -140,10 +140,9 @@ def nu_tilde(ode: Equation) -> DifferentialForm:
 
 def _one_call(parts, box: DomainBox, cfg: RunConfig) -> list:
     """Zero-test the roots of every (named, read) part in one `is_zero_many`
-    call, none when there are no roots, and give each part's read of the
-    verdicts of its own roots.  The parts' names must be distinct."""
+    call, and give each part's read of the verdicts of its own roots.  The parts' names must be distinct."""
     named = {k: e for roots, _ in parts for k, e in roots.items()}
-    got = is_zero_many(named, box, cfg) if named else {}
+    got = is_zero_many(named, box, cfg)
     return [read({k: got[k] for k in roots}) for roots, read in parts]
 
 
@@ -158,8 +157,7 @@ def _nu_coefficients(ode: Equation, cfg: RunConfig):
     D = total_derivative("3rd-order", ode.F)
     dl = d(lie_derivative(D, nu_tilde(ode)))
     named = {f"c{idx}": c for idx, c in dl.coeffs.items()}
-    return named, lambda verdicts: \
-        combined_verdict(verdicts) if verdicts else structural_zero(cfg)
+    return named, lambda verdicts: combined_verdict(verdicts, cfg)
 
 
 def nu_closedness_check(ode: Equation, cfg: RunConfig | None = None):
@@ -311,7 +309,7 @@ def dkp_residual(u: ex.Expression, box: DomainBox | None = None,
         named = {k: v for k, v in consistency.items() if not v.is_zero_literal}
         if not s.is_zero_literal:
             named["expr"] = s
-        got = is_zero_many(named, box, cfg) if named else {}
+        got = is_zero_many(named, box, cfg)
         bad = sorted(k for k in consistency if k in got and not got[k].is_zero)
         if bad:
             raise DkpConsistencyError(
@@ -362,6 +360,4 @@ def dkp_x_membership(u: ex.Expression, X: ex.Expression, box: DomainBox,
     dX = d(DifferentialForm(DKP, 0, {(): X}))
     residual = wedge_all(dX, w4, w1)
     named = {f"m{idx}": c for idx, c in residual.coeffs.items()}
-    if not named:
-        return structural_zero(cfg)
-    return combined_verdict(is_zero_many(named, box, cfg))
+    return combined_verdict(is_zero_many(named, box, cfg), cfg)

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import mpmath
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs, mpf_add,
@@ -59,11 +59,6 @@ class DomainBox:
         merged = dict(self.intervals)
         merged.update(ranges)
         return DomainBox(merged, self.positive_guards, self.nonzero_guards)
-
-    def with_positive_guard(self, guard: ex.Expression, margin: float = 1e-3):
-        return DomainBox(self.intervals,
-                         self.positive_guards + ((guard, margin),),
-                         self.nonzero_guards)
 
     def with_nonzero_guard(self, guard: ex.Expression, margin: float = 1e-3):
         return DomainBox(self.intervals, self.positive_guards,
@@ -153,15 +148,6 @@ def equation_box(e: ex.Expression, names, box: DomainBox | None = None,
                      box.nonzero_guards + nz)
 
 
-def auto_box(e: ex.Expression, ranges=None, default=(-1.0, 1.0),
-             margin: float = 1e-3) -> DomainBox:
-    names = sorted(ex.free_symbols(e))
-    intervals = {n: default for n in names}
-    if ranges:
-        intervals.update(ranges)
-    return equation_box(e, (), DomainBox(intervals), margin)
-
-
 @dataclass
 class ZeroTestVerdict:
     """Outcome of a zero test.  `method` says how it was decided:
@@ -193,21 +179,8 @@ class ZeroTestVerdict:
     error_bound: float | None = None
 
     def to_json(self):
-        return {
-            "is_zero": self.is_zero,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_ratio": self.max_ratio,
-            "scale": self.scale,
-            "witness_point": self.witness_point,
-            "witness_value": self.witness_value,
-            "label": self.label,
-            "attempts": self.attempts,
-            "rejected": self.rejected,
-            "method": self.method,
-            "error_bound": self.error_bound,
-        }
+        """The fields by name, in declaration order."""
+        return asdict(self)
 
 
 def structural_zero(cfg: RunConfig, label: str = "") -> ZeroTestVerdict:
@@ -539,29 +512,18 @@ def is_zero(e: ex.Expression, box: DomainBox,
 _STRENGTH = {"sampled": 0, "exact": 1, "structural": 2}
 
 
-def combined_verdict(verdicts: dict) -> ZeroTestVerdict:
+def combined_verdict(verdicts: dict, cfg: RunConfig) -> ZeroTestVerdict:
     """All-zero verdict across components, carrying the worst one: the
     largest ratio, and among equal ratios the weakest method.  Exact and
     structural verdicts have ratio 0, so the worst one's method is the
     weakest of all; when that is "exact" no component was sampled, and the
-    error bound is the sum of the components' bounds."""
+    error bound is the sum of the components' bounds.  No components at
+    all is a structural zero under `cfg`."""
+    if not verdicts:
+        return structural_zero(cfg)
     worst = max(verdicts.values(),
                 key=lambda v: (v.max_ratio, -_STRENGTH[v.method]))
     bound = sum(v.error_bound or 0.0 for v in verdicts.values()) \
         if worst.method == "exact" else None
-    all_zero = all(v.is_zero for v in verdicts.values())
-    return ZeroTestVerdict(
-        is_zero=all_zero,
-        samples=worst.samples,
-        seed=worst.seed,
-        tol=worst.tol,
-        max_ratio=worst.max_ratio,
-        scale=worst.scale,
-        witness_point=worst.witness_point,
-        witness_value=worst.witness_value,
-        label=worst.label,
-        attempts=worst.attempts,
-        rejected=worst.rejected,
-        method=worst.method,
-        error_bound=bound,
-    )
+    return replace(worst, is_zero=all(v.is_zero for v in verdicts.values()),
+                   error_bound=bound)

@@ -219,7 +219,7 @@ def test_criterion_08_example6_suite():
 def test_criterion_09_transcription_integrity():
     ok = True
     for text in ("q^3/6", "exp(q)", "q^(5/2)"):
-        rep = transcription_check(ex.parse(text), cfg=CFG, rtol=1e-8)
+        rep = transcription_check(ex.parse(text), cfg=CFG)
         ok &= rep.consistent and rep.worst_relative <= 1e-8
         if not rep.consistent:
             print("  itemized discrepancies:", rep.per_pair,

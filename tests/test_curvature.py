@@ -11,11 +11,12 @@ from odegeom.config import RunConfig
 from odegeom.curvature import (
     CurvaturePackage, _at, _eigenvalues, _riemann_symmetric, MetricError, TensorField,
     conformal_rescale, cotton3,
-    curvature_package, einstein_residual, frame_components, metric_from_rows,
-    signature_at, signatures, symbolic_det, symbolic_inverse, tensor_zero_exprs, weyl,
+    curvature_package, einstein_residual, frame_components,
+    signature_at, signatures, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,
 )
-from odegeom.exterior import Chart, DifferentialForm, d_coord, one_form
+from odegeom.exterior import (Chart, DifferentialForm, SymmetricForm,
+                              _symmetric, d_coord, zero_form)
 from odegeom.monge import example6_coframe, example6_metric, frame_metric
 from odegeom.ode2 import fefferman_metric, second_order
 from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
@@ -24,6 +25,12 @@ CFG = RunConfig(samples=8)
 
 E3 = Chart("E3", ("x", "y", "z"))
 E4 = Chart("E4", ("x", "y", "z", "u"))
+
+
+def metric_from_rows(chart, rows, bx):
+    """The metric whose entries are the upper triangle of `rows`."""
+    return SymmetricForm(chart, _symmetric(
+        chart.dim, lambda i, j: ex.as_expr(rows[i][j])), bx)
 
 
 def assert_tensor_zero(T, bx, cfg=CFG):
@@ -276,7 +283,7 @@ def test_weyl_square_conformal_weight():
 def test_weyl_connection_residual_zero_cases():
     g = metric_from_rows(E3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
                          unit_box(E3.coords))
-    nu = one_form(E3, (0, 0, 0))
+    nu = zero_form(E3, 1)
     assert_tensor_zero(weyl_connection_residual(g, nu), g.box)
 
 
@@ -314,7 +321,7 @@ def test_weyl_connection_constant_nu_matches_brute_force():
     gmat = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
     g = metric_from_rows(E3, gmat, unit_box(E3.coords))
     c = 0.75
-    nu = one_form(E3, (ex.num(0.75), 0, 0))
+    nu = DifferentialForm(E3, 1, {(0,): ex.num(0.75)})
     T = weyl_connection_residual(g, nu)
     rng = random.Random(0)
     for _ in range(3):
@@ -331,15 +338,16 @@ def test_weyl_connection_gauge_property():
     # trace term R g_ij carries no net weight
     g = synthetic_nonflat_3metric()
     y = ex.sym("y")
-    nu = one_form(E3, (y, ex.num(0.5), 0))
+    nu = DifferentialForm(E3, 1, {(0,): y, (1,): ex.num(0.5)})
     rng = random.Random(4)
     phi = random_polynomial(E3.coords, rng)
     base = weyl_connection_residual(g, nu)
 
     g2 = conformal_rescale(g, ex.neg(phi))  # e^{-2 phi} g
     dphi = [ex.differentiate(phi, c) for c in E3.coords]
-    nu2 = one_form(E3, tuple(ex.add(nu.coeff((i,)), ex.mul(2, dphi[i]))
-                             for i in range(3)))
+    nu2 = DifferentialForm(E3, 1, {(i,): ex.add(nu.coeff((i,)),
+                                                ex.mul(2, dphi[i]))
+                                   for i in range(3)})
     shifted = weyl_connection_residual(g2, nu2)
     named = {}
     for i in range(3):
@@ -351,7 +359,7 @@ def test_weyl_connection_gauge_property():
 
 def test_weyl_connection_residual_reduces_to_einstein_trace_free_part():
     g = synthetic_nonflat_3metric()
-    nu = one_form(E3, (0, 0, 0))
+    nu = zero_form(E3, 1)
     a = weyl_connection_residual(g, nu)
     b = einstein_residual(g)
     named = {f"d{i}{j}": ex.add(a.comps[i][j], ex.neg(b.comps[i][j]))
@@ -439,21 +447,8 @@ def test_dimension_guards():
     g4 = nonflat_4metric()
     with pytest.raises(MetricError):
         cotton3(g4)
-    from odegeom.exterior import one_form
     with pytest.raises(MetricError):
-        weyl_connection_residual(g4, one_form(E4, (0, 0, 0, 0)))
-
-
-def test_tensor_serialization_formula_and_numeric():
-    g = synthetic_nonflat_3metric()
-    T = einstein_residual(g)
-    doc = T.to_json()
-    assert doc["variance"] == "ll"
-    for key, text in doc["components"].items():
-        ex.parse(text)
-    pt = {n: 0.25 for n in E3.coords}
-    num = T.to_json(point=pt)
-    assert all(isinstance(v, float) for v in num["components"].values())
+        weyl_connection_residual(g4, zero_form(E4, 1))
 
 
 # --- independent index sets against the all-index loops ------------------------
@@ -724,8 +719,9 @@ def test_frame_components_match_reference_node_for_node():
     g = synthetic_nonflat_3metric()
     x, y, z = (ex.sym(c) for c in E3.coords)
     T, cf = einstein_residual(g), [
-        one_form(E3, (1, x, 0)), one_form(E3, (0, 1, 0)),
-        one_form(E3, (y, 0, ex.add(1, ex.pow_(z, 2))))]
+        DifferentialForm(E3, 1, {(0,): 1, (1,): x}),
+        DifferentialForm(E3, 1, {(1,): 1}),
+        DifferentialForm(E3, 1, {(0,): y, (2,): ex.add(1, ex.pow_(z, 2))})]
     got = frame_components(T, cf).flatten()
     want = reference_frame_components(T, cf)
     assert got.keys() == want.keys()
@@ -881,7 +877,6 @@ def test_inverse_builds_no_minor_of_a_zero_entry():
     assert (x, w) in products
     assert_same_nodes(inv, dense_inv)
     assert det is dense_det
-    assert symbolic_det(rows) is det
 
 
 # --- the direct fill of Riemann-symmetric tables against the closure it

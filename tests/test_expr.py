@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from odegeom import expr as ex
 from odegeom.config import RunConfig
-from odegeom.zerotest import DomainBox, auto_box, box, is_zero, unit_box
+from odegeom.zerotest import DomainBox, box, equation_box, is_zero, unit_box
 from odegeom.curvature import tensor_zero_exprs, weyl
 from odegeom.ode2 import fefferman_metric, second_order
 from odegeom.zerotest import (HEADROOM_RATIO, BoxError, ZeroTestVerdict,
@@ -15,6 +15,14 @@ from odegeom.zerotest import (HEADROOM_RATIO, BoxError, ZeroTestVerdict,
 
 
 x, y, p, q = ex.sym("x"), ex.sym("y"), ex.sym("p"), ex.sym("q")
+
+
+def auto_box(e, ranges=None, default=(-1.0, 1.0)):
+    """The box of e: `default` for each of its symbols, `ranges` over that,
+    and the guards `equation_box` infers from e."""
+    intervals = dict.fromkeys(sorted(ex.free_symbols(e)), default)
+    intervals.update(ranges or {})
+    return equation_box(e, (), DomainBox(intervals))
 
 
 def central_diff(e, var, point, h=1e-10, dps=40):

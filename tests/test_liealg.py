@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from odegeom.liealg import (
     Q3, SQRT3, MatrixBasis, StructureConstantTable,
-    _check_linear_independence, commutator,
-    commutator_closure_check, exterior_square_check, flat_structure_constants,
+    _check_linear_independence, commutator_closure_check, exterior_square_check, flat_structure_constants,
     induced_bilinear_from_three_form, invariant_bilinear_form,
     invariant_three_form, jacobi_check, killing_analysis, killing_form,
     matrix_rep, nullspace, q3, rref, symmetric_inertia, tables_equal,
@@ -495,19 +494,6 @@ def test_induced_form_matches_dense_formula():
     rng = random.Random(7)
     phi = [random_q3(rng) for _ in range(35)]
     assert induced_bilinear_from_three_form(phi) == dense_induced(phi)
-
-
-def test_commutator_matches_dense_product():
-    rng = random.Random(5)
-    for _ in range(3):
-        A, B = ([[random_q3(rng) if rng.random() < 0.4 else Q3()
-                  for _ in range(5)] for _ in range(5)] for _ in range(2))
-        AB = [[sum((A[i][k] * B[k][j] for k in range(5)), Q3())
-               for j in range(5)] for i in range(5)]
-        BA = [[sum((B[i][k] * A[k][j] for k in range(5)), Q3())
-               for j in range(5)] for i in range(5)]
-        assert commutator(A, B) == [[AB[i][j] - BA[i][j] for j in range(5)]
-                                    for i in range(5)]
 
 
 # --- nullspace and closure edge cases --------------------------------------

@@ -10,11 +10,11 @@ from odegeom.curvature import (curvature_package, frame_components,
                                weyl_square)
 from odegeom.monge import (
     SOLUTION_DEPTH_1, SOLUTION_DEPTH_2, Equation, ParametrizedSolution,
-    PsiInvariants, allowed_frame_pattern, classify_monge1, classify_monge2,
+    allowed_frame_pattern, classify_monge1, classify_monge2,
     einstein_scale_residual, einstein_scale_rhs, example6_a5,
-    example6_box, example6_coframe, example6_metric, example6_psi,
+    example6_box, example6_coframe, example6_metric,
     frame_metric, g32_metric, monge_first, monge_second, mutated_solutions,
-    parametrized_solution, psi_invariant, transcription_check,
+    parametrized_solution, transcription_check,
     verify_parametrized_solution)
 from odegeom.zerotest import box, is_zero, is_zero_many, unit_box
 
@@ -216,10 +216,8 @@ def test_example6_coframe_cubic_hand_values():
 
 def test_example6_coframe_hilbert_connection_forms_vanish():
     cf = example6_coframe(ex.parse("q^2"))
-    assert cf["omega2"].is_structural_zero or all(
-        c.is_zero_literal for c in cf["omega2"].coeffs.values())
-    assert cf["omega6"].is_structural_zero or all(
-        c.is_zero_literal for c in cf["omega6"].coeffs.values())
+    assert all(c.is_zero_literal for c in cf["omega2"].coeffs.values())
+    assert all(c.is_zero_literal for c in cf["omega6"].coeffs.values())
 
 
 def test_a5_cubic_exact_expression_identity():
@@ -292,20 +290,10 @@ def test_hilbert_case_is_already_einstein():
         assert all(v.is_zero for v in verdicts.values())
 
 
-# --- quartic invariant -----------------------------------------------------------
-
-def test_psi_invariant_values():
-    z = ex.ZERO
-    one = ex.ONE
-    assert psi_invariant(PsiInvariants(z, z, z, z, ex.sym("a"))).is_zero_literal
-    assert psi_invariant(PsiInvariants(z, z, one, z, z)) is ex.num(6)
-    p = example6_psi(ex.parse("q^3/6"))
-    assert psi_invariant(p).is_zero_literal
-
+# --- squared Weyl curvature --------------------------------------------------------
 
 def test_psi_joint_consistency_with_weyl_square():
     F = ex.parse("q^3/6")
-    assert psi_invariant(example6_psi(F)).is_zero_literal
     g = example6_metric(F)
     assert is_zero(weyl_square(g), g.box, RunConfig(samples=6, tol=1e-8)).is_zero
 

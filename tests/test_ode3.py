@@ -104,13 +104,19 @@ def test_flat_cotton_components_vanish_for_flat_f():
 
 # --- the degenerate bilinear form ---------------------------------------
 
+def contract(g, X):
+    """The components of the 1-form g(X, .)."""
+    n = g.dim
+    return [ex.add(*[ex.mul(X.comps[i], g.rows[i][j]) for i in range(n)])
+            for j in range(n)]
+
+
 def test_metric_tilde_kernel_is_total_derivative():
     for ode in (POW32, QSQ, TOD):
         g = metric_tilde(ode)
         D = total_derivative("3rd-order", ode.F)
-        pairing = g.contract(D)
-        named = {f"k{i}": pairing.coeff((i,)) for i in range(4)}
-        named = {k: v for k, v in named.items() if not v.is_zero_literal}
+        named = {f"k{j}": c for j, c in enumerate(contract(g, D))
+                 if not c.is_zero_literal}
         if named:
             verdicts = is_zero_many(named, ode.box, CFG)
             assert all(v.is_zero for v in verdicts.values()), verdicts
@@ -131,7 +137,7 @@ def test_metric_tilde_flat_hand_expansion():
     for i in range(4):
         for j in range(i, 4):
             expect = want.get((names[i], names[j]), ex.ZERO)
-            got = g.entry(i, j)
+            got = g.rows[i][j]
             if (names[i], names[j]) in (("x", "q"), ("x", "p")):
                 pass
             diff = ex.add(got, ex.neg(expect))
@@ -269,15 +275,21 @@ def test_dkp_x_membership_zero_solution():
     assert not dkp_x_membership(ex.num(0), ex.sym("t"), DKP_BOX, CFG).is_zero
 
 
+def test_dkp_x_membership_of_a_constant_is_structural():
+    # dX = 0: the residual has no components, so nothing is sampled
+    v = dkp_x_membership(ex.sym("t"), ex.num(3), DKP_BOX, CFG)
+    assert (v.is_zero, v.method, v.label, v.samples) == \
+        (True, "structural", "", 0)
+
+
 def test_metric_tilde_kernel_full_catalog():
     # the degenerate direction is tangent to the total-derivative field for
     # every defining function in the catalog
     for ode in (FLAT, POW32, QSQ, QCUBE, TOD, FOUR_SYM, DKP_F):
         g = metric_tilde(ode)
         D = total_derivative("3rd-order", ode.F)
-        pairing = g.contract(D)
-        named = {f"k{i}": pairing.coeff((i,)) for i in range(4)}
-        named = {k: v for k, v in named.items() if not v.is_zero_literal}
+        named = {f"k{j}": c for j, c in enumerate(contract(g, D))
+                 if not c.is_zero_literal}
         if named:
             verdicts = is_zero_many(named, ode.box, RunConfig(samples=6))
             assert all(v.is_zero for v in verdicts.values())
@@ -300,7 +312,7 @@ def test_metric_tilde_flat_full_matrix():
         for j in range(4):
             a, b = sorted((names[i], names[j]), key=names.index)
             expect = want.get((a, b), ex.ZERO)
-            diff = ex.add(g.entry(i, j), ex.neg(expect))
+            diff = ex.add(g.rows[i][j], ex.neg(expect))
             assert is_zero(diff, unit_box(J2_3RD.coords), CFG).is_zero, (a, b)
 
 

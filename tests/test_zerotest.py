@@ -13,14 +13,23 @@ from odegeom import expr as ex
 from odegeom import exterior, monge, ode2, ode3, zerotest
 from odegeom.catalog import load_catalog, run_entry, verify_catalog
 from odegeom.config import RunConfig
-from odegeom.zerotest import (BoxError, DomainBox, ZeroTestVerdict, auto_box,
-                              combined_verdict, is_zero, is_zero_many)
+from odegeom.zerotest import (BoxError, DomainBox, ZeroTestVerdict,
+                              combined_verdict, equation_box, is_zero,
+                              is_zero_many)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import stream  # noqa: E402
 import worker  # noqa: E402
 
 Q_BOX = {"q": (0.5, 2.0)}
+
+
+def auto_box(e, ranges=None, default=(-1.0, 1.0)):
+    """The box of e: `default` for each of its symbols, `ranges` over that,
+    and the guards `equation_box` infers from e."""
+    intervals = dict.fromkeys(sorted(ex.free_symbols(e)), default)
+    intervals.update(ranges or {})
+    return equation_box(e, (), DomainBox(intervals))
 
 
 def verdict(text, ranges=Q_BOX, seed=0):
@@ -141,7 +150,7 @@ def test_root_of_a_symbol_that_may_be_negative_is_sampled():
         is_zero(e, zerotest.box(q=(-2.0, -1.0)))
     assert is_zero(e, zerotest.box(q=(0.5, 2.0))).method == "exact"
     assert is_zero(e, zerotest.box(q=(0.0, 2.0))).method == "sampled"
-    guarded = zerotest.box(q=(-1.0, 2.0)).with_positive_guard(ex.sym("q"))
+    guarded = DomainBox({"q": (-1.0, 2.0)}, ((ex.sym("q"), 1e-3),))
     assert is_zero(e, guarded).method == "exact"
     # an integer power needs no sign
     e = ex.parse("(q + 1)^2 - q^2 - 2*q - 1")
@@ -208,17 +217,77 @@ def test_error_bound_in_json_and_combined_verdict():
     sampled = ZeroTestVerdict(True, 20, 0, 1e-9, 1e-31, 1.0)
     assert exact.to_json()["error_bound"] == 1e-36
     assert sampled.to_json()["error_bound"] is None
-    structural = zerotest.structural_zero(RunConfig())
-    both = combined_verdict({"a": structural, "b": exact, "c": other})
+    cfg = RunConfig()
+    structural = zerotest.structural_zero(cfg)
+    both = combined_verdict({"a": structural, "b": exact, "c": other}, cfg)
     assert (both.method, both.samples) == ("exact", 2)
     assert both.error_bound == pytest.approx(3e-36, rel=1e-12, abs=0)
-    mixed = combined_verdict({"a": exact, "b": sampled})
+    mixed = combined_verdict({"a": exact, "b": sampled}, cfg)
     assert (mixed.method, mixed.error_bound, mixed.samples) == ("sampled", None, 20)
     # a sampled ratio of exactly 0 still makes the combined verdict sampled
     flat = ZeroTestVerdict(True, 20, 0, 1e-9, 0.0, 1.0)
-    mixed = combined_verdict({"a": exact, "b": flat, "c": structural})
+    mixed = combined_verdict({"a": exact, "b": flat, "c": structural}, cfg)
     assert (mixed.method, mixed.error_bound, mixed.samples) == ("sampled", None, 20)
-    assert combined_verdict({"a": structural}).method == "structural"
+    assert combined_verdict({"a": structural}, cfg).method == "structural"
+
+
+# the JSON keys of a verdict, in the order the reports print them
+VERDICT_KEYS = ["is_zero", "samples", "seed", "tol", "max_ratio", "scale",
+                "witness_point", "witness_value", "label", "attempts",
+                "rejected", "method", "error_bound"]
+
+
+def test_verdict_json_keys_and_order():
+    v = ZeroTestVerdict(False, 20, 3, 1e-9, 0.5, 2.0, {"q": 0.75}, 1.5,
+                        "W1212", 21, 1, "sampled", None)
+    doc = v.to_json()
+    assert list(doc) == VERDICT_KEYS
+    assert doc == {k: getattr(v, k) for k in VERDICT_KEYS}
+    assert list(zerotest.structural_zero(RunConfig()).to_json()) == \
+        VERDICT_KEYS
+
+
+def reference_combined_verdict(verdicts):
+    """The field-by-field combination that `combined_verdict` replaced."""
+    worst = max(verdicts.values(),
+                key=lambda v: (v.max_ratio, -zerotest._STRENGTH[v.method]))
+    bound = sum(v.error_bound or 0.0 for v in verdicts.values()) \
+        if worst.method == "exact" else None
+    return ZeroTestVerdict(
+        is_zero=all(v.is_zero for v in verdicts.values()),
+        samples=worst.samples, seed=worst.seed, tol=worst.tol,
+        max_ratio=worst.max_ratio, scale=worst.scale,
+        witness_point=worst.witness_point, witness_value=worst.witness_value,
+        label=worst.label, attempts=worst.attempts, rejected=worst.rejected,
+        method=worst.method, error_bound=bound)
+
+
+def test_combined_verdict_matches_the_field_by_field_reference():
+    cfg = RunConfig(seed=4)
+    bx = auto_box(ex.parse("q^(1/2)"), Q_BOX)
+    # exp keeps a whole call from the exact test, so the sampled zero and
+    # its nonzero partner get a call of their own
+    got = {**is_zero_many({"lit": ex.ZERO,
+                           "zero": ex.parse("q^(3/2) - q*q^(1/2)"),
+                           "other": ex.parse("(q + 1)^2 - q^2 - 2*q - 1"),
+                           "one": ex.parse("q^(1/2)*q^(1/2) - q + 1")},
+                          bx, cfg),
+           **is_zero_many({"tiny": ex.parse("exp(2*q) - exp(q)^2"),
+                           "two": ex.parse("exp(q) - q")}, bx, cfg)}
+    assert {k: (v.method, v.is_zero) for k, v in got.items()} == {
+        "lit": ("structural", True), "zero": ("exact", True),
+        "other": ("exact", True), "one": ("sampled", False),
+        "tiny": ("sampled", True), "two": ("sampled", False)}
+    for keys in (["lit"], ["zero"], ["zero", "other"], ["lit", "zero"],
+                 ["tiny"], ["zero", "tiny"], ["one"], ["one", "two"],
+                 ["lit", "zero", "tiny", "one"], list(got)):
+        part = {k: got[k] for k in keys}
+        assert combined_verdict(part, cfg) == reference_combined_verdict(part)
+
+
+def test_empty_combination_is_structural():
+    cfg = RunConfig(seed=7, tol=1e-12)
+    assert combined_verdict({}, cfg) == zerotest.structural_zero(cfg)
 
 
 def test_prime():
@@ -546,7 +615,7 @@ def test_clearly_nonzero_expression_is_evaluated_at_one_point(
 
 def test_unusable_box_raises_after_a_clear_witness(root_runs):
     # the guard q > 4/5 rejects about nine points in ten of (-1, 1)
-    bx = zerotest.box(q=(-1.0, 1.0)).with_positive_guard(ex.parse("q - 4/5"))
+    bx = DomainBox({"q": (-1.0, 1.0)}, ((ex.parse("q - 4/5"), 1e-3),))
     with pytest.raises(BoxError):
         is_zero(ex.parse("q + 1"), bx, RunConfig(seed=0))
     assert len(root_runs) == 1
