@@ -6,8 +6,10 @@
 
 Runs the benchmark of BENCHMARK.json (perfbench/run.py, unchanged) for its
 run_seconds on the parent revision REV, exported with `git archive` into a
-temporary directory, and on this working tree, one run after the other with
-the same seed; the side that runs first alternates from pair to pair, and
+temporary directory, and on this working tree, exported as well (its
+tracked files and its untracked files that git does not ignore), so that
+both sides start from fresh directories; one run after the other with the
+same seed; the side that runs first alternates from pair to pair, and
 every pair has a seed of its own (seed, seed + 1, ...).  The output file keeps the runs of every workload
 benchmarked into it so far: per run its seed, side, correctness and
 metrics, and per metric the median and quartiles of each side, the number
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,19 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                 if line.startswith("# env ")), None)
     return {"correct": out["correct"], "failed": out["failed"], "env": env,
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree of the git checkout `root` into `dest`: the
+    tracked files that exist and the untracked files git does not ignore."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout
+    for name in dict.fromkeys(listed.decode().split("\0")):
+        src = root / name
+        if name and src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def summarize(runs: list, better: dict) -> dict:
@@ -94,10 +110,14 @@ def main(argv=None) -> int:
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
 
     with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for path in sides.values():
+            path.mkdir()
         archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
                                  capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = {"parent": Path(tmp), "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", sides["parent"]], input=archive,
+                       check=True)
+        export_worktree(ROOT, sides["change"])
         runs, failure = [], None
         try:
             for i in range(args.pairs):

@@ -782,12 +782,19 @@ class Tape:
         """The instructions that the roots of `group` need, translated to
         arithmetic modulo a prime (a `ModularTape`), or None when one of
         them has no counterpart there: exp, log, Int, a float literal, a
-        symbolic exponent, or a fractional power that neither rule below
-        takes.
+        symbolic exponent, or a fractional power that no rule below takes.
 
         A symbol q is bound as q = t^r, with r the lcm of the denominators
         of q's fractional exponents, so q^(m/r') = t^(m r / r') is an
-        integer power of t.
+        integer power of t.  A power m/r with r odd of a positive monomial,
+        c times powers of bare symbols with c a positive int or Fraction,
+        is distributed over its factors: each q^a becomes q^(a m / r), whose
+        denominator joins q's r, and c becomes c^(m u) with u r = 1 modulo
+        P - 1.  When gcd(r, P - 1) = 1 that is the one r-th root of c^m in
+        F_P, and so the image of the real positive root; `odd` is the lcm
+        of those r, which the prime must be prime to.  `rooted` holds the
+        symbols under a fractional power, bare or in such a base: the
+        rewrites stand for the real roots only where those are positive.
 
         `positive`, when given, holds the slots of values the caller knows
         to be positive.  A power m/2 of a base b in one of them, or of a
@@ -805,15 +812,21 @@ class Tape:
         code, need = _needed([ins for seg in self.code for ins in seg],
                              self.outs[group])
         consts, syms = dict(self.consts), dict(self.syms)
+        ints = {i: k for k, i in self.exponents.items()}
         root = {}  # symbol -> r
+        powers = {}  # power the monomial rule takes -> its base's monomial
         for f, d, a, b in code:
             if f is _mpf_pow:
                 e = consts.get(b)
                 if not isinstance(e, RATIONAL):
                     return None
-                if a in syms:
-                    root[syms[a]] = math.lcm(root.get(syms[a], 1),
-                                             e.denominator)
+                mono = (Fraction(1), {syms[a]: 1}) if a in syms else \
+                    _monomial(code, a, consts, syms, ints) \
+                    if e.denominator % 2 else None
+                if mono:
+                    powers[d] = mono
+                    for n, x in mono[1].items():
+                        root[n] = math.lcm(root.get(n, 1), (x * e).denominator)
                 elif positive is None or e.denominator != 2 or not (
                         a in positive or isinstance(consts.get(a), RATIONAL)
                         and consts[a] > 0):
@@ -822,8 +835,9 @@ class Tape:
                 return None
         if any(type(v) is float for i, v in self.consts if i in need):
             return None
-        ints = {i: k for k, i in self.exponents.items()}
         m = ModularTape()
+        m.rooted = {n for _, xs in powers.values() for n in xs}
+        m.odd = 1
         m.consts = [(i, v) for i, v in self.consts if i in need]
         m.syms = [(i, n, root.get(n, 1)) for i, n in self.syms if i in need]
         m.ints = [(i, k) for i, k in ints.items() if i in need]
@@ -834,17 +848,37 @@ class Tape:
         m.code = []
         size, t_slot = self.size, {}
         for f, d, a, b in code:
-            if f is _mpf_pow and a in syms:  # q^e with q = t^r is t^(e r)
-                name = syms[a]
-                if name not in t_slot:
-                    t_slot[name] = size
-                    m.syms.append((size, name, 1))
+            if d in powers:  # (c q^x ...)^e = c^e t^(x e r) ... with q = t^r
+                c, xs = powers[d]
+                e = consts[b]
+                factors = []
+                if c != 1 or not xs:
+                    m.odd = math.lcm(m.odd, e.denominator)
+                    m.consts.append((size, c))
+                    m.ints.append((size + 1, e))
+                    m.code.append((_p_root, size + 2, size, size + 1))
+                    deg[size + 2] = (0, 0)
+                    factors.append(size + 2)
+                    size += 3
+                for name, x in xs.items():
+                    if name not in t_slot:
+                        t_slot[name] = size
+                        m.syms.append((size, name, 1))
+                        size += 1
+                    k = int(x * e * root[name])
+                    m.ints.append((size, k))
+                    m.code.append((_p_powi, size + 1, t_slot[name], size))
+                    deg[size + 1] = _deg_pow((1, 0), k)
+                    factors.append(size + 1)
+                    size += 2
+                for x in factors[1:]:
+                    m.code.append((_p_mul, size, factors[0], x))
+                    deg[size] = _deg_mul(deg[factors[0]], deg[x])
+                    factors[0] = size
                     size += 1
-                k = int(consts[b] * root[name])
-                m.ints.append((size, k))
-                m.code.append((_p_powi, d, t_slot[name], size))
-                deg[d] = _deg_pow((1, 0), k)
-                size += 1
+                # the last instruction writes the power's own slot
+                m.code[-1] = m.code[-1][:1] + (d,) + m.code[-1][2:]
+                deg[d] = deg[factors[0]]
             elif f is _mpf_pow:  # b^(k/2) = b^((k-1)/2) s with s^2 = b
                 if a in carry:
                     return None
@@ -924,6 +958,12 @@ def _p_powi(b, k, P, _):
     if k < 0 and not b:
         raise DomainError("division by zero modulo p")
     return pow(b, k, P)
+
+
+def _p_root(c, e, P, _):
+    """c^e for an exponent e = m/r with gcd(r, P - 1) = 1: c^(m u) with
+    u r = 1 modulo P - 1, whose r-th power is c^m."""
+    return pow(c, e.numerator * pow(e.denominator, -1, P - 1) % (P - 1), P)
 
 
 def _r_adjoin(b, i, P, bprod):
@@ -1073,12 +1113,42 @@ _RING = {mpf_add: (_r_add, _ring_deg_add), mpf_mul: (_r_mul, _ring_deg_mul),
          _mpf_div: (_r_div, _ring_deg_div)}
 
 
+def _monomial(code, s, consts, syms, ints):
+    """(c, {symbol: exponent}) when slot s of a tape holds c times powers of
+    bare symbols, c a positive int or Fraction, or None: every instruction
+    s needs is a product, an integer power or a power of a bare symbol."""
+    mono = {}
+
+    def get(i):
+        if i in mono:
+            return mono[i]
+        if i in syms:
+            return Fraction(1), {syms[i]: 1}
+        v = consts.get(i)
+        return (Fraction(v), {}) if isinstance(v, RATIONAL) and v > 0 else None
+
+    for f, d, a, b in _needed(code, [s])[0]:
+        x = get(a)
+        if f is _mpf_pow and a in syms:
+            mono[d] = Fraction(1), {syms[a]: consts[b]}
+        elif f is _mpf_powi and x:
+            k = ints[b]
+            mono[d] = x[0] ** k, {n: e * k for n, e in x[1].items()}
+        elif f is mpf_mul and x and (y := get(b)):
+            xs, ys = x[1], y[1]
+            xs = {n: xs.get(n, 0) + ys.get(n, 0) for n in xs | ys}
+            mono[d] = x[0] * y[0], {n: e for n, e in xs.items() if e}
+        else:
+            return None
+    return get(s)
+
+
 class ModularTape:
     """The instructions one group of a `Tape` needs, over the integers
     modulo a prime; built by `Tape.modular`."""
 
     __slots__ = ("size", "consts", "syms", "ints", "code", "outs", "degrees",
-                 "roots")
+                 "roots", "odd", "rooted")
 
     def run(self, P, point, roots=None) -> list:
         """The values of the roots modulo the prime P, or of those at the

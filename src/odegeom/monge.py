@@ -593,12 +593,14 @@ def einstein_scale_residual(F: ex.Expression, bx: DomainBox | None = None,
     subs = [("Ups_4", ex.diff_n(rhs, "q", 2)),
             ("Ups_3", ex.differentiate(rhs, "q")),
             ("Ups_2", rhs)]
-    comps = list(residual.flatten().items())
     cleaned = {}
-    for idx, c in comps:
+    for (i, j), c in residual.flatten().items():
+        if j < i:  # the residual is symmetric node for node
+            cleaned[i, j] = cleaned[j, i]
+            continue
         for name, val in subs:
             c = ex.substitute(c, {name: val})
-        cleaned[idx] = c
+        cleaned[i, j] = c
     named = {f"E{''.join(map(str, idx))}": c for idx, c in cleaned.items()
              if not c.is_zero_literal}
     verdict = combined_verdict(is_zero_many(named, bx, cfg), cfg)

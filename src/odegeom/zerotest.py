@@ -1,10 +1,15 @@
 """Randomized zero-testing of expressions over sampling boxes.
 
 An expression built from + - * /, integer powers, int or Fraction
-constants, fractional powers of bare symbols and half-integer powers of
-positive compound or constant bases is first tested exactly: it is an
-exact zero when it vanishes modulo a random prime at two independent
-points, in every coordinate over the square roots it adjoins.  An
+constants, fractional powers of bare symbols, odd roots of positive
+monomials and half-integer powers of positive compound or constant bases
+is first tested exactly: it is an exact zero when it vanishes modulo a
+random prime at two independent points, in every coordinate over the
+square roots it adjoins.  A power m/r with r odd of c q1^a1 ... qn^an (c a
+positive int or Fraction, each qi a bare symbol) is distributed over the
+factors, and c^(m/r) is taken as c^(m u) with u r = 1 mod (P - 1); the
+prime P of such a call is the first of the seed's sequence with
+gcd(r, P - 1) = 1, where that is the only r-th root of c^m.  An
 expression that does not is sampled: it is declared identically zero on the
 box when, at every sampled point, |value| <= tol * (1 + S) where S is the
 term-magnitude scale: the sum of the absolute values of the expression's
@@ -232,14 +237,16 @@ def _is_prime(n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _prime(seed: int) -> int:
-    """The modulus of the exact test under `seed`: the first prime among
+def _prime(seed: int, odd: int = 1) -> int:
+    """The modulus of the exact test under `seed`: the first prime P among
     numbers drawn uniformly from [2^(PRIME_BITS-1), 2^PRIME_BITS) and made
-    odd."""
+    odd with gcd(odd, P - 1) = 1, so that every r dividing `odd` has one
+    r-th root of each residue in F_P."""
     rng = random.Random(f"modulus:{seed}")
     while True:
         n = rng.randrange(2 ** (PRIME_BITS - 1), 2 ** PRIME_BITS) | 1
-        if math.gcd(n, _SMALL_PRIMES) == 1 and _is_prime(n):
+        if math.gcd(n, _SMALL_PRIMES) == 1 and \
+                math.gcd(odd, n - 1) == 1 and _is_prime(n):
             return n
 
 
@@ -254,17 +261,20 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
                  seed: int) -> dict | None:
     """Of the first `count` roots of the tape's root group, those that
     vanish modulo the call's prime at two independent points, with their
-    degree bounds, by index; a root that carries adjoined square roots
-    vanishes when every ring coordinate does.  The second point runs only
-    the instructions of the roots that vanished at the first, so a
-    division by zero there counts only on their way (one that only a
-    nonzero root needs, with chance about D/p, no longer does).  A root
+    error bounds (D/P)^2, by index.  The prime is `_prime` of the seed and
+    of the odd roots of constants the tape takes.  A root that carries
+    adjoined square roots vanishes when every ring coordinate does.  The
+    second point runs only the instructions of the roots that vanished at
+    the first, so a division by zero there counts only on their way (one
+    that only a nonzero root needs, with chance about D/p, no longer
+    does).  A root
     whose degree bound passes DEGREE_CAP is no candidate, and is left to
     the sampled path.  None sends the whole call to the sampled path: the
     roots hold an operation the modular tape cannot take or a symbol the
-    box does not sample, a symbol under a fractional power may be negative
-    on the box, a compound or constant base under a half-integer power is
-    neither a positive guard nor a positive constant, a second point hits a
+    box does not sample, a symbol under a fractional power, bare or in a
+    monomial base, may be negative on the box, a base under a fractional
+    power is neither a positive monomial under an odd root nor a positive
+    guard or constant under a half-integer power, a second point hits a
     zero divisor, or no candidate vanishes at both points."""
     # the guard group comes first, positive guards first: a base that is a
     # positive guard, by node identity, has that guard's slot
@@ -274,14 +284,14 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
     names = sorted({n for _, n, _ in mod.syms})
     if not box.intervals.keys() >= set(names):
         return None
-    # q = t^r stands for the real root only where q > 0; elsewhere the
-    # sampled test meets the root's domain error at every point
+    # q = t^r, and q^a in a monomial base, stand for the real roots only
+    # where q > 0; elsewhere the sampled test meets a domain error
     positive = {ex.name_of(g) for g, _ in box.positive_guards
                 if g.kind in (ex.SYM, ex.FAM)}
-    if any(r > 1 and n not in positive and not box.intervals[n][0] > 0
-           for _, n, r in mod.syms):
+    if any(n not in positive and not box.intervals[n][0] > 0
+           for n in mod.rooted):
         return None
-    P = _prime(seed)
+    P = _prime(seed, mod.odd)
     points = _points(names, P, seed)
     zeros = [i for i in range(count) if mod.degrees[i] <= DEGREE_CAP]
     runs, divisions_by_zero = 0, 0
@@ -298,7 +308,7 @@ def _exact_zeros(tape: ex.Tape, count: int, box: DomainBox,
         if not zeros:
             return None
         runs += 1
-    return {i: mod.degrees[i] for i in zeros}
+    return {i: (mod.degrees[i] / P) ** 2 for i in zeros}
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +495,13 @@ def _tested(named: dict, box: DomainBox, cfg: RunConfig) -> dict:
     else:
         with mpmath.workdps(cfg.dps):
             attempts, rejected = _draw(tape, box, cfg)
-    P = _prime(cfg.seed)
     out = {}
     for i, n in enumerate(names):
         if i in exact:
             out[n] = ZeroTestVerdict(
                 True, 2, cfg.seed, cfg.tol, 0.0, 0.0, label=n,
                 attempts=attempts, rejected=rejected, method="exact",
-                error_bound=(exact[i] / P) ** 2)
+                error_bound=exact[i])
         else:
             out[n] = rest[n]
     return out

@@ -1,7 +1,9 @@
-"""scripts/bench.py keeps the pairs it has run when a later run fails."""
+"""scripts/bench.py keeps the pairs it has run when a later run fails, and
+runs both sides from exports, not from the working tree itself."""
 
 import importlib.util
 import json
+import subprocess
 import types
 from pathlib import Path
 
@@ -36,6 +38,9 @@ def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch):
     status = bench.main(["--workload", "lie-exact", "--pairs", "3",
                          "--seed", "7", "--rev", "HEAD", "--out", str(out)])
     assert status == 1 and len(calls) == 3
+    # each side runs in an export of its own
+    assert calls[0][0] != calls[1][0]
+    assert bench.ROOT not in (calls[0][0], calls[1][0])
     report = json.loads(out.read_text())["lie-exact"]
     assert [(r["seed"], r["side"]) for r in report["runs"]] == [
         (7, "parent"), (7, "change")]
@@ -44,3 +49,30 @@ def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch):
     assert (report["failure"]["seed"], report["failure"]["side"]) == (
         8, "change")
     assert report["summary"]["wall_s"]["pairs"] == 1
+
+
+def test_export_worktree_copies_tracked_and_unignored_files(tmp_path):
+    bench = load_bench()
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", *args], cwd=repo, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "tracked.py").write_text("staged")
+    (repo / "gone.py").write_text("deleted after staging")
+    git("add", ".gitignore", "tracked.py", "gone.py")
+    (repo / "tracked.py").write_text("edited")
+    (repo / "gone.py").unlink()
+    (repo / "sub" / "new.py").write_text("untracked")
+    (repo / "run.log").write_text("ignored")
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    bench.export_worktree(repo, dest)
+    files = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*")
+                   if p.is_file())
+    assert files == [".gitignore", "sub/new.py", "tracked.py"]
+    assert (dest / "tracked.py").read_text() == "edited"

@@ -16,7 +16,7 @@ from odegeom.monge import (
     frame_metric, g32_metric, monge_first, monge_second, mutated_solutions,
     parametrized_solution, transcription_check,
     verify_parametrized_solution)
-from odegeom.zerotest import box, is_zero, is_zero_many, unit_box
+from odegeom.zerotest import BoxError, box, is_zero, is_zero_many, unit_box
 
 CFG = RunConfig(samples=10)
 
@@ -228,6 +228,23 @@ def test_a5_cubic_exact_expression_identity():
 
 def test_a5_power_family_k2_flat():
     assert example6_a5(ex.parse("1/2*q^2")).is_zero_literal
+
+
+@pytest.mark.parametrize("c, k", [("6/5", "-1"), ("-3/7", "1/3"),
+                                  ("-2", "2/3")])
+def test_a5_zeros_of_the_power_family_are_exact(c, k):
+    # F_qq^(20/3) has a positive monomial base: c k (k-1) > 0
+    v = is_zero(example6_a5(ex.parse(f"({c})*q^({k})")), box(q=(0.5, 2.0)))
+    assert (v.is_zero, v.method, v.samples) == (True, "exact", 2)
+    assert 0 < v.error_bound < 1e-30
+
+
+def test_a5_nonzero_and_negative_base_members_of_the_power_family():
+    v = is_zero(example6_a5(ex.parse("2*q^3")), box(q=(0.5, 2.0)))
+    assert (v.is_zero, v.method, v.samples) == (False, "sampled", 20)
+    # c k (k-1) < 0: F_qq is negative on the whole box
+    with pytest.raises(BoxError):
+        is_zero(example6_a5(ex.parse("(3/7)*q^(1/3)")), box(q=(0.5, 2.0)))
 
 
 def test_weyl_square_vanishes_for_univariate_family():

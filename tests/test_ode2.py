@@ -63,8 +63,9 @@ def test_fiber_direction_is_null():
         g = fefferman_metric(ode)
         i = g.chart.index("phi")
         assert g.rows[i][i].is_zero_literal
-        assert g.rows[g.chart.index("x")][i] is not ex.ZERO or True
-        # the only nonzero pairing of d_phi is with dy and dx (contact span)
+        # d_phi pairs with the contact form dy - p dx alone
+        assert g.rows[g.chart.index("x")][i] is ex.sym("p")
+        assert g.rows[g.chart.index("y")][i] is ex.MINUS_ONE
         assert g.rows[g.chart.index("p")][i].is_zero_literal
 
 

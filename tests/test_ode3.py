@@ -138,8 +138,6 @@ def test_metric_tilde_flat_hand_expansion():
         for j in range(i, 4):
             expect = want.get((names[i], names[j]), ex.ZERO)
             got = g.rows[i][j]
-            if (names[i], names[j]) in (("x", "q"), ("x", "p")):
-                pass
             diff = ex.add(got, ex.neg(expect))
             assert is_zero(diff, unit_box(J2_3RD.coords), CFG).is_zero, \
                 (names[i], names[j], got)

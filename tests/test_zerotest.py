@@ -65,6 +65,8 @@ def test_bare_symbol_roots():
     # q = t^6 serves q^(1/2) and q^(2/3) at once
     v = verdict("q^(1/2)*q^(2/3) - q^(7/6) + (q^(1/3))^3 - q")
     assert (v.is_zero, v.method) == (True, "exact")
+    # a bare symbol's odd root needs no condition on the prime
+    assert ex.Tape([ex.parse("q^(1/3)*q^(2/3) - q")]).modular(0).odd == 1
 
 
 def test_compound_base_root_defers_to_sampling():
@@ -302,6 +304,20 @@ def test_prime():
     primes = {zerotest._prime(s) for s in range(10)}
     assert len(primes) == 10
     assert all(2 ** 60 <= n < 2 ** 61 and zerotest._is_prime(n) for n in primes)
+    # a call that takes no odd root of a constant keeps the seed's prime
+    for seed, P in ((0, 1596805833338694019), (1, 1258962275310111227),
+                    (7, 1642873415601521057), (777, 1865296162963926713)):
+        assert zerotest._prime(seed) == zerotest._prime(seed, 1) == P
+
+
+def test_odd_root_prime_has_unique_cube_roots():
+    P = zerotest._prime(0, 3)
+    assert zerotest._prime(0) % 3 == 1 and P != zerotest._prime(0)
+    assert math.gcd(3, P - 1) == 1 and zerotest._is_prime(P)
+    for c in (2, 5, 12 * pow(5, -1, P) % P):
+        root = ex._p_root(c, Fraction(1, 3), P, None)
+        assert pow(root, 3, P) == c
+        assert pow(ex._p_root(c, Fraction(20, 3), P, None), 3, P) == pow(c, 20, P)
 
 
 def test_modular_tape_agrees_with_exact_evaluation():
@@ -464,6 +480,48 @@ def test_root_of_a_base_that_is_no_positive_guard_is_sampled():
     # an exact zero
     with pytest.raises(BoxError):
         is_zero(ex.parse("(-3)^(1/2)*(-3)^(1/2) + 3"), zerotest.box(p=(0.5, 1.0)))
+    # and so is a negative monomial under an odd root
+    e = ex.parse("(-2*q)^(1/3)*(-2*q)^(2/3) + 2*q")
+    assert ex.Tape([e]).modular(0) is None
+    with pytest.raises(BoxError):
+        is_zero(e, auto_box(e, Q_BOX))
+
+
+# ---------------------------------------------------------------------------
+# odd roots of positive monomials: distributed over the factors
+
+
+@pytest.mark.parametrize("text", [
+    "(2*q)^(1/3)*(2*q)^(2/3) - 2*q",
+    "(3/2*q^(-3))^(20/3) - (3/2)^(20/3)*q^(-20)",
+    "(2/15*q^(-5/3))^(2/3) - (2/15)^(2/3)*q^(-10/9)",
+    "(2*q*x^2)^(1/3) - 2^(1/3)*q^(1/3)*x^(2/3)",
+])
+def test_odd_roots_of_positive_monomials_are_exact(text):
+    v = verdict(text, {"q": (0.5, 2.0), "x": (0.5, 2.0)})
+    assert (v.is_zero, v.method, v.samples, v.max_ratio) == (True, "exact", 2, 0.0)
+    # the bound is that of the prime with unique cube roots
+    tape = zerotest._tape({"expr": ex.parse(text)}, DomainBox({}))[0]
+    mod = tape.modular(1, set())
+    assert mod.odd == 3
+    assert v.error_bound == (mod.degrees[0] / zerotest._prime(0, 3)) ** 2
+
+
+@pytest.mark.parametrize("text", [
+    "(2*q)^(1/3) - 3^(1/3)*q^(1/3)",  # another constant's root
+    "(2*q)^(2/3) - 2^(2/3)*q^(1/3)",  # another power of q
+])
+def test_odd_roots_of_positive_monomials_that_differ_are_sampled(text):
+    v = verdict(text)
+    assert (v.is_zero, v.method, v.error_bound) == (False, "sampled", None)
+
+
+def test_odd_root_of_a_monomial_in_a_symbol_of_either_sign_is_sampled():
+    # q^(-6) under a cube root is q^(-2) on both signs of q, but the
+    # rewrite is taken only where every symbol of the base is positive
+    v = verdict("(2*q^(-6))^(1/3)*(2*q^(-6))^(2/3) - 2*q^(-6)",
+                {"q": (-1.0, 1.0)})
+    assert (v.is_zero, v.method) == (True, "sampled")
 
 
 @pytest.mark.parametrize("text", [
