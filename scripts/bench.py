@@ -16,7 +16,9 @@ metrics, and per metric the median and quartiles of each side, the number
 of pairs the working tree won, the distance between the medians and the
 parent's interquartile range.  When a run fails, the pairs done so far are
 written, with the failing command and its exit status under that
-workload's "failure", and the script exits 1; nothing is retried.
+workload's "failure", and the script exits 1; nothing is retried.  When
+stopped by SIGTERM, it kills the running benchmark, removes both exports
+and exits 143 without writing the output file.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -94,6 +97,12 @@ def summarize(runs: list, better: dict) -> dict:
     return out
 
 
+def stop(signum, frame):
+    """Turn SIGTERM into SystemExit, so that `subprocess.run` kills its
+    child and `TemporaryDirectory` removes the exports on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -109,6 +118,23 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
 
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        runs, failure = compare(args, seconds)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+    report[args.workload] = {"seconds": seconds, "runs": runs,
+                             "summary": summarize(runs, better)}
+    if failure:
+        report[args.workload]["failure"] = failure
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 1 if failure else 0
+
+
+def compare(args, seconds: float) -> tuple:
+    """The runs of every pair on fresh exports of both sides, and the
+    failure that ended them early, or None."""
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         for path in sides.values():
@@ -135,13 +161,7 @@ def main(argv=None) -> int:
             failure = {"pair": i, "seed": seed, "side": side,
                        "command": err.cmd, "exit": err.returncode,
                        "stderr": err.stderr}
-
-    report[args.workload] = {"seconds": seconds, "runs": runs,
-                             "summary": summarize(runs, better)}
-    if failure:
-        report[args.workload]["failure"] = failure
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 1 if failure else 0
+    return runs, failure
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Coordinate tensor calculus for nondegenerate metrics in dimensions 3-5.
+"""Tensor calculus for nondegenerate metrics in dimensions 3-5, in
+coordinates or in a coframe in which the metric has constant components.
 
 Everything is built as shared expression DAGs and never expanded; identity
 checks evaluate the components numerically at sample points.  Sign
@@ -22,9 +23,24 @@ conventions, fixed once for the whole package:
 For the Levi-Civita connection R_abcd and R_bd are built by the second form
 of each, from the metric (Misner, Thorne and Wheeler, Gravitation, 1973),
 and R^a_bcd is not built; `connection_curvature` and `ricci_from_riemann`
-take the first form for the Weyl connection.  A tensor with the symmetries
-of R_abcd (Singer and Thorpe, 1969: a symmetric map of bivectors) is built,
-contracted and converted to a frame on its independent components only.
+take the first form for the Weyl connection.
+
+A metric eta_ab theta^a theta^b with constant eta on a coframe
+theta^a = M^a_i dx^i is built in the dual frame e_a = e_a^i d_i,
+e_a^i = (M^-1)^i_a, by Cartan's structure equations (the Koszul formula with
+constant eta), and R_abcd = eta(e_a, R(e_c, e_d) e_b) keeps the sign above:
+
+    [e_b, e_c] = C^a_bc e_a,  C^a_bc = -d theta^a(e_b, e_c)
+               = -d_j M^a_i (e_b^j e_c^i - e_c^j e_b^i)
+    grad_{e_b} e_c = Gamma^k_bc e_k,  Gamma_abc = eta_ak Gamma^k_bc
+               = 1/2 (C_abc - C_bca + C_cab),  C_abc = eta_ak C^k_bc,
+               antisymmetric in ac
+    R_abcd  = e_c(Gamma_adb) - e_d(Gamma_acb) + Gamma_ack Gamma^k_db
+              - Gamma_adk Gamma^k_cb - C^k_cd Gamma_akb
+
+Ricci, Schouten and Weyl then follow as above with eta for g.  A tensor
+with the symmetries of R_abcd (Singer and Thorpe, 1969: a symmetric map of
+bivectors) is built and contracted on its independent components only.
 """
 
 from __future__ import annotations
@@ -73,6 +89,18 @@ def _products(factor_tuples):
     order.  Their sum is the node of the dense sum: `mul` folds a zero
     factor to ZERO and `add` drops it."""
     return [ex.mul(*fs) for fs in factor_tuples if ex.ZERO not in fs]
+
+
+def _merged(*terms):
+    """add(*terms) with equal terms merged: c1 X + c2 X is (c1 + c2) X, and
+    left out when c1 + c2 = 0."""
+    coeff = {}
+    for t in terms:
+        k, node = 1, t
+        if t.kind == ex.MUL and t.args[0].kind == ex.NUM:
+            k, node = t.args[0].payload, ex.mul(*t.args[1:])
+        coeff[node] = coeff.get(node, 0) + k
+    return ex.add(*(ex.mul(ex.num(k), node) for node, k in coeff.items() if k))
 
 
 def _at(table, idx):
@@ -192,12 +220,22 @@ def ricci_from_riemann(riem, n):
 
 
 class CurvaturePackage:
-    """Levi-Civita curvature data of a metric, built lazily and shared."""
+    """Levi-Civita curvature data of a metric, built lazily and shared.
 
-    def __init__(self, g: SymmetricForm):
+    With no coframe, g holds the coordinate components g_ij and every
+    tensor has coordinate indices.  With a coframe theta^a = M^a_i dx^i on
+    g's chart, g holds the constant components eta_ab of the metric
+    eta_ab theta^a theta^b and every tensor has indices in the frame dual to
+    theta: R_abcd is built from `structure` and `connection`, and `ricci`,
+    `schouten` and `weyl_low` read eta and its inverse as they read g and
+    g^-1.  The coordinate-only data (`dg` and what is built from it) is then
+    refused."""
+
+    def __init__(self, g: SymmetricForm, coframe=None):
         self.metric = g
         self.chart = g.chart
         self.n = g.dim
+        self.coframe = coframe
 
     @cached_property
     def inverse(self):
@@ -212,9 +250,72 @@ class CurvaturePackage:
 
     @cached_property
     def dg(self):
+        if self.coframe is not None:
+            raise MetricError("metric derivatives are coordinate data; "
+                              "a coframe package has constant components")
         n, coords = self.n, self.chart.coords
         return [[[ex.differentiate(self.metric.rows[i][j], coords[k])
                   for j in range(n)] for i in range(n)] for k in range(n)]
+
+    @cached_property
+    def frame(self):
+        """e_a^i of the frame e_a = e_a^i d_i dual to the coframe, the
+        columns (M^-1)^i_a of the coframe matrix's inverse."""
+        n = self.n
+        minv, _det = symbolic_inverse(
+            [[th.coeff((i,)) for i in range(n)] for th in self.coframe])
+        return _table(n, 2, lambda a, i: minv[i][a])
+
+    @cached_property
+    def structure(self):
+        """C^a_bc of [e_b, e_c] = C^a_bc e_a for b < c, as {(b, c): [C^a_bc
+        for each a]}: C^a_bc = -d theta^a(e_b, e_c)
+        = -(d_j M^a_i - d_i M^a_j)(e_b^j e_c^i - e_c^j e_b^i) summed over
+        j < i."""
+        n, coords, e = self.n, self.chart.coords, self.frame
+        wedges = [(j, i) for j in range(n) for i in range(j + 1, n)]
+        dtheta = []  # the nonzero (j, i, d_j M^a_i - d_i M^a_j) for each a
+        for th in self.coframe:
+            m = [th.coeff((i,)) for i in range(n)]
+            dtheta.append([(j, i, c) for j, i in wedges for c in (ex.add(
+                ex.differentiate(m[i], coords[j]),
+                ex.neg(ex.differentiate(m[j], coords[i]))),)
+                if c is not ex.ZERO])
+        out = {}
+        for b in range(n):
+            for c in range(b + 1, n):
+                pair = {(j, i): ex.add(*_products((
+                    (e[b][j], e[c][i]), (ex.MINUS_ONE, e[c][j], e[b][i]))))
+                    for j, i in wedges}
+                out[b, c] = [ex.add(*_products(
+                    (ex.MINUS_ONE, d, pair[j, i]) for j, i, d in dth))
+                    for dth in dtheta]
+        return out
+
+    @cached_property
+    def connection(self):
+        """Gamma_abc = eta(e_a, grad_{e_b} e_c)
+        = 1/2 (C_abc - C_bca + C_cab), C_abc = eta_ak C^k_bc; built for
+        a < c and shared, negated, with Gamma_cba."""
+        n, eta = self.n, self.metric.rows
+        low = {bc: [ex.add(*_products((eta[a][k], ck[k]) for k in range(n)))
+                    for a in range(n)] for bc, ck in self.structure.items()}
+
+        def term(sign, a, b, c):  # the factors of sign * C_abc / 2
+            if b == c:
+                return (ex.ZERO,)
+            if b > c:
+                b, c, sign = c, b, -sign
+            return (ex.num(Fraction(sign, 2)), low[b, c][a])
+
+        t = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                for c in range(a + 1, n):
+                    r = _merged(*_products((term(1, a, b, c), term(
+                        -1, b, c, a), term(1, c, a, b))))
+                    t[a][b][c], t[c][b][a] = r, ex.neg(r)
+        return tuple(tuple(map(tuple, ta)) for ta in t)
 
     @cached_property
     def brackets(self):
@@ -240,7 +341,10 @@ class CurvaturePackage:
     @cached_property
     def riemann_low(self):
         """R_abcd from the second derivatives of the metric and the
-        Christoffel symbols of both kinds; R^a_bcd is never built."""
+        Christoffel symbols of both kinds, R^a_bcd never built; in a coframe
+        from the connection and structure functions."""
+        if self.coframe is not None:
+            return self._frame_riemann()
         n, coords, dg = self.n, self.chart.coords, self.dg
         br, gam = self.brackets, self.christoffel
 
@@ -256,6 +360,41 @@ class CurvaturePackage:
                 d2(b, c, a, dd), d2(a, dd, b, c),
                 ex.neg(d2(b, dd, a, c)), ex.neg(d2(a, c, b, dd)),
                 *quad(b, c, a, dd), *quad(b, dd, a, c, ex.MINUS_ONE)))
+
+        return _riemann_symmetric(n, component)
+
+    def _frame_riemann(self):
+        """R_abcd = e_c(Gamma_adb) - e_d(Gamma_acb) + Gamma_ack Gamma^k_db
+        - Gamma_adk Gamma^k_cb - C^k_cd Gamma_akb; a derivative of
+        Gamma_cba is taken as that of -Gamma_abc."""
+        n, coords, e = self.n, self.chart.coords, self.frame
+        gam, st, inv = self.connection, self.structure, self.inverse
+        # Gamma^k_bc = eta^km Gamma_mbc, summed over the m with eta^km != 0
+        raised = [[(m, inv[k][m], ex.neg(inv[k][m])) for m in range(n)
+                   if inv[k][m] is not ex.ZERO] for k in range(n)]
+        memo = {}
+
+        def along(c, a, b, dd):  # e_c(Gamma_abd)
+            if a > dd:
+                return ex.neg(along(c, dd, b, a))
+            key = (c, a, b, dd)
+            out = memo.get(key)
+            if out is None:
+                f = gam[a][b][dd]
+                out = memo[key] = ex.add(*_products(
+                    (e[c][i], ex.differentiate(f, coords[i]))
+                    for i in range(n)))
+            return out
+
+        def component(a, b, c, dd):
+            cd = st[c, dd]
+            return _merged(along(c, a, dd, b), ex.neg(along(dd, a, c, b)),
+                          *_products(f for k in range(n) for f in (
+                              *((u, gam[a][c][k], gam[m][dd][b])
+                                for m, u, _ in raised[k]),
+                              *((v, gam[a][dd][k], gam[m][c][b])
+                                for m, _, v in raised[k]),
+                              (ex.MINUS_ONE, cd[k], gam[a][k][b]))))
 
         return _riemann_symmetric(n, component)
 
@@ -345,6 +484,21 @@ def weyl(g: SymmetricForm) -> TensorField:
     return TensorField(g.chart, "llll", CurvaturePackage(g).weyl_low)
 
 
+def frame_weyl(coframe, eta) -> TensorField:
+    """Weyl_abcd of the metric eta_ab theta^a theta^b, for a coframe of
+    1-forms theta^a on one chart and a constant symmetric matrix eta, in the
+    frame dual to the coframe."""
+    chart = coframe[0].chart
+    if chart.dim not in (4, 5) or len(coframe) != chart.dim:
+        raise MetricError("Weyl tensor computed in dimensions 4 and 5, "
+                          "from one 1-form per coordinate")
+    if any(th.degree != 1 or th.chart != chart for th in coframe):
+        raise MetricError("a coframe holds 1-forms on one chart")
+    eta = SymmetricForm(chart, eta)
+    return TensorField(chart, "llll",
+                       CurvaturePackage(eta, tuple(coframe)).weyl_low)
+
+
 def cotton3(g: SymmetricForm) -> TensorField:
     if g.dim != 3:
         raise MetricError("Cotton tensor computed in dimension 3")
@@ -403,39 +557,6 @@ def weyl_connection_residual(g: SymmetricForm, nu: DifferentialForm) -> TensorFi
 def conformal_rescale(g: SymmetricForm, upsilon) -> SymmetricForm:
     """e^{2 upsilon} g, componentwise."""
     return g.scaled(ex.exp(ex.mul(2, ex.as_expr(upsilon))))
-
-
-def frame_components(T: TensorField, coframe) -> TensorField:
-    """Components of an all-lower tensor in the frame dual to `coframe`.
-
-    coframe is a list of 1-forms theta^a = M^a_i dx^i; the dual frame is
-    X_a = (M^{-1})^i_a d_i and T_{a...} = sum (M^{-1})^{i}_{a} ... T_{i...}.
-    A 4-index tensor must have the symmetries of R_abcd; its frame components
-    share them, and only a < b, c < d, (a, b) <= (c, d) are converted.
-    """
-    chart = T.chart
-    n = chart.dim
-    if set(T.variance) != {"l"}:
-        raise MetricError("frame conversion implemented for all-lower tensors")
-    if len(coframe) != n:
-        raise MetricError("coframe size must match chart dimension")
-    rank = len(T.variance)
-    if rank == 4 and _riemann_symmetric(n, T.component) != T.comps:
-        raise MetricError("frame conversion of a 4-index tensor needs the "
-                          "symmetries of the Riemann tensor")
-    m = [[coframe[a].coeff((i,)) for i in range(n)] for a in range(n)]
-    minv, _det = symbolic_inverse(m)
-    # (m @ minv = 1) with m[a][i]: minv[i][a]
-    nonzero = T.nontrivial().items()
-
-    def convert(*frame_idx):
-        return ex.add(*_products(
-            (*(minv[i][a] for i, a in zip(coord_idx, frame_idx)), comp)
-            for coord_idx, comp in nonzero))
-
-    comps = _riemann_symmetric(n, convert) if rank == 4 \
-        else _table(n, rank, convert)
-    return TensorField(chart, T.variance, comps)
 
 
 # ---------------------------------------------------------------------------

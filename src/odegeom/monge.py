@@ -18,7 +18,7 @@ import mpmath
 from . import expr as ex
 from .config import RunConfig
 from .curvature import (TensorField, conformal_rescale, einstein_residual,
-                        frame_components, tensor_zero_exprs, weyl)
+                        frame_weyl, tensor_zero_exprs)
 from .exterior import (MONGE2, Equation, SymmetricForm, d_coord, equation,
                        sym_product, sym_square, total_derivative)
 from .ode3 import InvariantReport
@@ -641,6 +641,8 @@ _WEYL_MATRIX = {
 # index pairing of the constant frame metric 2 a1 a5 - 2 a2 a4 + (a3)^2:
 # lowering a raised index swaps it with its metric partner
 _METRIC_PARTNER = {1: 5, 5: 1, 2: 4, 4: 2, 3: 3}
+NULL_FRAME_ETA = ((0, 0, 0, 0, 1), (0, 0, 0, -1, 0), (0, 0, 1, 0, 0),
+                  (0, -1, 0, 0, 0), (1, 0, 0, 0, 0))
 
 
 def allowed_frame_pattern(scalars=("a5",)) -> set:
@@ -668,16 +670,14 @@ WEYL_FRAME_SIGN = 1
 def weyl_frame_pattern_check(F: ex.Expression, bx: DomainBox | None = None,
                              cfg: RunConfig | None = None,
                              scalars=("a5",)) -> InvariantReport:
-    """Frame components of the Weyl tensor of the frame-normalized metric:
-    everything outside the slots generated by the listed scalars must vanish,
-    and the surviving slot equals the closed-form a5 up to the recorded sign."""
+    """Weyl tensor of 2 a1 a5 - 2 a2 a4 + (a3)^2, built in the frame dual to
+    the null coframe alpha1..alpha5: everything outside the slots generated
+    by the listed scalars must vanish, and the surviving slot equals the
+    closed-form a5 up to the recorded sign."""
     cfg = cfg or RunConfig()
     bx = bx or example6_box()
     a5 = example6_a5(F)
-    gm = frame_metric(F, bx)
-    W = weyl(gm)
-    cf = example6_coframe(F)
-    frame = frame_components(W, list(cf["alpha"]))
+    frame = frame_weyl(example6_coframe(F)["alpha"], NULL_FRAME_ETA)
     allowed = allowed_frame_pattern(scalars)
 
     named_outside = tensor_zero_exprs(frame, "out", skip=allowed)

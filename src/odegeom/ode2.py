@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import expr as ex
 from .config import RunConfig
-from .curvature import tensor_zero_exprs, weyl
+from .curvature import frame_weyl, tensor_zero_exprs
 from .exterior import (J1EXT, Equation, SymmetricForm, d_coord, equation,
                        sym_product, total_derivative)
 from .ode3 import InvariantReport
@@ -22,19 +22,27 @@ def second_order(text_or_expr, box: DomainBox | None = None,
     return equation("2nd-order", text_or_expr, box, params, margin)
 
 
-def fefferman_metric(ode: Equation) -> SymmetricForm:
-    """g = 2[(dp - Q dx) dx - (dy - p dx)(dphi + (2/3)Q_p dx
-    + (1/6)Q_pp (dy - p dx))], a (2,2)-signature metric on (x, y, p, phi)."""
+# 2(theta2 theta3 - theta1 theta4) in the coframe of `fefferman_coframe`
+FEFFERMAN_ETA = ((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+
+
+def fefferman_coframe(ode: Equation) -> tuple:
+    """theta1 = dy - p dx, theta2 = dp - Q dx, theta3 = dx and
+    theta4 = dphi + (2/3)Q_p dx + (1/6)Q_pp theta1 on (x, y, p, phi)."""
     Q = ode.F
     Qp = ex.differentiate(Q, "p")
     Qpp = ex.differentiate(Qp, "p")
     dx, dy, dp, dphi = (d_coord(J1EXT, n) for n in ("x", "y", "p", "phi"))
-    p = ex.sym("p")
-    contact = dy - dx.scaled(p)
-    first = dp - dx.scaled(Q)
-    second = (dphi + dx.scaled(ex.mul(ex.num(2) / 3, Qp))
-              + contact.scaled(ex.mul(ex.num(1) / 6, Qpp)))
-    g = (sym_product(first, dx) - sym_product(contact, second)).scaled(2)
+    contact = dy - dx.scaled(ex.sym("p"))
+    return (contact, dp - dx.scaled(Q), dx,
+            dphi + dx.scaled(ex.mul(ex.num(2) / 3, Qp))
+            + contact.scaled(ex.mul(ex.num(1) / 6, Qpp)))
+
+
+def fefferman_metric(ode: Equation) -> SymmetricForm:
+    """g = 2(theta2 theta3 - theta1 theta4), a (2,2)-signature metric."""
+    t1, t2, t3, t4 = fefferman_coframe(ode)
+    g = (sym_product(t2, t3) - sym_product(t1, t4)).scaled(2)
     return SymmetricForm(J1EXT, g.rows, ode.box)
 
 
@@ -61,10 +69,12 @@ def ode2_invariants(ode: Equation) -> dict:
 def fefferman_flatness_check(ode: Equation,
                              cfg: RunConfig | None = None) -> InvariantReport:
     """Weyl(g) == 0 iff w1 == 0 and w2 == 0; reports all three verdicts,
-    from one zero test of w1, w2 and the named Weyl components."""
+    from one zero test of w1, w2 and the named Weyl components in the frame
+    dual to `fefferman_coframe`."""
     cfg = cfg or RunConfig()
     inv = ode2_invariants(ode)
-    named = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")
+    named = tensor_zero_exprs(
+        frame_weyl(fefferman_coframe(ode), FEFFERMAN_ETA), "W")
     checks = is_zero_many({**inv, **named}, ode.box, cfg)
     weyl_verdict = combined_verdict({k: checks[k] for k in named}, cfg)
     w_zero = checks["w1"].is_zero and checks["w2"].is_zero

@@ -1,11 +1,16 @@
-"""scripts/bench.py keeps the pairs it has run when a later run fails, and
-runs both sides from exports, not from the working tree itself."""
+"""scripts/bench.py keeps the pairs it has run when a later run fails,
+runs both sides from exports, not from the working tree itself, and removes
+the exports when stopped by SIGTERM."""
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
 import types
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 
@@ -49,6 +54,32 @@ def test_failed_run_keeps_completed_pairs(tmp_path, monkeypatch):
     assert (report["failure"]["seed"], report["failure"]["side"]) == (
         8, "change")
     assert report["summary"]["wall_s"]["pairs"] == 1
+
+
+def test_sigterm_removes_both_exports(tmp_path, monkeypatch):
+    bench = load_bench()
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        seen.append(checkout)
+        assert checkout.is_dir()
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not stop the comparison")
+
+    monkeypatch.setattr(bench, "run", fake_run)
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda *a, **k: types.SimpleNamespace(stdout=b""))
+    before = signal.getsignal(signal.SIGTERM)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stopped:
+        bench.main(["--workload", "lie-exact", "--pairs", "2", "--seed", "7",
+                    "--rev", "HEAD", "--out", str(out)])
+    assert stopped.value.code == 128 + signal.SIGTERM
+    [parent] = seen
+    assert parent.name == "parent"
+    assert not parent.parent.exists()  # the temporary directory is gone
+    assert not out.exists()
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_export_worktree_copies_tracked_and_unignored_files(tmp_path):

@@ -9,16 +9,19 @@ import pytest
 from odegeom import expr as ex
 from odegeom.config import RunConfig
 from odegeom.curvature import (
-    CurvaturePackage, _at, _eigenvalues, _riemann_symmetric, MetricError, TensorField,
+    CurvaturePackage, _at, _eigenvalues, _merged, _riemann_symmetric,
+    MetricError, TensorField,
     conformal_rescale, cotton3,
-    curvature_package, einstein_residual, frame_components,
+    curvature_package, einstein_residual, frame_weyl,
     signature_at, signatures, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,
 )
 from odegeom.exterior import (Chart, DifferentialForm, SymmetricForm,
                               _symmetric, d_coord, zero_form)
-from odegeom.monge import example6_coframe, example6_metric, frame_metric
-from odegeom.ode2 import fefferman_metric, second_order
+from odegeom.monge import (NULL_FRAME_ETA, example6_coframe, example6_metric,
+                           frame_metric)
+from odegeom.ode2 import (FEFFERMAN_ETA, fefferman_coframe, fefferman_metric,
+                          second_order)
 from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
 
 CFG = RunConfig(samples=8)
@@ -374,19 +377,6 @@ def test_conformal_rescale_identity():
     assert conformal_rescale(g, 0).rows == g.rows
 
 
-def test_frame_components_identity_coframe():
-    g = synthetic_nonflat_3metric()
-    T = einstein_residual(g)
-    coframe = [d_coord(E3, n) for n in E3.coords]
-    out = frame_components(T, coframe)
-    pt = {n: 0.3 for n in E3.coords}
-    for i in range(3):
-        for j in range(3):
-            a = float(ex.eval_numeric(out.comps[i][j], pt))
-            b = float(ex.eval_numeric(T.comps[i][j], pt))
-            assert abs(a - b) < 1e-20 or abs(a - b) < 1e-12 * abs(b)
-
-
 def test_signature_at():
     g = metric_from_rows(E3, [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
                          unit_box(E3.coords))
@@ -649,11 +639,12 @@ def test_levi_civita_path_builds_no_riemann_up():
                                       ex.neg(dg[f][i][j]))
 
 
-# --- frame components against the loop they replaced --------------------------
+# --- frame route against the converted coordinate route ----------------------
 
 def reference_frame_components(T, coframe):
-    """The old build: every coordinate component rescanned for each frame
-    component, zero minv factors multiplied in."""
+    """Components of the all-lower tensor T in the frame dual to `coframe`
+    (theta^a = M^a_i dx^i): T_{a...} = sum (M^-1)^i_a ... T_{i...}, every
+    coordinate component rescanned for each frame component."""
     n = T.chart.dim
     m = [[coframe[a].coeff((i,)) for i in range(n)] for a in range(n)]
     minv, _det = symbolic_inverse(m)
@@ -701,45 +692,87 @@ def assert_same_values(got, want, bx):
     pytest.fail("fewer than three points of the box evaluate")
 
 
-def test_frame_components_match_reference_node_for_node():
-    # a 4-index tensor converts its independent components only, so those
-    # are the reference's nodes and every other one is a negative of one or
-    # a literal zero; a 2-index tensor converts every component
+# The frame route against the coordinate route converted to the same frame.
+# Every ode2 formula of the catalog and the stream depends on p alone, so
+# these are the only Fefferman metrics whose x and y structure functions
+# are nonzero.
+FEFFERMAN_SAMPLES = [
+    ("p^4", {}), ("(5/7)*p^(5/2)", {"p": (0.5, 2.0)}),
+    ("p^2/y", {"y": (0.5, 2.0)}), ("x*y*p^3 + y^2", {}),
+    ("x^2*p + y*p^3", {})]
+
+
+def assert_frame_route_matches(frame, coord_weyl, coframe, bx):
+    want = reference_frame_components(coord_weyl, coframe)
+    named = {f"d{''.join(map(str, idx))}": ex.add(frame.component(*idx),
+                                                   ex.neg(c))
+             for idx, c in want.items()}
+    named = {k: c for k, c in named.items() if not c.is_zero_literal}
+    verdicts = is_zero_many(named, bx, CFG)
+    assert all(v.is_zero for v in verdicts.values())
+    assert {v.method for v in verdicts.values()} <= {"exact", "structural"}
+
+
+@pytest.mark.parametrize("formula, intervals", FEFFERMAN_SAMPLES,
+                         ids=[f for f, _ in FEFFERMAN_SAMPLES])
+def test_fefferman_frame_weyl_is_the_converted_coordinate_weyl(formula,
+                                                               intervals):
+    bx = DomainBox({**dict.fromkeys(("x", "y", "p", "phi"), (-1.0, 1.0)),
+                    **intervals})
+    ode = second_order(formula, bx)
+    coframe = fefferman_coframe(ode)
+    assert_frame_route_matches(frame_weyl(coframe, FEFFERMAN_ETA),
+                               weyl(fefferman_metric(ode)), coframe, bx)
+
+
+def test_example6_frame_weyl_is_the_converted_coordinate_weyl():
     F = ex.parse("q^3/6")
     g = frame_metric(F)
-    W = weyl(g)
-    coframe = list(example6_coframe(F)["alpha"])
-    got = frame_components(W, coframe).flatten()
-    want = reference_frame_components(W, coframe)
-    independent = [idx for idx in want if idx[0] < idx[1] and
-                   idx[2] < idx[3] and idx[:2] <= idx[2:]]
-    assert len(independent) == 55
-    assert all(got[idx] is want[idx] for idx in independent)
-    assert_same_values(got, want, g.box)
-    g = synthetic_nonflat_3metric()
-    x, y, z = (ex.sym(c) for c in E3.coords)
-    T, cf = einstein_residual(g), [
-        DifferentialForm(E3, 1, {(0,): 1, (1,): x}),
-        DifferentialForm(E3, 1, {(1,): 1}),
-        DifferentialForm(E3, 1, {(0,): y, (2,): ex.add(1, ex.pow_(z, 2))})]
-    got = frame_components(T, cf).flatten()
-    want = reference_frame_components(T, cf)
-    assert got.keys() == want.keys()
-    assert all(got[idx] is want[idx] for idx in want)
+    coframe = example6_coframe(F)["alpha"]
+    assert_frame_route_matches(frame_weyl(coframe, NULL_FRAME_ETA), weyl(g),
+                               coframe, g.box)
 
 
-def test_frame_components_reject_a_4_tensor_without_riemann_symmetries():
-    W = weyl(nonflat_4metric())
-    coframe = [d_coord(E4, c) for c in E4.coords]
-    frame_components(W, coframe)
-    r = range(4)
-    # one component off its mirror images, and a nonzero diagonal entry
-    for idx in ((0, 1, 2, 3), (0, 0, 0, 0)):
-        flat = {**W.flatten(), idx: ex.sym("x")}
-        comps = tuple(tuple(tuple(tuple(flat[a, b, c, dd] for dd in r)
-                                  for c in r) for b in r) for a in r)
-        with pytest.raises(MetricError, match="symmetries"):
-            frame_components(TensorField(E4, "llll", comps), coframe)
+def test_coframe_package_builds_each_independent_component_once():
+    # the structure functions are built for b < c and the connection for
+    # a < c and mirrored; the Riemann tensor has the coordinate route's shape
+    coframe = fefferman_coframe(second_order("x*y*p^3 + y^2"))
+    chart = coframe[0].chart
+    pkg = CurvaturePackage(SymmetricForm(chart, FEFFERMAN_ETA), coframe)
+    n = pkg.n
+    assert sorted(pkg.structure) == [(b, c) for b in range(n)
+                                     for c in range(b + 1, n)]
+    gam = pkg.connection
+    for a, b in itertools.product(range(n), repeat=2):
+        assert gam[a][b][a] is ex.ZERO
+        for c in range(a + 1, n):
+            assert gam[c][b][a] is ex.neg(gam[a][b][c])
+    low = pkg.riemann_low
+    assert _riemann_symmetric(n, lambda *idx: _at(low, idx)) == low
+    # eta's inverse is exact, and the coordinate data is refused
+    assert pkg.inverse == tuple(tuple(map(ex.num, r)) for r in FEFFERMAN_ETA)
+    with pytest.raises(MetricError, match="coordinate"):
+        pkg.christoffel
+
+
+def test_merged_sums_the_coefficients_of_equal_terms():
+    x, y = ex.sym("x"), ex.sym("y")
+    xy = ex.mul(x, y)
+    half = ex.num(Fraction(1, 2))
+    assert _merged(ex.mul(half, xy), ex.mul(half, xy), y) is ex.add(xy, y)
+    assert _merged(ex.mul(ex.num(Fraction(-1, 4)), xy), y,
+                   ex.mul(ex.num(Fraction(1, 4)), xy)) is y
+    assert _merged(ex.neg(x), x) is ex.ZERO
+    assert _merged(x, ex.mul(3, x), y) is ex.add(ex.mul(4, x), y)
+
+
+def test_frame_weyl_refuses_what_it_cannot_build():
+    coframe = fefferman_coframe(second_order("p^4"))
+    with pytest.raises(MetricError, match="dimensions 4 and 5"):
+        frame_weyl(coframe[:3], FEFFERMAN_ETA)
+    with pytest.raises(MetricError, match="1-forms"):
+        frame_weyl((*coframe[:3], zero_form(coframe[0].chart, 2)),
+                   FEFFERMAN_ETA)
 
 
 # --- sparse sums and shared minors against the dense loops they replaced ------
@@ -927,28 +960,3 @@ def test_riemann_symmetric_matches_closure_reference_node_for_node(n):
     assert all(type(t) is tuple for ta in got for tb in ta for t in tb)
     assert _riemann_symmetric(n, lambda *_: ex.ZERO) == \
         reference_riemann_symmetric(n, lambda *_: ex.ZERO)
-
-
-def with_entry(comps, n, idx, value):
-    flat = {i: _at(comps, i) for i in itertools.product(range(n), repeat=4)}
-    flat[idx] = value
-    r = range(n)
-    return tuple(tuple(tuple(tuple(flat[a, b, c, dd] for dd in r)
-                             for c in r) for b in r) for a in r)
-
-
-@pytest.mark.parametrize("chart", [E3, E4], ids=["dim3", "dim4"])
-def test_frame_components_refuse_each_broken_symmetry(chart):
-    n = chart.dim
-    coframe = [d_coord(chart, c) for c in chart.coords]
-    comps = _riemann_symmetric(n, mixed_build)
-    frame_components(TensorField(chart, "llll", comps), coframe)
-    x = ex.sym(chart.coords[0])
-    for idx, value in (
-            ((0, 2, 0, 1), ex.add(comps[0][1][0][2], x)),  # pair swap
-            ((1, 0, 0, 1), comps[0][1][0][1]),  # antisymmetry in ab
-            ((0, 1, 2, 1), comps[0][1][1][2]),  # antisymmetry in cd
-            ((0, 0, 1, 2), x)):  # a = b
-        broken = TensorField(chart, "llll", with_entry(comps, n, idx, value))
-        with pytest.raises(MetricError, match="symmetries"):
-            frame_components(broken, coframe)

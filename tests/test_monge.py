@@ -5,11 +5,12 @@ import pytest
 
 from odegeom import expr as ex
 from odegeom.config import RunConfig
-from odegeom.curvature import (curvature_package, frame_components,
-                               signature_at, tensor_zero_exprs, weyl,
+from odegeom.curvature import (curvature_package, frame_weyl, signature_at,
+                               symbolic_inverse, tensor_zero_exprs, weyl,
                                weyl_square)
 from odegeom.monge import (
-    SOLUTION_DEPTH_1, SOLUTION_DEPTH_2, Equation, ParametrizedSolution,
+    NULL_FRAME_ETA, SOLUTION_DEPTH_1, SOLUTION_DEPTH_2, Equation,
+    ParametrizedSolution,
     allowed_frame_pattern, classify_monge1, classify_monge2,
     einstein_scale_residual, einstein_scale_rhs, example6_a5,
     example6_box, example6_coframe, example6_metric,
@@ -256,18 +257,19 @@ def test_weyl_square_vanishes_for_univariate_family():
 
 
 def test_frame_metric_reproduces_constant_pattern():
-    # 2 a1 a5 - 2 a2 a4 + (a3)^2 with constant entries in its own frame
+    # 2 a1 a5 - 2 a2 a4 + (a3)^2 with constant entries NULL_FRAME_ETA in its
+    # own frame: g_ab = (M^-1)^i_a (M^-1)^j_b g_ij, theta^a = M^a_i dx^i
     F = ex.parse("q^3/6")
     g = frame_metric(F)
-    cf = example6_coframe(F)
-    from odegeom.curvature import TensorField
-    T = TensorField(g.chart, "ll", g.rows)
-    fr = frame_components(T, list(cf["alpha"]))
-    want = {(0, 4): 1, (4, 0): 1, (1, 3): -1, (3, 1): -1, (2, 2): 1}
+    alpha = example6_coframe(F)["alpha"]
+    minv, _det = symbolic_inverse([[th.coeff((i,)) for i in range(5)]
+                                   for th in alpha])
     named = {}
-    for idx, c in fr.flatten().items():
-        target = want.get(idx, 0)
-        named[f"m{idx}"] = ex.add(c, ex.num(-target))
+    for a in range(5):
+        for b in range(a, 5):
+            c = ex.add(*[ex.mul(minv[i][a], minv[j][b], g.rows[i][j])
+                         for i in range(5) for j in range(5)])
+            named[f"m{a}{b}"] = ex.add(c, ex.num(-NULL_FRAME_ETA[a][b]))
     named = {k: v for k, v in named.items() if not v.is_zero_literal}
     verdicts = is_zero_many(named, g.box, RunConfig(samples=6))
     bad = [k for k, v in verdicts.items() if not v.is_zero]
@@ -344,8 +346,7 @@ def test_weyl_frame_pattern_tests_each_outside_node_once(monkeypatch):
     assert len(outside) == 5
     nodes = set(outside.values())
     assert len(nodes | {ex.neg(c) for c in nodes}) == 10
-    frame = frame_components(weyl(frame_metric(F)),
-                             list(example6_coframe(F)["alpha"]))
+    frame = frame_weyl(example6_coframe(F)["alpha"], NULL_FRAME_ETA)
     allowed = allowed_frame_pattern()
     assert all(c.is_zero_literal or c in nodes or ex.neg(c) in nodes
                for idx, c in frame.flatten().items() if idx not in allowed)

@@ -7,10 +7,11 @@ from odegeom import expr as ex
 from odegeom import ode2 as ode2_module
 from odegeom.cli import build_box
 from odegeom.config import RunConfig
-from odegeom.curvature import (curvature_package, signature_at,
+from odegeom.curvature import (curvature_package, frame_weyl, signature_at,
                                tensor_zero_exprs, weyl)
-from odegeom.ode2 import (Equation, fefferman_flatness_check,
-                          fefferman_metric, ode2_invariants, second_order)
+from odegeom.ode2 import (FEFFERMAN_ETA, Equation, fefferman_coframe,
+                          fefferman_flatness_check, fefferman_metric,
+                          ode2_invariants, second_order)
 from odegeom.zerotest import (DomainBox, combined_verdict, is_zero,
                               is_zero_many, structural_zero, unit_box)
 
@@ -140,29 +141,26 @@ def test_stray_symbol_rejected():
                  unit_box(("x", "y", "p", "phi", "q")))
 
 
-# Weyl verdicts of curved equations under the default config.  Only one
-# component of each antisymmetric and pair-symmetric set is tested.  The
-# all-index build reported the same witness for p^4.  For x*p^2+y and
-# p^(5/2) it reported W1001: a separately built copy of -W0101 with a
-# smaller term scale, so a larger ratio.  Building R_abcd from the metric's
-# second derivatives changed the top-level terms of p^(5/2)'s components, so
-# its worst ratio moved from W1212 to W0101.  Since the sampled test stops
-# evaluating the expressions at their first clear witnesses, the witnesses
-# of x*p^2+y and p^(5/2) are at the first point drawn, at which every
-# sampled component has a ratio above 1e-6; p^4's was at the first point
-# already.
+# Weyl verdicts of curved equations under the default config, from the
+# components in the frame dual to the Fefferman coframe.  Only one component
+# of each antisymmetric and pair-symmetric set is tested.  The sampled test
+# stops evaluating the expressions at their first clear witnesses, so each
+# witness is at the first point drawn, at which every sampled component has
+# a ratio above 1e-6.  In coordinates the witnesses were W1212 = 4.0 for
+# p^4, W0101 = 0.23180852685550463 for x*p^2+y and W0101 =
+# -2.2901399101364173 for p^(5/2), at the same points.
 POSITIVE_P = {"x": (-1.0, 1.0), "y": (-1.0, 1.0), "p": (0.5, 2.0),
               "phi": (-1.0, 1.0)}
 
 
 @pytest.mark.parametrize("formula, intervals, label, value, point", [
-    ("p^4", None, "W1212", 4.0,
+    ("p^4", None, "W0101", 4.0,
      {"p": 0.6888437030500962, "phi": 0.515908805880605,
       "x": -0.15885683833831, "y": -0.4821664994140733}),
-    ("x*p^2+y", None, "W0101", 0.23180852685550463,
+    ("x*p^2+y", None, "W0202", 0.23180852685550463,
      {"p": 0.6888437030500962, "phi": 0.515908805880605,
       "x": -0.15885683833831, "y": -0.4821664994140733}),
-    ("p^(5/2)", POSITIVE_P, "W0101", -2.2901399101364173,
+    ("p^(5/2)", POSITIVE_P, "W0202", -1.1450699550682086,
      {"p": 1.766632777287572, "phi": 0.515908805880605,
       "x": -0.15885683833831, "y": -0.4821664994140733}),
 ])
@@ -172,7 +170,8 @@ def test_curved_weyl_verdict_witness(formula, intervals, label, value, point):
     assert not v.is_zero
     assert (v.label, v.witness_value, v.witness_point) == (label, value, point)
     # the witness is the named component's value at the witness point
-    comp = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")[label]
+    comp = tensor_zero_exprs(
+        frame_weyl(fefferman_coframe(ode), FEFFERMAN_ETA), "W")[label]
     got = float(ex.eval_numeric(comp, point))
     assert got == value
 
@@ -216,7 +215,8 @@ WORST_POINT = ("max_ratio", "scale", "witness_point", "witness_value")
 def two_call_flatness(ode, cfg):
     inv = ode2_invariants(ode)
     checks = is_zero_many(inv, ode.box, cfg)
-    named = tensor_zero_exprs(weyl(fefferman_metric(ode)), "W")
+    named = tensor_zero_exprs(
+        frame_weyl(fefferman_coframe(ode), FEFFERMAN_ETA), "W")
     weyl_verdict = combined_verdict(is_zero_many(named, ode.box, cfg), cfg) \
         if named else structural_zero(cfg)
     return {"w1": checks["w1"], "w2": checks["w2"], "weyl": weyl_verdict}
