@@ -93,14 +93,23 @@ def _products(factor_tuples):
 
 def _merged(*terms):
     """add(*terms) with equal terms merged: c1 X + c2 X is (c1 + c2) X, and
-    left out when c1 + c2 = 0."""
-    coeff = {}
+    left out when c1 + c2 = 0; a term that meets no equal one is kept as it
+    is.  X is a product's argument tuple after its numeric coefficient."""
+    groups = {}
     for t in terms:
-        k, node = 1, t
-        if t.kind == ex.MUL and t.args[0].kind == ex.NUM:
-            k, node = t.args[0].payload, ex.mul(*t.args[1:])
-        coeff[node] = coeff.get(node, 0) + k
-    return ex.add(*(ex.mul(ex.num(k), node) for node, k in coeff.items() if k))
+        k, key = 1, (t,)
+        if t.kind == ex.MUL:
+            head = t.args[0]
+            k, key = (head.payload, t.args[1:]) if head.kind == ex.NUM \
+                else (1, t.args)
+        groups.setdefault(key, []).append((k, t))
+    out = []
+    for key, group in groups.items():
+        if len(group) == 1:
+            out.append(group[0][1])
+        elif sum(k for k, _ in group):
+            out.append(ex.mul(ex.num(sum(k for k, _ in group)), *key))
+    return ex.add(*out)
 
 
 def _at(table, idx):
@@ -281,12 +290,13 @@ class CurvaturePackage:
                 ex.differentiate(m[i], coords[j]),
                 ex.neg(ex.differentiate(m[j], coords[i]))),)
                 if c is not ex.ZERO])
+        used = {(j, i) for dth in dtheta for j, i, _ in dth}
         out = {}
         for b in range(n):
             for c in range(b + 1, n):
                 pair = {(j, i): ex.add(*_products((
                     (e[b][j], e[c][i]), (ex.MINUS_ONE, e[c][j], e[b][i]))))
-                    for j, i in wedges}
+                    for j, i in used}
                 out[b, c] = [ex.add(*_products(
                     (ex.MINUS_ONE, d, pair[j, i]) for j, i, d in dth))
                     for dth in dtheta]
@@ -389,12 +399,12 @@ class CurvaturePackage:
         def component(a, b, c, dd):
             cd = st[c, dd]
             return _merged(along(c, a, dd, b), ex.neg(along(dd, a, c, b)),
-                          *_products(f for k in range(n) for f in (
-                              *((u, gam[a][c][k], gam[m][dd][b])
-                                for m, u, _ in raised[k]),
-                              *((v, gam[a][dd][k], gam[m][c][b])
-                                for m, _, v in raised[k]),
-                              (ex.MINUS_ONE, cd[k], gam[a][k][b]))))
+                           *_products(f for k in range(n) for f in (
+                               *((u, gam[a][c][k], gam[m][dd][b])
+                                 for m, u, _ in raised[k]),
+                               *((v, gam[a][dd][k], gam[m][c][b])
+                                 for m, _, v in raised[k]),
+                               (ex.MINUS_ONE, cd[k], gam[a][k][b]))))
 
         return _riemann_symmetric(n, component)
 

@@ -146,9 +146,7 @@ def test_stray_symbol_rejected():
 # of each antisymmetric and pair-symmetric set is tested.  The sampled test
 # stops evaluating the expressions at their first clear witnesses, so each
 # witness is at the first point drawn, at which every sampled component has
-# a ratio above 1e-6.  In coordinates the witnesses were W1212 = 4.0 for
-# p^4, W0101 = 0.23180852685550463 for x*p^2+y and W0101 =
-# -2.2901399101364173 for p^(5/2), at the same points.
+# a ratio above 1e-6.
 POSITIVE_P = {"x": (-1.0, 1.0), "y": (-1.0, 1.0), "p": (0.5, 2.0),
               "phi": (-1.0, 1.0)}
 
