@@ -49,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath
 
@@ -95,6 +95,8 @@ def _merged(*terms):
     """add(*terms) with equal terms merged: c1 X + c2 X is (c1 + c2) X, and
     left out when c1 + c2 = 0; a term that meets no equal one is kept as it
     is.  X is a product's argument tuple after its numeric coefficient."""
+    if len(terms) < 2:
+        return ex.add(*terms)
     groups = {}
     for t in terms:
         k, key = 1, (t,)
@@ -167,6 +169,13 @@ def symbolic_inverse(rows):
         return ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
 
     return _table(len(rows), 2, entry), det
+
+
+@lru_cache(maxsize=8)
+def _constant_inverse(rows):
+    """symbolic_inverse of a matrix of literals (a coframe package's eta),
+    built once per matrix: its entries are literals too."""
+    return symbolic_inverse(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +257,8 @@ class CurvaturePackage:
 
     @cached_property
     def inverse(self):
-        inv, det = symbolic_inverse(self.metric.rows)
+        inv, det = (symbolic_inverse if self.coframe is None
+                    else _constant_inverse)(self.metric.rows)
         self._det = det
         return inv
 
@@ -308,23 +318,28 @@ class CurvaturePackage:
         = 1/2 (C_abc - C_bca + C_cab), C_abc = eta_ak C^k_bc; built for
         a < c and shared, negated, with Gamma_cba."""
         n, eta = self.n, self.metric.rows
-        low = {bc: [ex.add(*_products((eta[a][k], ck[k]) for k in range(n)))
-                    for a in range(n)] for bc, ck in self.structure.items()}
+        half = {}  # (b, c) with b < c: [(C_abc/2, -C_abc/2) for each a]
+        for bc, ck in self.structure.items():
+            half[bc] = []
+            for a in range(n):
+                h = ex.mul(ex.HALF, ex.add(*_products(
+                    (eta[a][k], ck[k]) for k in range(n))))
+                half[bc].append((h, ex.neg(h)))
 
-        def term(sign, a, b, c):  # the factors of sign * C_abc / 2
+        def term(sign, a, b, c):  # sign * C_abc / 2
             if b == c:
-                return (ex.ZERO,)
-            if b > c:
-                b, c, sign = c, b, -sign
-            return (ex.num(Fraction(sign, 2)), low[b, c][a])
+                return ex.ZERO
+            return half[b, c][a][sign < 0] if b < c \
+                else half[c, b][a][sign > 0]
 
         t = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for b in range(n):
                 for c in range(a + 1, n):
-                    r = _merged(*_products((term(1, a, b, c), term(
-                        -1, b, c, a), term(1, c, a, b))))
-                    t[a][b][c], t[c][b][a] = r, ex.neg(r)
+                    r = _merged(*(u for u in (term(1, a, b, c), term(
+                        -1, b, c, a), term(1, c, a, b)) if u is not ex.ZERO))
+                    if r is not ex.ZERO:
+                        t[a][b][c], t[c][b][a] = r, ex.neg(r)
         return tuple(tuple(map(tuple, ta)) for ta in t)
 
     @cached_property
@@ -382,6 +397,8 @@ class CurvaturePackage:
         # Gamma^k_bc = eta^km Gamma_mbc, summed over the m with eta^km != 0
         raised = [[(m, inv[k][m], ex.neg(inv[k][m])) for m in range(n)
                    if inv[k][m] is not ex.ZERO] for k in range(n)]
+        cols = [[i for i in range(n) if e[c][i] is not ex.ZERO]
+                for c in range(n)]
         memo = {}
 
         def along(c, a, b, dd):  # e_c(Gamma_abd)
@@ -391,20 +408,26 @@ class CurvaturePackage:
             out = memo.get(key)
             if out is None:
                 f = gam[a][b][dd]
-                out = memo[key] = ex.add(*_products(
-                    (e[c][i], ex.differentiate(f, coords[i]))
-                    for i in range(n)))
+                out = memo[key] = ex.ZERO if f is ex.ZERO else ex.add(
+                    *_products((e[c][i], ex.differentiate(f, coords[i]))
+                               for i in cols[c]))
             return out
 
         def component(a, b, c, dd):
-            cd = st[c, dd]
-            return _merged(along(c, a, dd, b), ex.neg(along(dd, a, c, b)),
-                           *_products(f for k in range(n) for f in (
-                               *((u, gam[a][c][k], gam[m][dd][b])
-                                 for m, u, _ in raised[k]),
-                               *((v, gam[a][dd][k], gam[m][c][b])
-                                 for m, _, v in raised[k]),
-                               (ex.MINUS_ONE, cd[k], gam[a][k][b]))))
+            terms = [along(c, a, dd, b), ex.neg(along(dd, a, c, b))]
+            cd, gac, gad = st[c, dd], gam[a][c], gam[a][dd]
+            for k in range(n):
+                if gac[k] is not ex.ZERO:
+                    terms += [ex.mul(u, gac[k], gam[m][dd][b])
+                              for m, u, _ in raised[k]
+                              if gam[m][dd][b] is not ex.ZERO]
+                if gad[k] is not ex.ZERO:
+                    terms += [ex.mul(v, gad[k], gam[m][c][b])
+                              for m, _, v in raised[k]
+                              if gam[m][c][b] is not ex.ZERO]
+                if cd[k] is not ex.ZERO and gam[a][k][b] is not ex.ZERO:
+                    terms.append(ex.mul(ex.MINUS_ONE, cd[k], gam[a][k][b]))
+            return _merged(*terms)
 
         return _riemann_symmetric(n, component)
 
