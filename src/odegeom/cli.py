@@ -162,6 +162,8 @@ def cmd_ode2(args, cfg: RunConfig) -> tuple:
 
 
 def cmd_monge(args, cfg: RunConfig) -> tuple:
+    if args.F is None and args.action != "verify-solution":
+        raise CliError(f"monge {args.action} needs --F <formula>")
     if args.action == "classify1":
         m = monge.monge_first(_parse_formula(args.F, set(MONGE1.coords)))
         rep = monge.classify_monge1(m, cfg)
@@ -171,8 +173,15 @@ def cmd_monge(args, cfg: RunConfig) -> tuple:
         rep = monge.classify_monge2(m, cfg)
         return 0, {"formula": ex.to_str(m.F), **rep.to_json()}
     if args.action == "verify-solution":
-        with open(args.sol) as fh:
-            data = json.load(fh)
+        if args.sol is None:
+            raise CliError("verify-solution needs --sol <file>")
+        try:
+            with open(args.sol) as fh:
+                data = json.load(fh)
+        except OSError as err:
+            raise CliError(f"cannot read the solution file: {err}")
+        if not (isinstance(data, dict) and {"x", "y", "z"} <= data.keys()):
+            raise CliError("the solution file needs x, y and z")
         sol = monge.parametrized_solution(data["x"], data["y"], data["z"])
         order = int(data.get("order", 1))
         eq_text = data.get("equation", args.F)

@@ -1,18 +1,25 @@
-"""Tensor calculus for nondegenerate metrics in dimensions 3-5, in
-coordinates or in a coframe in which the metric has constant components.
+"""Tensor calculus for nondegenerate metrics in dimensions 3-5, in any
+coframe on one chart.
 
-Everything is built as shared expression DAGs and never expanded; identity
-checks evaluate the components numerically at sample points.  Sign
-conventions, fixed once for the whole package:
+A metric is g_ab theta^a theta^b, its components g_ab (constant or not) in a
+coframe theta^a = M^a_i dx^i; coordinates are the coframe dx^i.  Every
+tensor is built in the dual frame e_a = e_a^i d_i, e_a^i = (M^-1)^i_a, as
+shared expression DAGs that are never expanded; identity checks evaluate the
+components numerically at sample points.  Conventions, fixed once for the
+whole package (Kobayashi and Nomizu, Foundations of Differential Geometry
+I, IV.2, for the Koszul formula):
 
-    Gamma^a_ij  Levi-Civita (or Weyl-connection) symbols, symmetric in ij
-    R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
-              + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
-    R_abcd  = g_ae R^e_bcd
-            = 1/2 (d_b d_c g_ad + d_a d_d g_bc - d_b d_d g_ac - d_a d_c g_bd
-                   + [bc, f] Gamma^f_ad - [bd, f] Gamma^f_ac),
-              [ij, f] = d_i g_fj + d_j g_if - d_f g_ij
-    R_bd    = R^a_bad = g^ac R_abcd
+    [e_b, e_c] = C^a_bc e_a,  C^a_bc = -d theta^a(e_b, e_c)
+               = -d_j M^a_i (e_b^j e_c^i - e_c^j e_b^i),  C_abc = g_ak C^k_bc
+    grad_{e_b} e_c = Gamma^k_bc e_k,  Gamma_abc = g_ak Gamma^k_bc
+               = 1/2 (e_b g_ac + e_c g_ab - e_a g_bc)
+                 + 1/2 (C_abc - C_bca + C_cab)
+    Gamma_cba  = e_b g_ac - Gamma_abc
+    R_abcd  = g(e_a, R(e_c, e_d) e_b)
+            = e_c(Gamma_adb) - e_d(Gamma_acb) + Gamma_ack Gamma^k_db
+              - Gamma_adk Gamma^k_cb - C^k_cd Gamma_akb
+              - e_c(g_ak) Gamma^k_db + e_d(g_ak) Gamma^k_cb
+    R_bd    = g^ac R_abcd
     R       = g^bd R_bd
     Schouten S = (Ric - R g / (2(n-1))) / (n-2)
     Weyl_abcd  = R_abcd - (g_ac S_bd - g_ad S_bc + g_bd S_ac - g_bc S_ad)
@@ -20,27 +27,16 @@ conventions, fixed once for the whole package:
     C^abcd C_abcd = 4 tr((G W)^2) over the index pairs A = (a, b), a < b,
               W_AB = Weyl_abcd, G^AB = g^ac g^bd - g^ad g^bc
 
-For the Levi-Civita connection R_abcd and R_bd are built by the second form
-of each, from the metric (Misner, Thorne and Wheeler, Gravitation, 1973),
-and R^a_bcd is not built; `connection_curvature` and `ricci_from_riemann`
-take the first form for the Weyl connection.
-
-A metric eta_ab theta^a theta^b with constant eta on a coframe
-theta^a = M^a_i dx^i is built in the dual frame e_a = e_a^i d_i,
-e_a^i = (M^-1)^i_a, by Cartan's structure equations (the Koszul formula with
-constant eta), and R_abcd = eta(e_a, R(e_c, e_d) e_b) keeps the sign above:
-
-    [e_b, e_c] = C^a_bc e_a,  C^a_bc = -d theta^a(e_b, e_c)
-               = -d_j M^a_i (e_b^j e_c^i - e_c^j e_b^i)
-    grad_{e_b} e_c = Gamma^k_bc e_k,  Gamma_abc = eta_ak Gamma^k_bc
-               = 1/2 (C_abc - C_bca + C_cab),  C_abc = eta_ak C^k_bc,
-               antisymmetric in ac
-    R_abcd  = e_c(Gamma_adb) - e_d(Gamma_acb) + Gamma_ack Gamma^k_db
-              - Gamma_adk Gamma^k_cb - C^k_cd Gamma_akb
-
-Ricci, Schouten and Weyl then follow as above with eta for g.  A tensor
-with the symmetries of R_abcd (Singer and Thorpe, 1969: a symmetric map of
+As Gamma_ack - e_c(g_ak) = -Gamma_kca, R_abcd is built as
+e_c(Gamma_adb) - e_d(Gamma_acb) - Gamma_kca Gamma^k_db + Gamma_kda Gamma^k_cb
+- C^k_cd Gamma_akb, with no derivative of g_ab outside Gamma.  With constant
+g_ab, Gamma_abc is antisymmetric in ac; in coordinates C = 0 and Gamma_abc is
+the Christoffel symbol of the first kind, symmetric in bc.  A tensor with
+the symmetries of R_abcd (Singer and Thorpe, 1969: a symmetric map of
 bivectors) is built and contracted on its independent components only.
+`connection_curvature` takes R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
++ Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb in coordinates, for the
+Weyl connection and as a reference.
 """
 
 from __future__ import annotations
@@ -54,7 +50,8 @@ from functools import cached_property, lru_cache
 import mpmath
 
 from . import expr as ex
-from .exterior import Chart, DifferentialForm, SymmetricForm, _symmetric
+from .exterior import (Chart, DifferentialForm, SymmetricForm, _symmetric,
+                       d_coord)
 
 
 class MetricError(Exception):
@@ -74,10 +71,6 @@ class TensorField:
     def flatten(self) -> dict:
         return {idx: _at(self.comps, idx) for idx in itertools.product(
             range(self.chart.dim), repeat=len(self.variance))}
-
-    def nontrivial(self) -> dict:
-        return {idx: c for idx, c in self.flatten().items()
-                if not c.is_zero_literal}
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +166,16 @@ def symbolic_inverse(rows):
 
 @lru_cache(maxsize=8)
 def _constant_inverse(rows):
-    """symbolic_inverse of a matrix of literals (a coframe package's eta),
-    built once per matrix: its entries are literals too."""
+    """symbolic_inverse of a matrix of literals, built once per matrix: its
+    entries are literals too."""
+    return symbolic_inverse(rows)
+
+
+def _inverse(rows):
+    """symbolic_inverse of a tuple of rows, `_constant_inverse` when every
+    entry is a literal."""
+    if all(c.kind == ex.NUM for r in rows for c in r):
+        return _constant_inverse(rows)
     return symbolic_inverse(rows)
 
 
@@ -238,28 +239,28 @@ def ricci_from_riemann(riem, n):
 
 
 class CurvaturePackage:
-    """Levi-Civita curvature data of a metric, built lazily and shared.
+    """Levi-Civita curvature data of the metric g_ab theta^a theta^b, built
+    lazily and shared.
 
-    With no coframe, g holds the coordinate components g_ij and every
-    tensor has coordinate indices.  With a coframe theta^a = M^a_i dx^i on
-    g's chart, g holds the constant components eta_ab of the metric
-    eta_ab theta^a theta^b and every tensor has indices in the frame dual to
-    theta: R_abcd is built from `structure` and `connection`, and `ricci`,
-    `schouten` and `weyl_low` read eta and its inverse as they read g and
-    g^-1.  The coordinate-only data (`dg` and what is built from it) is then
-    refused."""
+    g holds the components g_ab, which may vary, in a coframe theta^a of
+    1-forms on g's chart; with no coframe given it is the coordinate coframe
+    dx^i, and g holds the coordinate components.  Every tensor has indices
+    in the frame e_a dual to the coframe."""
 
     def __init__(self, g: SymmetricForm, coframe=None):
         self.metric = g
         self.chart = g.chart
         self.n = g.dim
-        self.coframe = coframe
+        self.coframe = tuple(coframe or (d_coord(g.chart, x)
+                                         for x in g.chart.coords))
+        if len(self.coframe) != self.n or any(
+                th.degree != 1 or th.chart != g.chart for th in self.coframe):
+            raise MetricError("a coframe is one 1-form per coordinate, on "
+                              "the metric's chart")
 
     @cached_property
     def inverse(self):
-        inv, det = (symbolic_inverse if self.coframe is None
-                    else _constant_inverse)(self.metric.rows)
-        self._det = det
+        inv, self._det = _inverse(self.metric.rows)
         return inv
 
     @cached_property
@@ -268,22 +269,22 @@ class CurvaturePackage:
         return self._det
 
     @cached_property
-    def dg(self):
-        if self.coframe is not None:
-            raise MetricError("metric derivatives are coordinate data; "
-                              "a coframe package has constant components")
-        n, coords = self.n, self.chart.coords
-        return [[[ex.differentiate(self.metric.rows[i][j], coords[k])
-                  for j in range(n)] for i in range(n)] for k in range(n)]
-
-    @cached_property
     def frame(self):
         """e_a^i of the frame e_a = e_a^i d_i dual to the coframe, the
         columns (M^-1)^i_a of the coframe matrix's inverse."""
         n = self.n
-        minv, _det = symbolic_inverse(
-            [[th.coeff((i,)) for i in range(n)] for th in self.coframe])
+        minv, _det = _inverse(tuple(tuple(th.coeff((i,)) for i in range(n))
+                                    for th in self.coframe))
         return _table(n, 2, lambda a, i: minv[i][a])
+
+    def _along(self, c, f):
+        """e_c(f) = e_c^i d_i f, zero for a literal f."""
+        if f.kind == ex.NUM:
+            return ex.ZERO
+        coords = self.chart.coords
+        return ex.add(*[ex.mul(x, ex.differentiate(f, coords[i]))
+                        for i, x in enumerate(self.frame[c])
+                        if x is not ex.ZERO])
 
     @cached_property
     def structure(self):
@@ -313,121 +314,119 @@ class CurvaturePackage:
         return out
 
     @cached_property
+    def metric_terms(self):
+        """1/2 (e_b g_ac + e_c g_ab - e_a g_bc), the part of Gamma_abc that
+        the derivatives of the components give, symmetric in bc and zero
+        where g_ab are literals."""
+        n, g = self.n, self.metric.rows
+        if all(c.kind == ex.NUM for row in g for c in row):
+            return (((ex.ZERO,) * n,) * n,) * n
+        dg = [_symmetric(n, lambda a, b, c=c: self._along(c, g[a][b]))
+              for c in range(n)]  # dg[c][a][b] = e_c(g_ab)
+        return tuple(_symmetric(n, lambda b, c, a=a: ex.mul(ex.HALF, ex.add(
+            dg[b][a][c], dg[c][a][b], ex.neg(dg[a][b][c]))))
+            for a in range(n))
+
+    def _mirrored(self, a, b, c):
+        """Whether Gamma_abc is built as -Gamma_cba: for a > c where the
+        metric terms of both vanish, which leaves the structure terms,
+        antisymmetric in ac."""
+        k = self.metric_terms
+        return a > c and k[a][b][c] is ex.ZERO and k[c][b][a] is ex.ZERO
+
+    @cached_property
     def connection(self):
-        """Gamma_abc = eta(e_a, grad_{e_b} e_c)
-        = 1/2 (C_abc - C_bca + C_cab), C_abc = eta_ak C^k_bc; built for
-        a < c and shared, negated, with Gamma_cba."""
-        n, eta = self.n, self.metric.rows
-        half = {}  # (b, c) with b < c: [(C_abc/2, -C_abc/2) for each a]
+        """Gamma_abc = g(e_a, grad_{e_b} e_c), the metric terms plus
+        1/2 (C_abc - C_bca + C_cab), C_abc = g_ak C^k_bc; the structure terms
+        cancel for a = c."""
+        n, g, k = self.n, self.metric.rows, self.metric_terms
+        half = {}  # (b, c), b < c, C^a_bc not all 0: [(C_abc/2, -C_abc/2)]
         for bc, ck in self.structure.items():
-            half[bc] = []
-            for a in range(n):
-                h = ex.mul(ex.HALF, ex.add(*_products(
-                    (eta[a][k], ck[k]) for k in range(n))))
-                half[bc].append((h, ex.neg(h)))
+            if any(c is not ex.ZERO for c in ck):
+                half[bc] = []
+                for a in range(n):
+                    h = ex.mul(ex.HALF, ex.add(*_products(
+                        (g[a][m], ck[m]) for m in range(n))))
+                    half[bc].append((h, ex.neg(h)))
 
         def term(sign, a, b, c):  # sign * C_abc / 2
-            if b == c:
+            h = half.get((min(b, c), max(b, c)))
+            if h is None:
                 return ex.ZERO
-            return half[b, c][a][sign < 0] if b < c \
-                else half[c, b][a][sign > 0]
+            return h[a][(sign < 0) == (b < c)]
 
-        t = [[[ex.ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(a + 1, n):
-                    r = _merged(*(u for u in (term(1, a, b, c), term(
-                        -1, b, c, a), term(1, c, a, b)) if u is not ex.ZERO))
-                    if r is not ex.ZERO:
-                        t[a][b][c], t[c][b][a] = r, ex.neg(r)
+        t = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if self._mirrored(a, b, c):
+                t[a][b][c] = ex.neg(t[c][b][a])
+            elif a == c or not half:
+                t[a][b][c] = k[a][b][c]
+            else:
+                t[a][b][c] = _merged(*(u for u in (
+                    k[a][b][c], term(1, a, b, c), term(-1, b, c, a),
+                    term(1, c, a, b)) if u is not ex.ZERO))
         return tuple(tuple(map(tuple, ta)) for ta in t)
 
     @cached_property
-    def brackets(self):
-        """[ij, f] = d_i g_fj + d_j g_if - d_f g_ij for i <= j, twice the
-        Christoffel symbol of the first kind."""
-        n, dg = self.n, self.dg
-        return {(i, j): [ex.add(dg[i][f][j], dg[j][i][f], ex.neg(dg[f][i][j]))
-                         for f in range(n)]
-                for i in range(n) for j in range(i, n)}
-
-    @cached_property
     def christoffel(self):
-        """Gamma^a_ij, built for i <= j and shared with Gamma^a_ji."""
-        n, ginv, br = self.n, self.inverse, self.brackets
-        return tuple(_symmetric(n, lambda i, j, a=a: ex.mul(ex.HALF, ex.add(
-            *_products((ginv[a][f], br[i, j][f]) for f in range(n)))))
-            for a in range(n))
+        """Gamma^k_bc = g^km Gamma_mbc, raised once for each distinct column
+        (Gamma_mbc for each m): in coordinates Gamma^k_cb is Gamma^k_bc."""
+        n, ginv, gam = self.n, self.inverse, self.connection
+        cols = _table(n, 2, lambda b, c: tuple(gam[m][b][c] for m in range(n)))
+        raised = {}
+        for col in itertools.chain(*cols):
+            if col not in raised:
+                raised[col] = [ex.add(*_products(zip(row, col)))
+                               for row in ginv]
+        return _table(n, 3, lambda k, b, c: raised[cols[b][c]][k])
 
     @cached_property
     def riemann_up(self):
+        """R^a_bcd of `christoffel` by `connection_curvature`, which
+        differentiates along the coordinates: in the coordinate coframe
+        only."""
         return connection_curvature(self.chart, self.christoffel)
 
     @cached_property
     def riemann_low(self):
-        """R_abcd from the second derivatives of the metric and the
-        Christoffel symbols of both kinds, R^a_bcd never built; in a coframe
-        from the connection and structure functions."""
-        if self.coframe is not None:
-            return self._frame_riemann()
-        n, coords, dg = self.n, self.chart.coords, self.dg
-        br, gam = self.brackets, self.christoffel
-
-        def d2(u, v, i, j):  # d_u d_v g_ij
-            return ex.differentiate(dg[v][i][j], coords[u])
-
-        def quad(i, j, a, c, *sign):  # the terms of sum_f [ij, f] Gamma^f_ac
-            ij = br[min(i, j), max(i, j)]
-            return _products((*sign, ij[f], gam[f][a][c]) for f in range(n))
-
-        def component(a, b, c, dd):
-            return ex.mul(ex.HALF, ex.add(
-                d2(b, c, a, dd), d2(a, dd, b, c),
-                ex.neg(d2(b, dd, a, c)), ex.neg(d2(a, c, b, dd)),
-                *quad(b, c, a, dd), *quad(b, dd, a, c, ex.MINUS_ONE)))
-
-        return _riemann_symmetric(n, component)
-
-    def _frame_riemann(self):
-        """R_abcd = e_c(Gamma_adb) - e_d(Gamma_acb) + Gamma_ack Gamma^k_db
-        - Gamma_adk Gamma^k_cb - C^k_cd Gamma_akb; a derivative of
-        Gamma_cba is taken as that of -Gamma_abc."""
-        n, coords, e = self.n, self.chart.coords, self.frame
-        gam, st, inv = self.connection, self.structure, self.inverse
-        # Gamma^k_bc = eta^km Gamma_mbc, summed over the m with eta^km != 0
-        raised = [[(m, inv[k][m], ex.neg(inv[k][m])) for m in range(n)
-                   if inv[k][m] is not ex.ZERO] for k in range(n)]
-        cols = [[i for i in range(n) if e[c][i] is not ex.ZERO]
-                for c in range(n)]
+        """R_abcd = e_c(Gamma_adb) - e_d(Gamma_acb) - Gamma_kca Gamma^k_db
+        + Gamma_kda Gamma^k_cb - C^k_cd Gamma_akb, R^a_bcd never built; the
+        derivative of a mirrored Gamma_abd is taken as that of -Gamma_dba,
+        and a literal g^km of Gamma^k_db = g^km Gamma_mdb is a coefficient of
+        the product, not a node of its own."""
+        n, gam, st, ginv = (self.n, self.connection, self.structure,
+                            self.inverse)
+        literal = [all(u.kind == ex.NUM for u in row) for row in ginv]
         memo = {}
 
         def along(c, a, b, dd):  # e_c(Gamma_abd)
-            if a > dd:
-                return ex.neg(along(c, dd, b, a))
             key = (c, a, b, dd)
             out = memo.get(key)
             if out is None:
-                f = gam[a][b][dd]
-                out = memo[key] = ex.ZERO if f is ex.ZERO else ex.add(
-                    *_products((e[c][i], ex.differentiate(f, coords[i]))
-                               for i in cols[c]))
+                out = memo[key] = ex.neg(along(c, dd, b, a)) \
+                    if self._mirrored(a, b, dd) \
+                    else self._along(c, gam[a][b][dd])
             return out
+
+        def up(k, d, b):  # the factor tuples of the terms of Gamma^k_db
+            if not literal[k]:
+                return ((self.christoffel[k][d][b],),)
+            return [(u, gam[m][d][b]) for m, u in enumerate(ginv[k])
+                    if u is not ex.ZERO and gam[m][d][b] is not ex.ZERO]
 
         def component(a, b, c, dd):
             terms = [along(c, a, dd, b), ex.neg(along(dd, a, c, b))]
-            cd, gac, gad = st[c, dd], gam[a][c], gam[a][dd]
-            for k in range(n):
-                if gac[k] is not ex.ZERO:
-                    terms += [ex.mul(u, gac[k], gam[m][dd][b])
-                              for m, u, _ in raised[k]
-                              if gam[m][dd][b] is not ex.ZERO]
-                if gad[k] is not ex.ZERO:
-                    terms += [ex.mul(v, gad[k], gam[m][c][b])
-                              for m, _, v in raised[k]
-                              if gam[m][c][b] is not ex.ZERO]
-                if cd[k] is not ex.ZERO and gam[a][k][b] is not ex.ZERO:
+            cd = st[c, dd]
+            for k in range(n):  # a zero factor is tested before a product
+                gc, gd = gam[k][c][a], gam[k][dd][a]
+                if gc is not ex.ZERO:
+                    terms += [ex.mul(ex.MINUS_ONE, gc, *f)
+                              for f in up(k, dd, b)]
+                if gd is not ex.ZERO:
+                    terms += [ex.mul(gd, *f) for f in up(k, c, b)]
+                if cd[k] is not ex.ZERO:
                     terms.append(ex.mul(ex.MINUS_ONE, cd[k], gam[a][k][b]))
-            return _merged(*terms)
+            return _merged(*(t for t in terms if t is not ex.ZERO))
 
         return _riemann_symmetric(n, component)
 
@@ -475,11 +474,11 @@ class CurvaturePackage:
         return _riemann_symmetric(n, component)
 
     def covariant_derivative_02(self, t):
-        """grad_k t_ij for a (0,2) tensor."""
-        n, coords = self.n, self.chart.coords
-        gam = self.christoffel
+        """grad_k t_ij = e_k(t_ij) - Gamma^l_ki t_lj - Gamma^l_kj t_il for a
+        (0,2) tensor."""
+        n, gam = self.n, self.christoffel
         return _table(n, 3, lambda k, i, j: ex.add(
-            ex.differentiate(t[i][j], coords[k]),
+            self._along(k, t[i][j]),
             *_products(f for l in range(n) for f in (
                 (ex.MINUS_ONE, gam[l][k][i], t[l][j]),
                 (ex.MINUS_ONE, gam[l][k][j], t[i][l])))))
@@ -511,25 +510,12 @@ def curvature_package(g: SymmetricForm) -> CurvaturePackage:
     return CurvaturePackage(g)
 
 
-def weyl(g: SymmetricForm) -> TensorField:
+def weyl(g: SymmetricForm, coframe=None) -> TensorField:
+    """Weyl_abcd of the metric g_ab theta^a theta^b in the frame dual to the
+    coframe theta^a, by default the coordinate coframe dx^i."""
     if g.dim not in (4, 5):
         raise MetricError("Weyl tensor computed in dimensions 4 and 5")
-    return TensorField(g.chart, "llll", CurvaturePackage(g).weyl_low)
-
-
-def frame_weyl(coframe, eta) -> TensorField:
-    """Weyl_abcd of the metric eta_ab theta^a theta^b, for a coframe of
-    1-forms theta^a on one chart and a constant symmetric matrix eta, in the
-    frame dual to the coframe."""
-    chart = coframe[0].chart
-    if chart.dim not in (4, 5) or len(coframe) != chart.dim:
-        raise MetricError("Weyl tensor computed in dimensions 4 and 5, "
-                          "from one 1-form per coordinate")
-    if any(th.degree != 1 or th.chart != chart for th in coframe):
-        raise MetricError("a coframe holds 1-forms on one chart")
-    eta = SymmetricForm(chart, eta)
-    return TensorField(chart, "llll",
-                       CurvaturePackage(eta, tuple(coframe)).weyl_low)
+    return TensorField(g.chart, "llll", CurvaturePackage(g, coframe).weyl_low)
 
 
 def cotton3(g: SymmetricForm) -> TensorField:

@@ -18,7 +18,7 @@ import mpmath
 from . import expr as ex
 from .config import RunConfig
 from .curvature import (TensorField, conformal_rescale, einstein_residual,
-                        frame_weyl, tensor_zero_exprs)
+                        tensor_zero_exprs, weyl)
 from .exterior import (MONGE2, Equation, SymmetricForm, d_coord, equation,
                        sym_product, sym_square, total_derivative)
 from .ode3 import InvariantReport
@@ -677,7 +677,8 @@ def weyl_frame_pattern_check(F: ex.Expression, bx: DomainBox | None = None,
     cfg = cfg or RunConfig()
     bx = bx or example6_box()
     a5 = example6_a5(F)
-    frame = frame_weyl(example6_coframe(F)["alpha"], NULL_FRAME_ETA)
+    frame = weyl(SymmetricForm(MONGE2, NULL_FRAME_ETA),
+                 example6_coframe(F)["alpha"])
     allowed = allowed_frame_pattern(scalars)
 
     named_outside = tensor_zero_exprs(frame, "out", skip=allowed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import expr as ex
 from .config import RunConfig
-from .curvature import frame_weyl, tensor_zero_exprs
+from .curvature import tensor_zero_exprs, weyl
 from .exterior import (J1EXT, Equation, SymmetricForm, d_coord, equation,
                        sym_product, total_derivative)
 from .ode3 import InvariantReport
@@ -73,8 +73,8 @@ def fefferman_flatness_check(ode: Equation,
     dual to `fefferman_coframe`."""
     cfg = cfg or RunConfig()
     inv = ode2_invariants(ode)
-    named = tensor_zero_exprs(
-        frame_weyl(fefferman_coframe(ode), FEFFERMAN_ETA), "W")
+    named = tensor_zero_exprs(weyl(SymmetricForm(J1EXT, FEFFERMAN_ETA),
+                                   fefferman_coframe(ode)), "W")
     checks = is_zero_many({**inv, **named}, ode.box, cfg)
     weyl_verdict = combined_verdict({k: checks[k] for k in named}, cfg)
     w_zero = checks["w1"].is_zero and checks["w2"].is_zero

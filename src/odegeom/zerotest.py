@@ -54,6 +54,8 @@ class DomainBox:
 
     def __post_init__(self):
         for name, (lo, hi) in self.intervals.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise BoxError(f"non-finite bound for {name!r}")
             if not lo <= hi:
                 raise BoxError(f"empty interval for {name!r}")
         for g, margin in self.positive_guards + self.nonzero_guards:

@@ -92,6 +92,32 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["verify", "nonsense"], capsys)[0] == 2
 
 
+# each of these raised a TypeError, a FileNotFoundError or a KeyError: a
+# missing --F or --sol, a solution file that is not there or lacks y, and an
+# infinite sampling interval
+@pytest.mark.parametrize("argv, message", [
+    (["monge", "classify1"], "needs --F"),
+    (["monge", "classify2"], "needs --F"),
+    (["monge", "g32"], "needs --F"),
+    (["monge", "example6", "a5"], "needs --F"),
+    (["monge", "verify-solution"], "needs --sol"),
+    (["monge", "verify-solution", "--sol", "{missing}"], "cannot read"),
+    (["monge", "verify-solution", "--sol", "{no_y}"], "needs x, y and z"),
+    (["monge", "g32", "--F", "q^3", "--box", "q:-inf:1"], "non-finite"),
+    (["ode3", "classify", "--F", "q^2", "--box", "q:-inf:1"], "non-finite"),
+    (["ode2", "flatness", "--Q", "p^4", "--box", "p:0:inf"], "non-finite"),
+], ids=["classify1", "classify2", "g32", "example6-a5", "no-sol",
+        "missing-sol", "sol-without-y", "g32-inf", "ode3-inf", "ode2-inf"])
+def test_incomplete_monge_input_and_infinite_box_exit_two(argv, message,
+                                                         tmp_path, capsys):
+    no_y = tmp_path / "no_y.json"
+    no_y.write_text(json.dumps({"x": "t", "z": "t^2", "equation": "q"}))
+    paths = {"{missing}": str(tmp_path / "missing.json"), "{no_y}": str(no_y)}
+    status, _, err = run_cli([paths.get(a, a) for a in argv], capsys)
+    assert status == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_box_violation_exit_two(capsys):
     status, _, err = run_cli(
         ["ode3", "classify", "--F", "q^(1/2)", "--box", "q:-5:-1"], capsys)

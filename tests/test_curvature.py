@@ -12,17 +12,20 @@ from odegeom.curvature import (
     CurvaturePackage, _at, _eigenvalues, _merged, _riemann_symmetric,
     MetricError, TensorField,
     conformal_rescale, cotton3,
-    curvature_package, einstein_residual, frame_weyl,
+    curvature_package, einstein_residual,
     signature_at, signatures, symbolic_inverse, tensor_zero_exprs, weyl,
     weyl_connection_residual, weyl_square,
 )
-from odegeom.exterior import (Chart, DifferentialForm, SymmetricForm,
-                              _symmetric, d_coord, zero_form)
-from odegeom.monge import (NULL_FRAME_ETA, example6_coframe, example6_metric,
-                           frame_metric)
+from odegeom.exterior import (J1EXT, MONGE2, Chart, DifferentialForm,
+                              SymmetricForm, _symmetric, zero_form)
+from odegeom.monge import (_G32_TERMS, NULL_FRAME_ETA, contact_coframe,
+                           example6_box, example6_coframe, example6_metric,
+                           frame_metric, g32_coefficient, g32_metric,
+                           monge_second)
 from odegeom.ode2 import (FEFFERMAN_ETA, fefferman_coframe, fefferman_metric,
                           second_order)
-from odegeom.zerotest import DomainBox, box, is_zero, is_zero_many, unit_box
+from odegeom.zerotest import (DomainBox, box, combined_verdict, is_zero,
+                              is_zero_many, unit_box)
 
 CFG = RunConfig(samples=8)
 
@@ -449,8 +452,15 @@ def test_dimension_guards():
 # from the reference R^a_bcd.  Comparing all n^4 components checks the
 # antisymmetries and the pair symmetry the new tables rely on.
 
+def metric_derivatives(g):
+    """dg[k][i][j] = d_k g_ij."""
+    n, coords = g.dim, g.chart.coords
+    return [[[ex.differentiate(g.rows[i][j], coords[k]) for j in range(n)]
+             for i in range(n)] for k in range(n)]
+
+
 def reference_christoffel(pkg):
-    n, ginv, dg = pkg.n, pkg.inverse, pkg.dg
+    n, ginv, dg = pkg.n, pkg.inverse, metric_derivatives(pkg.metric)
     return [[[ex.mul(ex.HALF, ex.add(*[
         ex.mul(ginv[a][dd], ex.add(dg[i][dd][j], dg[j][i][dd],
                                    ex.neg(dg[dd][i][j])))
@@ -629,14 +639,18 @@ def test_levi_civita_path_builds_no_riemann_up():
         pkg.scalar
         assert "riemann_low" in pkg.__dict__
         assert "riemann_up" not in pkg.__dict__
-    # the brackets are the ones the Christoffel symbols are built from
+    # in coordinates the structure functions vanish and the connection is
+    # the Christoffel symbols of the first kind, one node for Gamma_aij and
+    # Gamma_aji
     pkg = curvature_package(nonflat_4metric())
-    n, dg = pkg.n, pkg.dg
-    for (i, j), inner in pkg.brackets.items():
-        assert i <= j
-        for f in range(n):
-            assert inner[f] is ex.add(dg[i][f][j], dg[j][i][f],
-                                      ex.neg(dg[f][i][j]))
+    n, dg = pkg.n, metric_derivatives(pkg.metric)
+    assert all(c is ex.ZERO for cs in pkg.structure.values() for c in cs)
+    for a in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                assert pkg.connection[a][i][j] is pkg.connection[a][j][i]
+                assert pkg.connection[a][i][j] is ex.mul(ex.HALF, ex.add(
+                    dg[i][a][j], dg[j][a][i], ex.neg(dg[a][i][j])))
 
 
 # --- frame route against the converted coordinate route ----------------------
@@ -721,16 +735,57 @@ def test_fefferman_frame_weyl_is_the_converted_coordinate_weyl(formula,
                     **intervals})
     ode = second_order(formula, bx)
     coframe = fefferman_coframe(ode)
-    assert_frame_route_matches(frame_weyl(coframe, FEFFERMAN_ETA),
-                               weyl(fefferman_metric(ode)), coframe, bx)
+    assert_frame_route_matches(
+        weyl(SymmetricForm(J1EXT, FEFFERMAN_ETA), coframe),
+        weyl(fefferman_metric(ode)), coframe, bx)
 
 
 def test_example6_frame_weyl_is_the_converted_coordinate_weyl():
     F = ex.parse("q^3/6")
     g = frame_metric(F)
     coframe = example6_coframe(F)["alpha"]
-    assert_frame_route_matches(frame_weyl(coframe, NULL_FRAME_ETA), weyl(g),
-                               coframe, g.box)
+    assert_frame_route_matches(
+        weyl(SymmetricForm(MONGE2, NULL_FRAME_ETA), coframe), weyl(g),
+        coframe, g.box)
+
+
+def g32_contact_metric(formula):
+    """The g32 metric in its contact coframe, as (components, coframe,
+    coordinate metric): components that vary, in a coframe that is not a
+    coordinate one.  The coefficient of theta^p theta^q is the component
+    g_pp for p = q and 2 g_pq for p != q."""
+    m = monge_second(formula, example6_box())
+    forms = contact_coframe(m.F)
+    coeffs = {pair: g32_coefficient(m.F, pair) for pair in _G32_TERMS}
+
+    def component(a, b):
+        c = coeffs.get((a + 1, b + 1), ex.ZERO)
+        return c if a == b else ex.mul(ex.HALF, c)
+
+    return (SymmetricForm(MONGE2, _symmetric(5, component)),
+            tuple(forms[i] for i in range(1, 6)), g32_metric(m))
+
+
+@pytest.mark.parametrize("formula, flat", [
+    ("q^2", True), ("q^3", False), ("q^3 + y*p", False)])
+def test_g32_contact_frame_weyl_is_the_converted_coordinate_weyl(formula,
+                                                                 flat):
+    comps, coframe, g = g32_contact_metric(formula)
+    frame = weyl(comps, coframe)
+    assert_frame_route_matches(frame, weyl(g), coframe, g.box)
+    named = tensor_zero_exprs(frame)
+    assert (not named or combined_verdict(
+        is_zero_many(named, g.box, CFG), CFG).is_zero) is flat
+
+
+def test_metric_is_parallel_in_the_g32_contact_frame():
+    # grad_k g_ij = e_k(g_ij) - Gamma^l_ki g_lj - Gamma^l_kj g_il vanishes
+    # with components that vary, in a coframe that is not a coordinate one
+    comps, coframe, g = g32_contact_metric("q^3 + y*p")
+    nabla = CurvaturePackage(comps, coframe).covariant_derivative_02(
+        comps.rows)
+    exprs_zero({f"ng{k}{i}{j}": nabla[k][i][j]
+                for k, i, j in itertools.product(range(5), repeat=3)}, g.box)
 
 
 def test_coframe_package_builds_each_independent_component_once():
@@ -749,10 +804,8 @@ def test_coframe_package_builds_each_independent_component_once():
             assert gam[c][b][a] is ex.neg(gam[a][b][c])
     low = pkg.riemann_low
     assert _riemann_symmetric(n, lambda *idx: _at(low, idx)) == low
-    # eta's inverse is exact, and the coordinate data is refused
+    # eta's inverse is exact
     assert pkg.inverse == tuple(tuple(map(ex.num, r)) for r in FEFFERMAN_ETA)
-    with pytest.raises(MetricError, match="coordinate"):
-        pkg.christoffel
 
 
 def test_merged_sums_the_coefficients_of_equal_terms():
@@ -768,11 +821,13 @@ def test_merged_sums_the_coefficients_of_equal_terms():
 
 def test_frame_weyl_refuses_what_it_cannot_build():
     coframe = fefferman_coframe(second_order("p^4"))
-    with pytest.raises(MetricError, match="dimensions 4 and 5"):
-        frame_weyl(coframe[:3], FEFFERMAN_ETA)
-    with pytest.raises(MetricError, match="1-forms"):
-        frame_weyl((*coframe[:3], zero_form(coframe[0].chart, 2)),
-                   FEFFERMAN_ETA)
+    eta = SymmetricForm(J1EXT, FEFFERMAN_ETA)
+    with pytest.raises(MetricError, match="one 1-form per coordinate"):
+        weyl(eta, coframe[:3])
+    with pytest.raises(MetricError, match="one 1-form per coordinate"):
+        weyl(eta, (*coframe[:3], zero_form(J1EXT, 2)))
+    with pytest.raises(MetricError, match="one 1-form per coordinate"):
+        weyl(eta, example6_coframe(ex.parse("q^3"))["alpha"][:4])
 
 
 # --- sparse sums and shared minors against the dense loops they replaced ------
@@ -812,13 +867,18 @@ def dense_inverse(rows):
 
 
 def dense_christoffel(pkg):
-    n, ginv = pkg.n, pkg.inverse
-    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for (i, j), inner in pkg.brackets.items():
-            gam[a][i][j] = gam[a][j][i] = ex.mul(ex.HALF, ex.add(
-                *[ex.mul(ginv[a][dd], inner[dd]) for dd in range(n)]))
-    return gam
+    """Gamma^a_ij = g^ad Gamma_dij, Gamma_dij = Gamma_dji
+    = 1/2 (d_i g_dj + d_j g_di - d_d g_ij) in coordinates."""
+    n, ginv, dg = pkg.n, pkg.inverse, metric_derivatives(pkg.metric)
+
+    def first(dd, i, j):
+        i, j = min(i, j), max(i, j)
+        return ex.mul(ex.HALF, ex.add(dg[i][dd][j], dg[j][dd][i],
+                                      ex.neg(dg[dd][i][j])))
+
+    return [[[ex.add(*[ex.mul(ginv[a][dd], first(dd, i, j))
+                       for dd in range(n)]) for j in range(n)]
+             for i in range(n)] for a in range(n)]
 
 
 def dense_scalar(pkg):

@@ -5,9 +5,10 @@ import pytest
 
 from odegeom import expr as ex
 from odegeom.config import RunConfig
-from odegeom.curvature import (curvature_package, frame_weyl, signature_at,
+from odegeom.curvature import (curvature_package, signature_at,
                                symbolic_inverse, tensor_zero_exprs, weyl,
                                weyl_square)
+from odegeom.exterior import MONGE2, SymmetricForm
 from odegeom.monge import (
     NULL_FRAME_ETA, SOLUTION_DEPTH_1, SOLUTION_DEPTH_2, Equation,
     ParametrizedSolution,
@@ -346,7 +347,8 @@ def test_weyl_frame_pattern_tests_each_outside_node_once(monkeypatch):
     assert len(outside) == 5
     nodes = set(outside.values())
     assert len(nodes | {ex.neg(c) for c in nodes}) == 10
-    frame = frame_weyl(example6_coframe(F)["alpha"], NULL_FRAME_ETA)
+    frame = weyl(SymmetricForm(MONGE2, NULL_FRAME_ETA),
+                 example6_coframe(F)["alpha"])
     allowed = allowed_frame_pattern()
     assert all(c.is_zero_literal or c in nodes or ex.neg(c) in nodes
                for idx, c in frame.flatten().items() if idx not in allowed)

@@ -7,8 +7,9 @@ from odegeom import expr as ex
 from odegeom import ode2 as ode2_module
 from odegeom.cli import build_box
 from odegeom.config import RunConfig
-from odegeom.curvature import (curvature_package, frame_weyl, signature_at,
+from odegeom.curvature import (curvature_package, signature_at,
                                tensor_zero_exprs, weyl)
+from odegeom.exterior import J1EXT, SymmetricForm
 from odegeom.ode2 import (FEFFERMAN_ETA, Equation, fefferman_coframe,
                           fefferman_flatness_check, fefferman_metric,
                           ode2_invariants, second_order)
@@ -169,9 +170,14 @@ def test_curved_weyl_verdict_witness(formula, intervals, label, value, point):
     assert (v.label, v.witness_value, v.witness_point) == (label, value, point)
     # the witness is the named component's value at the witness point
     comp = tensor_zero_exprs(
-        frame_weyl(fefferman_coframe(ode), FEFFERMAN_ETA), "W")[label]
+        frame_weyl(ode), "W")[label]
     got = float(ex.eval_numeric(comp, point))
     assert got == value
+
+
+def frame_weyl(ode):
+    """The Weyl tensor in the frame dual to the Fefferman coframe."""
+    return weyl(SymmetricForm(J1EXT, FEFFERMAN_ETA), fefferman_coframe(ode))
 
 
 # Without a box, a symbol that a positive guard needs positive as a bare
@@ -214,7 +220,7 @@ def two_call_flatness(ode, cfg):
     inv = ode2_invariants(ode)
     checks = is_zero_many(inv, ode.box, cfg)
     named = tensor_zero_exprs(
-        frame_weyl(fefferman_coframe(ode), FEFFERMAN_ETA), "W")
+        frame_weyl(ode), "W")
     weyl_verdict = combined_verdict(is_zero_many(named, ode.box, cfg), cfg) \
         if named else structural_zero(cfg)
     return {"w1": checks["w1"], "w2": checks["w2"], "weyl": weyl_verdict}

@@ -99,6 +99,20 @@ def test_one_vanishing_point_is_not_enough():
     assert (v.is_zero, v.method) == (True, "sampled")
 
 
+def test_box_refuses_a_non_finite_bound():
+    # a sample of an infinite interval is not a number mpmath can take, so
+    # the box is refused when it is made, as an empty interval is
+    for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0),
+                   (-math.inf, math.inf)):
+        with pytest.raises(BoxError, match="non-finite"):
+            DomainBox({"q": (0.5, 2.0), "p": (lo, hi)})
+        with pytest.raises(BoxError, match="non-finite"):
+            zerotest.box(q=(0.5, 2.0)).with_symbols(p=(lo, hi))
+    with pytest.raises(BoxError, match="empty"):
+        DomainBox({"q": (2.0, 0.5)})
+    assert DomainBox({"q": (-1e300, 1e300)}).intervals["q"] == (-1e300, 1e300)
+
+
 def test_unbound_symbol_is_not_decided_exactly():
     # as in the sampled test, a symbol the box does not sample makes every
     # point fail
