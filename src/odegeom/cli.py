@@ -57,6 +57,20 @@ def build_box(formula: ex.Expression, chart_names, specs) -> DomainBox:
     return DomainBox(parse_box_args(specs, defaults))
 
 
+def _solution_box(spec) -> DomainBox:
+    """The sampling box of a solution file's "box": an object that maps each
+    name to two real numbers [lo, hi]."""
+    def real(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not (isinstance(spec, dict) and all(
+            isinstance(v, list) and len(v) == 2 and all(map(real, v))
+            for v in spec.values())):
+        raise CliError('the solution file\'s "box" must map each name to '
+                       'two numbers [lo, hi]')
+    return DomainBox({k: tuple(v) for k, v in spec.items()})
+
+
 def _parse_formula(text, allowed):
     try:
         return ex.parse(text, allowed=allowed)
@@ -187,7 +201,7 @@ def cmd_monge(args, cfg: RunConfig) -> tuple:
         eq_text = data.get("equation", args.F)
         if eq_text is None:
             raise CliError("no equation given (solution file or --F)")
-        bx = DomainBox({k: tuple(v) for k, v in data.get("box", {}).items()})
+        bx = _solution_box(data.get("box", {}))
         eq = monge.monge_first(eq_text) if order == 1 \
             else monge.monge_second(eq_text)
         verdict = monge.verify_parametrized_solution(eq, sol, bx, cfg)

@@ -92,18 +92,20 @@ def _merged(*terms):
         return ex.add(*terms)
     groups = {}
     for t in terms:
-        k, key = 1, (t,)
+        c, key = ex.ONE, (t,)
         if t.kind == ex.MUL:
             head = t.args[0]
-            k, key = (head.payload, t.args[1:]) if head.kind == ex.NUM \
-                else (1, t.args)
-        groups.setdefault(key, []).append((k, t))
+            c, key = (head, t.args[1:]) if head.kind == ex.NUM \
+                else (ex.ONE, t.args)
+        groups.setdefault(key, []).append((c, t))
     out = []
     for key, group in groups.items():
         if len(group) == 1:
             out.append(group[0][1])
-        elif sum(k for k, _ in group):
-            out.append(ex.mul(ex.num(sum(k for k, _ in group)), *key))
+        else:
+            c = ex.add(*(c for c, _ in group))  # the literal sum, or ZERO
+            if c is not ex.ZERO:
+                out.append(ex.mul(c, *key))
     return ex.add(*out)
 
 
@@ -384,7 +386,11 @@ class CurvaturePackage:
     def riemann_up(self):
         """R^a_bcd of `christoffel` by `connection_curvature`, which
         differentiates along the coordinates: in the coordinate coframe
-        only."""
+        only, and a MetricError in any other."""
+        n, e = self.n, self.frame
+        if any(e[a][i] is not (ex.ONE if a == i else ex.ZERO)
+               for a in range(n) for i in range(n)):
+            raise MetricError("riemann_up needs the coordinate coframe dx^i")
         return connection_curvature(self.chart, self.christoffel)
 
     @cached_property

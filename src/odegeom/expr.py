@@ -8,7 +8,11 @@ argument tuple (nodes hash by identity), so a key copies nothing the node
 holds.  `_dcache` holds one table {node: derivative} per variable.  Both
 live as long as the process.  Construction applies light normalization only
 (constant folding, 0/1 identities, flattening of sums and products); there is
-no factorization or canonical simplification.  Identity claims are settled by
+no factorization or canonical simplification.  `num`, `add` and `mul` look up
+and insert into their own kind's table directly, and `add` and `mul` fold
+rational coefficients on int numerator and denominator pairs with one gcd,
+making a Fraction only for a literal new to its table (a float among them
+folds by Python's arithmetic, left to right).  Identity claims are settled by
 randomized evaluation (modulo a prime, or at floating sample points), not by
 rewriting.
 
@@ -30,7 +34,9 @@ Node kinds:
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -58,6 +64,8 @@ _FAMILY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)_([0-9]+)$")
 
 # denominators under this magnitude count as a domain violation
 DIV_FLOOR = 1e-120
+# largest expanded tree, in nodes, whose text a repr prints
+REPR_MAX_SIZE = 10_000
 # the types of an exact num payload: int when integral, else Fraction
 RATIONAL = (int, Fraction)
 
@@ -104,6 +112,15 @@ class Expression:
         return to_str(self)
 
     def __repr__(self):
+        # to_str expands a shared DAG, and pytest reprs the arguments of a
+        # failing test: the text is printed only while the expanded tree,
+        # sized over the distinct nodes, has at most REPR_MAX_SIZE nodes
+        size = {}
+        for n in walk(self):
+            size[n] = 1 + sum(size[a] for a in n.args)
+            if size[n] > REPR_MAX_SIZE:
+                count = sum(1 for _ in walk(self))
+                return f"<expression: {self.kind}, {count} distinct nodes>"
         # to_str refuses a literal too long to print; a repr, as of a
         # container holding this node, names its length instead
         try:
@@ -172,17 +189,14 @@ _KEYED_BY_ARGS = frozenset((ADD, MUL, DIV, POW))
 
 def _key_of(kind, payload, args):
     """The key of a node in its kind's table `_intern[kind]`: `args` itself
-    for add, mul, div and pow; a num's payload, tagged when it is a Fraction
-    or a float; (payload, args) otherwise."""
+    for add, mul, div and pow; a num's payload, tagged when it is a float;
+    (payload, args) otherwise.  `add`, `mul` and `num` intern their nodes
+    themselves under these keys, and a Fraction num under ("Q", n, d)."""
     if kind in _KEYED_BY_ARGS:
         return args
-    if kind != NUM:
-        return payload, args
-    if isinstance(payload, Fraction):
-        return "Q", payload.numerator, payload.denominator
-    if isinstance(payload, float):
-        return "f", repr(payload)
-    return payload
+    if kind == NUM:
+        return ("f", repr(payload)) if isinstance(payload, float) else payload
+    return payload, args
 
 
 def _node(kind, payload, args):
@@ -196,17 +210,36 @@ def _node(kind, payload, args):
 
 
 def as_expr(v) -> Expression:
-    return v if isinstance(v, Expression) else num(v)
+    return v if type(v) is Expression else num(v)
+
+
+_NUMS, _ADDS, _MULS = _intern[NUM], _intern[ADD], _intern[MUL]
 
 
 def num(v) -> Expression:
     """The literal v; an integral Fraction is stored as its numerator."""
+    if type(v) is int:  # spares an int the ABC checks of isinstance below
+        node = _NUMS.get(v)
+        if node is None:
+            node = _NUMS[v] = Expression(NUM, v, ())
+        return node
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            v = v.numerator
-    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        return _rational(v.numerator, v.denominator)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"bad numeric payload {v!r}")
     return _node(NUM, v, ())
+
+
+def _rational(n: int, d: int) -> Expression:
+    """The literal n/d of coprime ints n and d > 0, keyed ("Q", n, d) unless
+    integral; its Fraction is made only when the literal is new."""
+    if d == 1:
+        return num(n)
+    node = _NUMS.get(("Q", n, d))
+    if node is None:
+        q = Fraction(n, d)  # the key shares the payload's ints
+        node = _NUMS["Q", q.numerator, q.denominator] = Expression(NUM, q, ())
+    return node
 
 
 ZERO = num(0)
@@ -237,53 +270,121 @@ def name_of(e: Expression) -> str:
     raise ValueError("not a symbol node")
 
 
+def _fold_sum(nodes) -> Expression:
+    """The literal sum of the payloads of the num `nodes`: in ints, on
+    numerator and denominator pairs with one gcd at the end, unless a float
+    makes it Python's sum from the first payload on (no zero seed)."""
+    n, d = 0, 1
+    for u in nodes:
+        v = u.payload
+        if type(v) is int:
+            n += v * d
+        elif type(v) is Fraction:
+            b = v.denominator
+            n, d = n * b + v.numerator * d, d * b
+        else:
+            return num(functools.reduce(operator.add,
+                                        [u.payload for u in nodes]))
+    if d == 1:
+        return num(n)
+    g = math.gcd(n, d)
+    return _rational(n // g, d // g)
+
+
+def _fold_product(nodes) -> Expression:
+    """The literal product of the payloads of the num `nodes`, folded like
+    `_fold_sum` (no unit seed)."""
+    n = d = 1
+    for u in nodes:
+        v = u.payload
+        if type(v) is int:
+            n *= v
+        elif type(v) is Fraction:
+            n, d = n * v.numerator, d * v.denominator
+        else:
+            return num(functools.reduce(operator.mul,
+                                        [u.payload for u in nodes]))
+    if d == 1:
+        return num(n)
+    g = math.gcd(n, d)
+    return _rational(n // g, d // g)
+
+
+# `add` and `mul` flatten their sum and product arguments.  Only the first
+# argument of a sum or product they build is a num, and none is a sum or a
+# product in turn, so the rest of such an argument joins the terms whole.
+
 def add(*terms) -> Expression:
-    # numeric terms fold left to right from the first one (no zero seed)
-    const = None
-    rest = []
+    nums, rest = [], []
     for t in terms:
-        if not isinstance(t, Expression):
-            t = as_expr(t)
-        for u in (t.args if t.kind == ADD else (t,)):
-            if u.kind == NUM:
-                const = u.payload if const is None else const + u.payload
+        if type(t) is not Expression:
+            t = num(t)
+        kind = t.kind
+        if kind == ADD:
+            args = t.args
+            if args[0].kind == NUM:
+                nums.append(args[0])
+                rest += args[1:]
             else:
-                rest.append(u)
-    if const is not None and const != 0:
-        rest.insert(0, num(const))
+                rest += args
+        elif kind == NUM:
+            nums.append(t)
+        else:
+            rest.append(t)
+    if nums:
+        c = nums[0] if len(nums) == 1 else _fold_sum(nums)
+        if c.payload != 0:
+            rest.insert(0, c)
     if not rest:
         return ZERO
     if len(rest) == 1:
         return rest[0]
-    return _node(ADD, None, rest)
+    args = tuple(rest)
+    node = _ADDS.get(args)
+    if node is None:
+        node = _ADDS[args] = Expression(ADD, None, args)
+    return node
 
 
 def neg(e) -> Expression:
-    return mul(MINUS_ONE, as_expr(e))
+    return mul(MINUS_ONE, e)
 
 
 def mul(*factors) -> Expression:
-    # numeric factors fold left to right from the first one (no unit seed)
-    coeff = None
-    rest = []
+    nums, rest = [], []
     for f in factors:
-        if not isinstance(f, Expression):
-            f = as_expr(f)
-        for u in (f.args if f.kind == MUL else (f,)):
-            if u.kind == NUM:
-                coeff = u.payload if coeff is None else coeff * u.payload
+        if type(f) is not Expression:
+            f = num(f)
+        kind = f.kind
+        if kind == MUL:
+            args = f.args
+            if args[0].kind == NUM:
+                nums.append(args[0])
+                rest += args[1:]
             else:
-                rest.append(u)
-    if coeff is not None:
-        if coeff == 0:
+                rest += args
+        elif kind == NUM:
+            nums.append(f)
+        else:
+            rest.append(f)
+    if nums:
+        c = nums[0] if len(nums) == 1 else _fold_product(nums)
+        v = c.payload
+        if type(v) is Fraction:  # never integral, so neither 0 nor 1
+            rest.insert(0, c)
+        elif v == 0:
             return ZERO
-        if coeff != 1:
-            rest.insert(0, num(coeff))
+        elif v != 1:
+            rest.insert(0, c)
     if not rest:
         return ONE
     if len(rest) == 1:
         return rest[0]
-    return _node(MUL, None, rest)
+    args = tuple(rest)
+    node = _MULS.get(args)
+    if node is None:
+        node = _MULS[args] = Expression(MUL, None, args)
+    return node
 
 
 def div(a, b) -> Expression:
@@ -294,7 +395,8 @@ def div(a, b) -> Expression:
         if b.payload == 0:
             raise ZeroDivisionError("literal division by zero")
         if isinstance(b.payload, RATIONAL):
-            return mul(num(Fraction(1) / b.payload), a)
+            n, d = b.payload.numerator, b.payload.denominator
+            return mul(_rational(d, n) if n > 0 else _rational(-d, -n), a)
         return mul(num(1.0 / b.payload), a)
     if a.is_zero_literal:
         return ZERO
@@ -1439,7 +1541,8 @@ def parse(text: str, allowed=None) -> Expression:
                 raise ParseError(
                     f"number of more than {MAX_LITERAL_DIGITS} digits", pos)
             try:
-                vals.append(_bounded(num(Fraction(val))))
+                vals.append(_bounded(num(
+                    Fraction(val) if "." in val else int(val))))
             except OverflowError as err:
                 raise ParseError(str(err), pos) from None
         elif kind == "ident":

@@ -118,6 +118,21 @@ def test_incomplete_monge_input_and_infinite_box_exit_two(argv, message,
     assert message in err and "Traceback" not in err
 
 
+# a "box" that is not an object of two-number intervals ended in a
+# TypeError or an AttributeError traceback
+@pytest.mark.parametrize("box", [{"t": ["a", "b"]}, [1, 2], {"t": [1]},
+                                 {"t": [True, 2]}],
+                         ids=["strings", "list", "one-bound", "bool"])
+def test_malformed_solution_box_exits_two(box, tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({"x": "t", "y": "t", "z": "t^2",
+                                "equation": "q", "box": box}))
+    status, _, err = run_cli(["monge", "verify-solution", "--sol", str(path)],
+                             capsys)
+    assert status == 2
+    assert '"box"' in err and "Traceback" not in err
+
+
 def test_box_violation_exit_two(capsys):
     status, _, err = run_cli(
         ["ode3", "classify", "--F", "q^(1/2)", "--box", "q:-5:-1"], capsys)

@@ -740,6 +740,16 @@ def test_fefferman_frame_weyl_is_the_converted_coordinate_weyl(formula,
         weyl(fefferman_metric(ode)), coframe, bx)
 
 
+def test_riemann_up_refuses_a_coframe_other_than_the_coordinates():
+    # connection_curvature differentiates along the coordinates, so in the
+    # Fefferman coframe it would not be R^a_bcd
+    coframe = fefferman_coframe(second_order("p^4"))
+    pkg = CurvaturePackage(SymmetricForm(J1EXT, FEFFERMAN_ETA), coframe)
+    with pytest.raises(MetricError, match="coordinate coframe"):
+        pkg.riemann_up
+    assert pkg.riemann_low  # the frame route is defined in any coframe
+
+
 def test_example6_frame_weyl_is_the_converted_coordinate_weyl():
     F = ex.parse("q^3/6")
     g = frame_metric(F)

@@ -119,6 +119,15 @@ def test_repr_names_a_literal_too_long_to_print():
         ex.to_str(big * q)
 
 
+def test_repr_of_a_deep_shared_dag_names_its_size():
+    # 122 distinct nodes whose expanded tree has about 2^60 of them
+    e = x
+    for _ in range(60):
+        e = e / (1 + e)
+    assert repr(e) == "<expression: div, 122 distinct nodes>"
+    assert repr([e]) == "[<expression: div, 122 distinct nodes>]"
+
+
 def test_family_symbols_parse_and_shift():
     w2 = ex.parse("w_2^2")
     d = ex.differentiate(w2, "t")
@@ -258,8 +267,9 @@ def reference_mul(*factors):
     return out[0] if len(out) == 1 else ex._node(ex.MUL, None, out)
 
 
-_PAYLOADS = [0, 1, -1, 2, Fraction(1, 3), Fraction(-3, 2), 0.0, -0.0, 1.0,
-             -1.0, 2.5, -0.5, 1e-300, float("inf"), float("nan")]
+_PAYLOADS = [0, 1, -1, 2, Fraction(1, 3), Fraction(-3, 2), Fraction(2, 3),
+             Fraction(-9, 4), Fraction(3, 2), 0.0, -0.0, 1.0, -1.0, 2.5, -0.5,
+             1e-300, float("inf"), float("nan")]
 
 
 @st.composite
@@ -283,6 +293,14 @@ def fold_operands(draw):
 def test_add_and_mul_match_reference_node_for_node(operands):
     assert ex.add(*operands) is reference_add(*operands)
     assert ex.mul(*operands) is reference_mul(*operands)
+
+
+def test_rational_coefficients_fold_to_lowest_terms():
+    third = ex.num(Fraction(1, 3))
+    assert ex.mul(ex.HALF, ex.num(Fraction(2, 3)), x) is ex.mul(third, x)
+    assert ex.mul(ex.num(Fraction(2, 3)), ex.num(Fraction(3, 2)), x) is x
+    assert ex.add(ex.num(Fraction(2, 3)), third, x) is ex.add(1, x)
+    assert ex.add(third, ex.num(Fraction(-1, 3)), x) is x
 
 
 @pytest.mark.parametrize("payloads", [
