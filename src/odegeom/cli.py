@@ -197,7 +197,9 @@ def cmd_monge(args, cfg: RunConfig) -> tuple:
         if not (isinstance(data, dict) and {"x", "y", "z"} <= data.keys()):
             raise CliError("the solution file needs x, y and z")
         sol = monge.parametrized_solution(data["x"], data["y"], data["z"])
-        order = int(data.get("order", 1))
+        order = data.get("order", 1)
+        if type(order) is not int or order not in (1, 2):  # refuses a bool
+            raise CliError('the solution file\'s "order" must be 1 or 2')
         eq_text = data.get("equation", args.F)
         if eq_text is None:
             raise CliError("no equation given (solution file or --F)")

@@ -637,11 +637,9 @@ def contains_antiderivative(e: Expression) -> bool:
 # A tape lists the nodes of its roots in topological order over integer
 # slots.  Each instruction is (f, dst, a, b) and runs as
 # slots[dst] = f(slots[a], slots[b], prec, rnd), with f an mpmath.libmp
-# function on raw mpf tuples at the context's precision and rounding; exact
-# evaluation swaps each f for its Fraction counterpart (an int or Fraction
-# leaf enters as a Fraction), and `Tape.modular` for its counterpart modulo
-# a prime.  An n-ary add or mul folds left to right into binary steps, as
-# mpf operators would.
+# function on raw mpf tuples at the context's precision and rounding, and
+# `Tape.modular` swaps each f for its counterpart modulo a prime.  An n-ary
+# add or mul folds left to right into binary steps, as mpf operators would.
 
 _DIV_FLOOR_MPF = from_float(DIV_FLOOR)
 
@@ -699,37 +697,7 @@ def _antiderivative(*_):
         "formal antiderivative cannot be evaluated numerically")
 
 
-def _exact_num(v):
-    if not isinstance(v, RATIONAL):
-        raise EvalError("float literal in exact evaluation")
-    return Fraction(v)  # so that `_q_div` of two int literals stays exact
-
-
-def _q_div(a, b, prec, rnd):
-    if b == 0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-def _q_powi(b, p, prec, rnd):
-    if b == 0 and p < 0:
-        raise DomainError("division by zero")
-    return b ** p
-
-
-def _q_pow(*_):
-    raise EvalError("non-integer power in exact evaluation")
-
-
-def _q_func(*_):
-    raise EvalError("func node in exact evaluation")
-
-
 _FUNCS = {"exp": _mpf_exp, "log": _mpf_log}
-_EXACT = {mpf_add: lambda a, b, *_: a + b, mpf_mul: lambda a, b, *_: a * b,
-          _mpf_div: _q_div, _mpf_powi: _q_powi, _mpf_pow: _q_pow,
-          _mpf_exp: _q_func, _mpf_log: _q_func,
-          _antiderivative: _antiderivative}
 
 
 def _tape_args(n: Expression):
@@ -824,42 +792,27 @@ class Tape:
         self.size = size
         self._init_at = {}  # (prec, rnd) -> slots with the num leaves filled in
 
-    def _init(self, num_value):
+    def _init(self, prec, rnd):
         slots = [None] * self.size
         for p, i in self.exponents.items():
             slots[i] = p
         for i, v in self.consts:
-            slots[i] = num_value(v)
+            slots[i] = _mpf_leaf(v, prec, rnd)
         return slots
 
-    def run(self, bindings, exact=False):
-        """Yield, group by group, the raw values of the roots at `bindings`.
-
-        Values are mpf tuples at the current mpmath precision, or Fractions
-        when `exact` (which raises EvalError on a float literal, a
-        non-integer power or a function).
-        """
-        if exact:
-            prec = rnd = None
-            code = [[(_EXACT[f], d, a, b) for f, d, a, b in seg]
-                    for seg in self.code]
-            slots = self._init(_exact_num)
-            leaf = Fraction
-        else:
-            prec, rnd = mpmath.mp._prec_rounding
-
-            def leaf(v):
-                return _mpf_leaf(v, prec, rnd)
-            code = self.code
-            init = self._init_at.get((prec, rnd))
-            if init is None:
-                init = self._init_at[prec, rnd] = self._init(leaf)
-            slots = init[:]
+    def run(self, bindings):
+        """Yield, group by group, the raw values of the roots at `bindings`,
+        mpf tuples at the current mpmath precision."""
+        prec, rnd = mpmath.mp._prec_rounding
+        init = self._init_at.get((prec, rnd))
+        if init is None:
+            init = self._init_at[prec, rnd] = self._init(prec, rnd)
+        slots = init[:]
         for i, name in self.syms:
             if name not in bindings:
                 raise UnboundSymbolError(f"unbound symbol {name!r}")
-            slots[i] = leaf(bindings[name])
-        for seg, outs in zip(code, self.outs):
+            slots[i] = _mpf_leaf(bindings[name], prec, rnd)
+        for seg, outs in zip(self.code, self.outs):
             for f, d, a, b in seg:
                 slots[d] = f(slots[a], slots[b], prec, rnd)
             yield [slots[i] for i in outs]
@@ -1282,14 +1235,9 @@ class ModularTape:
         return out
 
 
-def evaluate(e: Expression, bindings: dict, cache: dict | None = None):
-    """Evaluate under the *current* mpmath precision; a shared `cache` keeps
-    the values of expressions already evaluated at the same point."""
-    if cache is not None and e in cache:
-        return cache[e]
+def evaluate(e: Expression, bindings: dict):
+    """Evaluate under the *current* mpmath precision."""
     (v,) = Tape([e]).values(bindings)
-    if cache is not None:
-        cache[e] = v
     return v
 
 
@@ -1300,13 +1248,37 @@ def eval_numeric(e: Expression, point: dict, dps: int = DEFAULT_DPS):
 
 
 def evaluate_exact(e: Expression, bindings: dict) -> Fraction:
-    """Exact rational evaluation; raises EvalError on non-rational operations.
+    """Exact rational evaluation: e with its symbols bound to Fractions, as
+    the constructors fold it.  Raises EvalError on what a tape cannot
+    evaluate in the rationals (a float literal, a non-integer power, a
+    function, an Int), DomainError on a division by zero and, as `pow_`
+    does, OverflowError on a power of more than MAX_LITERAL_BITS bits.
 
     Used for polynomial identities, where sampling at rational points decides
     the identity without floating error.
     """
-    (v,) = next(Tape([e]).run(bindings, exact=True))
-    return v
+    # the folds would skip what a tape refuses: exp(0) is 1, 0.5*0 is 0
+    used = {}
+    for n in walk(e, children=_tape_args):
+        k = n.kind
+        if k in (SYM, FAM):
+            name = name_of(n)
+            if name not in bindings:
+                raise UnboundSymbolError(f"unbound symbol {name!r}")
+            used[name] = Fraction(bindings[name])
+        elif k == NUM and not isinstance(n.payload, RATIONAL):
+            raise EvalError("float literal in exact evaluation")
+        elif k == POW and not is_integer_literal(n.args[1]):
+            raise EvalError("non-integer power in exact evaluation")
+        elif k == FUNC:
+            raise EvalError("func node in exact evaluation")
+        elif k == INT:
+            raise AntiderivativeError(
+                "formal antiderivative cannot be evaluated exactly")
+    try:
+        return Fraction(substitute(e, used).payload)
+    except ZeroDivisionError:
+        raise DomainError("division by zero") from None
 
 
 # ---------------------------------------------------------------------------

@@ -374,13 +374,13 @@ class Equation:
 
 
 def equation(kind: str, text_or_expr, box: DomainBox | None = None,
-             params=(), margin=1e-3) -> Equation:
+             params=()) -> Equation:
     """The equation of class `kind` with defining function F, sampled on
     `equation_box`; a 2nd-order box also covers the fiber coordinate phi
     of the Fefferman metric, on (-1, 1) unless `box` gives it."""
     F = ex.parse(text_or_expr) if isinstance(text_or_expr, str) \
         else ex.as_expr(text_or_expr)
-    box = equation_box(F, _class_chart(kind).coords, box, margin)
+    box = equation_box(F, _class_chart(kind).coords, box)
     if kind == "2nd-order" and "phi" not in box.intervals:
         box = box.with_symbols(phi=(-1.0, 1.0))
     return Equation(kind, F, box, frozenset(params))

@@ -27,12 +27,12 @@ from .zerotest import (DomainBox, ZeroTestVerdict, box, combined_verdict,
                        unit_box)
 
 
-def monge_first(text_or_expr, bx: DomainBox | None = None, params=()):
-    return equation("monge1", text_or_expr, bx, params)
+def monge_first(text_or_expr, bx: DomainBox | None = None):
+    return equation("monge1", text_or_expr, bx)
 
 
-def monge_second(text_or_expr, bx: DomainBox | None = None, params=()):
-    return equation("monge2", text_or_expr, bx, params)
+def monge_second(text_or_expr, bx: DomainBox | None = None):
+    return equation("monge2", text_or_expr, bx)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +98,14 @@ def parametrized_solution(x, y, z) -> ParametrizedSolution:
     return ParametrizedSolution(conv(x), conv(y), conv(z))
 
 
+_XT_VANISHES = "dx/dt vanishes identically on the sample box"
+
+
 def _solution_residual(eq, sol: ParametrizedSolution):
     dt = lambda e: ex.differentiate(e, "t")
     xt = dt(sol.x)
+    if xt.is_zero_literal:
+        raise ValueError(_XT_VANISHES)
     yt = dt(sol.y)
     zt = dt(sol.z)
     yp = ex.div(yt, xt)
@@ -136,9 +141,9 @@ def verify_parametrized_solution(eq, sol: ParametrizedSolution,
     named = {"dx/dt": xt}
     if not residual.is_zero_literal:
         named["expr"] = residual
-    got = {} if xt.is_zero_literal else is_zero_many(named, bx, cfg)
-    if not got or got["dx/dt"].is_zero:
-        raise ValueError("dx/dt vanishes identically on the sample box")
+    got = is_zero_many(named, bx, cfg)
+    if got["dx/dt"].is_zero:
+        raise ValueError(_XT_VANISHES)
     return got.get("expr") or structural_zero(cfg)
 
 

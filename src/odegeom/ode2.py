@@ -17,9 +17,8 @@ from .ode3 import InvariantReport
 from .zerotest import DomainBox, combined_verdict, is_zero_many
 
 
-def second_order(text_or_expr, box: DomainBox | None = None,
-                 params=(), margin=1e-3) -> Equation:
-    return equation("2nd-order", text_or_expr, box, params, margin)
+def second_order(text_or_expr, box: DomainBox | None = None) -> Equation:
+    return equation("2nd-order", text_or_expr, box)
 
 
 # 2(theta2 theta3 - theta1 theta4) in the coframe of `fefferman_coframe`

@@ -26,8 +26,8 @@ from .zerotest import (
 
 
 def third_order(text_or_expr, box: DomainBox | None = None,
-                params=(), margin=1e-3) -> Equation:
-    return equation("3rd-order", text_or_expr, box, params, margin)
+                params=()) -> Equation:
+    return equation("3rd-order", text_or_expr, box, params)
 
 
 @dataclass

@@ -92,9 +92,23 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["verify", "nonsense"], capsys)[0] == 2
 
 
-# each of these raised a TypeError, a FileNotFoundError or a KeyError: a
-# missing --F or --sol, a solution file that is not there or lacks y, and an
-# infinite sampling interval
+# solution files, each written to a file of its own under its key
+ORDER_TWO_SOL = {"x": "t", "y": "t", "z": "t^2", "equation": "q"}
+SOLUTIONS = {
+    "{no_y}": {"x": "t", "z": "t^2", "equation": "q"},
+    "{x_const}": {"x": 1, "y": "t", "z": "t", "equation": "p"},
+    "{x_t_minus_t}": {"x": "t - t", "y": "t", "z": "t", "equation": "p"},
+    "{order_3}": {**ORDER_TWO_SOL, "order": 3},
+    "{order_1.5}": {**ORDER_TWO_SOL, "order": 1.5},
+    "{order_two}": {**ORDER_TWO_SOL, "order": "two"},
+    "{order_true}": {**ORDER_TWO_SOL, "order": True},
+}
+
+
+# each of these raised a TypeError, a FileNotFoundError, a KeyError or a
+# ZeroDivisionError, or ran: a missing --F or --sol, a solution file that is
+# not there, lacks y, has an x free of t or an order other than 1 or 2, and
+# an infinite sampling interval
 @pytest.mark.parametrize("argv, message", [
     (["monge", "classify1"], "needs --F"),
     (["monge", "classify2"], "needs --F"),
@@ -103,17 +117,24 @@ def test_usage_errors_exit_two(capsys):
     (["monge", "verify-solution"], "needs --sol"),
     (["monge", "verify-solution", "--sol", "{missing}"], "cannot read"),
     (["monge", "verify-solution", "--sol", "{no_y}"], "needs x, y and z"),
+    (["monge", "verify-solution", "--sol", "{x_const}"], "dx/dt vanishes"),
+    (["monge", "verify-solution", "--sol", "{x_t_minus_t}"], "dx/dt vanishes"),
+    *[(["monge", "verify-solution", "--sol", key], '"order" must be 1 or 2')
+      for key in ("{order_3}", "{order_1.5}", "{order_two}", "{order_true}")],
     (["monge", "g32", "--F", "q^3", "--box", "q:-inf:1"], "non-finite"),
     (["ode3", "classify", "--F", "q^2", "--box", "q:-inf:1"], "non-finite"),
     (["ode2", "flatness", "--Q", "p^4", "--box", "p:0:inf"], "non-finite"),
 ], ids=["classify1", "classify2", "g32", "example6-a5", "no-sol",
-        "missing-sol", "sol-without-y", "g32-inf", "ode3-inf", "ode2-inf"])
+        "missing-sol", "sol-without-y", "sol-x-constant", "sol-x-t-minus-t",
+        "order-3", "order-1.5", "order-string", "order-bool", "g32-inf",
+        "ode3-inf", "ode2-inf"])
 def test_incomplete_monge_input_and_infinite_box_exit_two(argv, message,
                                                          tmp_path, capsys):
-    no_y = tmp_path / "no_y.json"
-    no_y.write_text(json.dumps({"x": "t", "z": "t^2", "equation": "q"}))
-    paths = {"{missing}": str(tmp_path / "missing.json"), "{no_y}": str(no_y)}
-    status, _, err = run_cli([paths.get(a, a) for a in argv], capsys)
+    paths = {"{missing}": str(tmp_path / "missing.json")}
+    for i, (key, sol) in enumerate(SOLUTIONS.items()):
+        path = paths[key] = tmp_path / f"sol{i}.json"
+        path.write_text(json.dumps(sol))
+    status, _, err = run_cli([str(paths.get(a, a)) for a in argv], capsys)
     assert status == 2
     assert message in err and "Traceback" not in err
 

@@ -634,8 +634,8 @@ def root_runs(monkeypatch):
     runs = []
     real = ex.Tape.run
 
-    def run(self, bindings, exact=False):
-        for i, values in enumerate(real(self, bindings, exact)):
+    def run(self, bindings):
+        for i, values in enumerate(real(self, bindings)):
             if i == 1:
                 runs.append(bindings)
             yield values
